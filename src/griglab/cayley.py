@@ -12,7 +12,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -62,6 +62,15 @@ class CayleyBall:
 
     def ball_size(self, r: int) -> int:
         return self.layer_offsets[r + 1]
+
+    def neighbors(self) -> list:
+        """Sorted distinct neighbours of each vertex, without itself or
+        OUTSIDE; parallel generator edges give one neighbour."""
+        cols = [col.tolist() for col in self.adjacency]
+        return [
+            tuple(sorted({col[u] for col in cols} - {u, OUTSIDE}))
+            for u in range(self.size)
+        ]
 
     def edge_list(self) -> list:
         """(source index, symbol, target index or OUTSIDE) triples."""
@@ -165,6 +174,33 @@ class CountSeries:
         return out
 
 
+def walk_counts(
+    g: MarkedGroup, ball: CayleyBall, n_max: int, force_exact: bool = False
+) -> Iterator[np.ndarray]:
+    """Yield c_t for t = 0..n_max: c_t[v] counts the length-t symbol words
+    from the identity that evaluate to ball vertex v without leaving the ball.
+
+    Counts are int64 while k^n_max < 2^62 (and force_exact is off), else
+    Python ints in an object array.  Each step is a fresh array.
+    """
+    V = ball.size
+    dtype = np.int64 if not force_exact and g.k**n_max < 2**62 else object
+    # predecessors of v through s are v * s^{-1}; OUTSIDE reads the zero cell V
+    preds = [
+        np.where(col >= 0, col, V)
+        for col in (ball.adjacency[g.inverse_symbol_index(s)] for s in range(g.k))
+    ]
+    cur = np.zeros(V + 1, dtype=dtype)
+    cur[0] = 1
+    yield cur[:V]
+    for _ in range(n_max):
+        new = np.zeros(V + 1, dtype=dtype)
+        for idx in preds:
+            new[:V] += cur[idx]
+        cur = new
+        yield cur[:V]
+
+
 def cogrowth(
     g: MarkedGroup,
     n_max: int,
@@ -181,38 +217,7 @@ def cogrowth(
         raise ValueError("n_max must be an even nonnegative integer")
     if ball is None or ball.radius < n_max // 2:
         ball = bfs_ball(g, n_max // 2)
-    k = g.k
-    # incoming adjacency: predecessors of v through s are v * s^{-1}
-    rev = [ball.adjacency[g.inverse_symbol_index(s)] for s in range(k)]
-    V = ball.size
-    values = [1]
-    exact_limit = not force_exact and k**n_max < 2**62
-    if exact_limit:
-        old = np.zeros(V, dtype=np.int64)
-        old[0] = 1
-        for _ in range(n_max):
-            new = np.zeros(V, dtype=np.int64)
-            for s in range(k):
-                idx = rev[s]
-                contrib = old[np.maximum(idx, 0)]
-                contrib = np.where(idx >= 0, contrib, 0)
-                new += contrib
-            old = new
-            values.append(int(old[0]))
-    else:
-        rev_lists = [c.tolist() for c in rev]
-        old = [0] * V
-        old[0] = 1
-        for _ in range(n_max):
-            new = [0] * V
-            for s in range(k):
-                idx = rev_lists[s]
-                for v in range(V):
-                    u = idx[v]
-                    if u >= 0 and old[u]:
-                        new[v] += old[u]
-            old = new
-            values.append(old[0])
+    values = [int(c[0]) for c in walk_counts(g, ball, n_max, force_exact)]
     return CountSeries("cogrowth", values)
 
 
@@ -236,33 +241,27 @@ def saw_count(
         raise ValueError("n_max must be >= 0")
     if ball is None or ball.radius < n_max:
         ball = bfs_ball(g, n_max)
-    V = ball.size
-    neigh: List[tuple] = []
-    for u in range(V):
-        seen = set()
-        for s in range(g.k):
-            v = int(ball.adjacency[s][u])
-            if v != OUTSIDE and v != u:
-                seen.add(v)
-        neigh.append(tuple(sorted(seen)))
+    neigh = ball.neighbors()
     counts = [0] * (n_max + 1)
     counts[0] = 1
-    visited = bytearray(V)
+    visited = bytearray(ball.size)
     visited[0] = 1
-    # iterative DFS: stack of (vertex, next neighbor position)
-    stack = [(0, 0)]
-    while stack:
-        u, pos = stack[-1]
-        if pos < len(neigh[u]) and len(stack) <= n_max:
-            stack[-1] = (u, pos + 1)
-            v = neigh[u][pos]
+    # depth-first over self-avoiding paths; each level keeps its neighbour iterator
+    path = [0]
+    todo = [iter(neigh[0])] if n_max else []
+    while todo:
+        for v in todo[-1]:
             if not visited[v]:
-                visited[v] = 1
-                counts[len(stack)] += 1
-                stack.append((v, 0))
-        else:
-            stack.pop()
-            visited[u] = 0
+                break
+        else:  # level exhausted: backtrack
+            todo.pop()
+            visited[path.pop()] = 0
+            continue
+        counts[len(path)] += 1
+        if len(path) < n_max:
+            visited[v] = 1
+            path.append(v)
+            todo.append(iter(neigh[v]))
     return CountSeries("saw", counts)
 
 

@@ -14,7 +14,6 @@ carry runtime as null, the wall-clock number goes to stderr.
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -270,7 +269,6 @@ def run_verify(args) -> tuple:
 
 def run_estimate(args) -> dict:
     g = parse_group_expr(args.group)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
     p = args.parameter
     if p == "rho":
         rep = spectral_radius(g, args.n if args.n else 12)
@@ -281,7 +279,6 @@ def run_estimate(args) -> dict:
             radius=args.R,
             trials=args.trials,
             seed=args.seed,
-            threads=threads,
         )
     elif p == "entropy":
         rep = entropy(g, args.n if args.n else 16)
@@ -447,7 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", metavar="PATH", help="write CSV table ('-' = stdout)")
         p.add_argument("--config", metavar="FILE", help="flat key=value defaults; flags win")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=0, help="0 = all cores")
+        p.add_argument(
+            "--threads", type=int, default=0,
+            help="accepted for compatibility; trials run serially",
+        )
         p.add_argument("--omega", default="(012)*", help="defining word for functor towers")
 
     v = sub.add_parser("verify", help="run an exact invariant suite")

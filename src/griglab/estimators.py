@@ -8,13 +8,12 @@ series/curve so callers can render CSV without recomputation.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .cayley import OUTSIDE, CayleyBall, bfs_ball, cheeger_upper, cogrowth, growth, saw_count
+from .cayley import OUTSIDE, CayleyBall, bfs_ball, cheeger_upper, cogrowth, growth, saw_count, walk_counts
 from .marked import FreeGroup, MarkedGroup
 
 SCHEMA = "griglab/estimate/1"
@@ -120,40 +119,17 @@ def walk_distribution(
 ) -> WalkDistribution:
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n * math.log(g.k) > 700:
-        raise ValueError("k^n exceeds float range; use a radial method")
+    _check_float_range(g, n)
     if ball is None or ball.radius < n:
         ball = bfs_ball(g, n)
-    k = g.k
-    V = ball.size
-    adj = ball.adjacency
-    exact64 = k**n < 2**62
-    if exact64:
-        cur = np.zeros(V, dtype=np.int64)
-        cur[0] = 1
-        for _ in range(n):
-            new = np.zeros(V, dtype=np.int64)
-            for s in range(k):
-                idx = adj[g.inverse_symbol_index(s)]
-                contrib = cur[np.maximum(idx, 0)]
-                new += np.where(idx >= 0, contrib, 0)
-            cur = new
-        counts = [int(x) for x in cur]
-    else:
-        rev = [adj[g.inverse_symbol_index(s)].tolist() for s in range(k)]
-        cur = [0] * V
-        cur[0] = 1
-        for _ in range(n):
-            new = [0] * V
-            for s in range(k):
-                idx = rev[s]
-                for v in range(V):
-                    u = idx[v]
-                    if u >= 0 and cur[u]:
-                        new[v] += cur[u]
-            cur = new
-        counts = cur
-    return WalkDistribution(g, n, ball, counts)
+    for counts in walk_counts(g, ball, n):
+        pass  # keep the last step
+    return WalkDistribution(g, n, ball, counts.tolist())
+
+
+def _check_float_range(g: MarkedGroup, n: int):
+    if n * math.log(g.k) > 700:
+        raise ValueError("k^n exceeds float range; use a radial method")
 
 
 # --------------------------------------------------------------- spectral radius
@@ -166,7 +142,8 @@ def spectral_radius(
     c(n)^(1/n)/k is a lower bound for every even n (running max is the
     certified value); the point estimate removes the polynomial factor
     n^(-3/2) in c(2n) ~ A n^(-3/2) (k rho)^(2n) using the last two even
-    terms.
+    terms, clamped into [certified value, 1] (the correction overshoots at
+    small n, on amenable groups and on finite truncations).
     """
     t0 = time.perf_counter()
     if n_max < 4 or n_max % 2 != 0:
@@ -180,12 +157,16 @@ def spectral_radius(
     for r in roots:
         best = max(best, r)
         certified_seq.append(best)
+    notes = ["certified lower bounds use exact integer return counts"]
     c_hi, c_lo = series.values[n_max], series.values[n_max - 2]
     if c_lo > 0 and c_hi > 0:
         m = n_max // 2
         delta = math.log(c_hi) - math.log(c_lo)
         log_krho = (delta + 1.5 * math.log(m / (m - 1))) / 2.0
-        estimate = math.exp(log_krho) / k
+        raw = math.exp(log_krho) / k
+        estimate = min(max(raw, best), 1.0)
+        if estimate != raw:
+            notes.append(f"extrapolated {raw:.6g} clamped into [certified lower bound, 1]")
     else:
         estimate = None
     rep = EstimateReport(
@@ -199,7 +180,7 @@ def spectral_radius(
             "return_count": [series.values[n] for n in evens],
             "certified_lower": certified_seq,
         },
-        notes=["certified lower bounds use exact integer return counts"],
+        notes=notes,
     )
     rep.runtime = time.perf_counter() - t0
     return rep
@@ -244,10 +225,11 @@ def entropy(
     elif method == "ball":
         if ball is None or ball.radius < n_max:
             ball = bfs_ball(g, n_max)
-        # ball mode is for small n_max; recomputing the DP per prefix
-        # keeps walk_distribution simple and the ball build dominates
-        for t in range(1, n_max + 1):
-            hs.append(walk_distribution(g, t, ball=ball).entropy())
+        _check_float_range(g, n_max)
+        steps = walk_counts(g, ball, n_max)
+        next(steps)  # t = 0
+        for t, counts in enumerate(steps, start=1):
+            hs.append(WalkDistribution(g, t, ball, counts.tolist()).entropy())
     else:
         raise ValueError(f"unknown entropy method: {method}")
     rates = [h / t for t, h in zip(range(1, n_max + 1), hs)]
@@ -397,20 +379,7 @@ def _undirected_edges(g: MarkedGroup, ball: CayleyBall) -> list:
     return edges
 
 
-def _site_neighbors(g: MarkedGroup, ball: CayleyBall) -> list:
-    out = []
-    for u in range(ball.size):
-        nbrs = set()
-        for s in range(g.k):
-            v = int(ball.adjacency[s][u])
-            if v != OUTSIDE and v != u:
-                nbrs.add(v)
-        out.append(sorted(nbrs))
-    return out
-
-
-def _bond_trial(args):
-    edges, boundary, V, seed, trial = args
+def _bond_trial(edges, boundary, V, seed, trial):
     rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
     u = rng.random(len(edges))
     order = np.argsort(u, kind="stable")
@@ -428,8 +397,7 @@ def _bond_trial(args):
     return 1.0  # unreachable for a connected ball; defensive
 
 
-def _site_trial(args):
-    neighbors, boundary_mask, V, seed, trial = args
+def _site_trial(neighbors, boundary_mask, V, seed, trial):
     rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
     u = rng.random(V)
     order = np.argsort(u, kind="stable")
@@ -460,7 +428,8 @@ def percolation_pstars(
 ) -> np.ndarray:
     """Per-trial bottleneck values: trial t connects root to the radius-R
     sphere at occupation p exactly when pstars[t] < p.  Trial t only
-    depends on (seed, t), never on trial count or thread count."""
+    depends on (seed, t), never on the trial count.  Trials run serially;
+    threads is accepted for compatibility and has no effect."""
     if mode not in ("site", "bond"):
         raise ValueError("mode must be 'site' or 'bond'")
     if radius < 1:
@@ -475,21 +444,12 @@ def percolation_pstars(
     V = ball.size
     if mode == "bond":
         edges = _undirected_edges(g, ball)
-        jobs = [(edges, boundary, V, seed, t) for t in range(trials)]
-        worker = _bond_trial
-    else:
-        neighbors = _site_neighbors(g, ball)
-        mask = bytearray(V)
-        for b in boundary:
-            mask[b] = 1
-        jobs = [(neighbors, mask, V, seed, t) for t in range(trials)]
-        worker = _site_trial
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(worker, jobs, chunksize=max(1, trials // threads)))
-    else:
-        out = [worker(j) for j in jobs]
-    return np.array(out)
+        return np.array([_bond_trial(edges, boundary, V, seed, t) for t in range(trials)])
+    neighbors = ball.neighbors()
+    mask = bytearray(V)
+    for b in boundary:
+        mask[b] = 1
+    return np.array([_site_trial(neighbors, mask, V, seed, t) for t in range(trials)])
 
 
 def _wilson_ci(hits: int, n: int, z: float = 1.96) -> tuple:
@@ -518,7 +478,8 @@ def percolation(
 
     theta_hat(p) = fraction of trials with bottleneck below p is exactly
     nondecreasing in p by construction.  p_c estimate is the median
-    bottleneck (the 0.5 crossing); CI by bootstrap over trials.
+    bottleneck (the 0.5 crossing); CI by bootstrap over trials.  threads
+    has no effect (see percolation_pstars).
     """
     t0 = time.perf_counter()
     pstars = percolation_pstars(g, mode, radius, trials, seed, threads, ball)

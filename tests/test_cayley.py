@@ -47,6 +47,22 @@ def brute_force_cogrowth(g, n_max):
     return counts
 
 
+def reference_return_counts(g, ball, n_max):
+    """The plain per-vertex Python-int walk-count DP, kept as a reference."""
+    rev = [ball.adjacency[g.inverse_symbol_index(s)].tolist() for s in range(g.k)]
+    cur = [1] + [0] * (ball.size - 1)
+    counts = [1]
+    for _ in range(n_max):
+        new = [0] * ball.size
+        for idx in rev:
+            for v, u in enumerate(idx):
+                if u >= 0:
+                    new[v] += cur[u]
+        cur = new
+        counts.append(cur[0])
+    return counts
+
+
 def test_ball_sizes_free():
     b = bfs_ball(FreeGroup(2), 3)
     assert b.layer_sizes() == [1, 4, 12, 36]
@@ -140,7 +156,8 @@ def test_cogrowth_bigint_path_matches_numpy_path():
     fast = cogrowth(g, 10)
     ball = bfs_ball(g, 6)
     slow = cogrowth(g, 10, ball=ball, force_exact=True)
-    assert fast.values == slow.values
+    assert fast.values == slow.values == reference_return_counts(g, ball, 10)
+    assert all(type(c) is int for c in fast.values + slow.values)
 
 
 def test_growth_saturates_on_finite_truncation():
@@ -178,6 +195,8 @@ def test_saw_submultiplicative_and_finite_death():
 
 def test_saw_first_term_counts_distinct_neighbors():
     assert saw_count(CyclicGroup(2), 2).values[1] == 1
+    # s and S both reach the other vertex: two parallel edges, one neighbour
+    assert bfs_ball(CyclicGroup(2), 1).neighbors() == [(1,), (0,)]
     assert saw_count(GammaFree(), 1).values[1] == 4
 
 

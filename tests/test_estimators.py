@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from griglab.cayley import bfs_ball, cogrowth
+from griglab.cli import parse_group_expr
 from griglab.estimators import (
     EstimateReport,
     cheeger_report,
@@ -260,6 +261,42 @@ def test_connective_finite_degenerate():
 
 
 # ----------------------------------------------------------------- report wrappers
+
+def test_walk_counts_past_int64_match_binomial_sums():
+    # cycle(4) with k = 2: a word with j steps s lands on (2j - n) mod 4, and
+    # 2^n >= 2^62 here, so the Python-int path runs without force_exact
+    g = CyclicGroup(4)
+
+    def landing(n, x):
+        return sum(comb(n, j) for j in range(n + 1) if (2 * j - n) % 4 == x)
+
+    assert cogrowth(g, 64).values == [landing(n, 0) for n in range(65)]
+    w = walk_distribution(g, 70)
+    assert w.counts == [landing(70, x) for x in w.ball.vertices]
+    assert sum(w.counts) == 2**70
+
+
+def test_entropy_ball_matches_walk_distribution_per_step():
+    for g in (GammaFree(), GridGroup(2)):
+        b = bfs_ball(g, 6)
+        hs = entropy(g, 6, method="ball", ball=b).series["H"]
+        assert hs == [walk_distribution(g, t, ball=b).entropy() for t in range(1, 7)]
+
+
+def test_point_estimates_respect_hard_bounds_over_zoo():
+    zoo = ["cycle(2)", "cycle(4)", "grid(1)", "grid(2)", "free(2)", "gamma_free()",
+           "grig((012)*, 4)", "gj((012)*, {1}, 4)", "matrix_h()"]
+    for expr in zoo:
+        g = parse_group_expr(expr)
+        rho = spectral_radius(g, 12)
+        assert rho.certified["value"] <= rho.estimate <= 1.0, expr
+        pc = percolation(g, "bond", radius=3, trials=40, seed=2, bootstrap=20)
+        assert pc.estimate is None or 0.0 <= pc.estimate <= 1.0, expr
+    clamped = spectral_radius(GridGroup(1), 12)
+    assert clamped.estimate == 1.0
+    assert any("clamped" in n for n in clamped.notes)
+    assert not any("clamped" in n for n in spectral_radius(FreeGroup(2), 12).notes)
+
 
 def test_walk_distribution_probabilities_sum_to_one():
     w = walk_distribution(GammaFree(), 5)
