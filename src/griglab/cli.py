@@ -450,6 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--omega", default="(012)*", help="defining word for functor towers")
 
+    def estimate_options(p):
+        p.add_argument("--n", type=int, default=0, help="series length (0 = per-parameter default)")
+        p.add_argument("--R", type=int, default=32, help="percolation ball radius")
+        p.add_argument("--trials", type=int, default=500)
+        p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--candidates", default="balls", choices=["balls", "boxes", "greedy"])
+
     v = sub.add_parser("verify", help="run an exact invariant suite")
     v.add_argument(
         "suite",
@@ -465,21 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
         "parameter",
         choices=["rho", "pc-site", "pc-bond", "entropy", "speed", "mu", "cheeger", "growth"],
     )
-    e.add_argument("--n", type=int, default=0, help="series length (0 = per-parameter default)")
-    e.add_argument("--R", type=int, default=32, help="percolation ball radius")
-    e.add_argument("--trials", type=int, default=500)
-    e.add_argument("--samples", type=int, default=1000)
-    e.add_argument("--candidates", default="balls", choices=["balls", "boxes", "greedy"])
+    estimate_options(e)
     common(e)
 
     s = sub.add_parser("sweep", help="one report row per family member")
     s.add_argument("parameter", help="estimate parameter, or 'eta-witness'")
     s.add_argument("groups", nargs="*", help="group expressions (J sets for eta-witness)")
-    s.add_argument("--n", type=int, default=0)
-    s.add_argument("--R", type=int, default=32)
-    s.add_argument("--trials", type=int, default=500)
-    s.add_argument("--samples", type=int, default=1000)
-    s.add_argument("--candidates", default="balls", choices=["balls", "boxes", "greedy"])
+    estimate_options(s)
     common(s)
     return ap
 
@@ -540,6 +539,9 @@ def main(argv=None) -> int:
             return 0
     except ExprError as exc:
         print(f"expression error {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except BallBudgetError as exc:
         print(

@@ -223,9 +223,9 @@ def entropy(
                 terms.append(p * (math.log(m) - math.log(free_sphere_size(g.rank, d))))
             hs.append(t * logk - math.fsum(terms))
     elif method == "ball":
+        _check_float_range(g, n_max)
         if ball is None or ball.radius < n_max:
             ball = bfs_ball(g, n_max)
-        _check_float_range(g, n_max)
         steps = walk_counts(g, ball, n_max)
         next(steps)  # t = 0
         for t, counts in enumerate(steps, start=1):

@@ -7,6 +7,11 @@ stand-in tail for the limit group.  Balls of a fixed radius n only see
 finitely many levels, so the build truncates at a level N(n) chosen so
 that every ball query of radius <= n is answered exactly.
 
+A plain level i <= N is a quotient of the tail (truncating a depth-N
+portrait to depth i is a homomorphism that keeps the marking), so it
+adds no relation the tail does not already impose.  A built member
+therefore carries only its decorated levels and the tail.
+
 The separating word for level i evaluates trivially in every plain
 component and every decorated component above i, but survives at level i
 with an identity portrait and a single nontrivial leaf; that is the
@@ -26,10 +31,6 @@ from .wreath import (
     nontrivial_leaves,
     portrait,
 )
-
-# letter value that starves a given torsion generator at its level
-_KILL = {"b": 2, "c": 1, "d": 0}
-
 
 def activation_margin(omega: OmegaWord) -> int:
     """Extra tree depth after which truncation cannot mask a generator.
@@ -103,23 +104,19 @@ class GJSpec:
 def build_GJ(spec: GJSpec) -> ProductGroup:
     """Truncated member of the family, faithful for balls of radius <= n.
 
-    Components are the levels 1..N(n) (decorated where the level is in
-    J) followed by one deeper portrait group labeled "tail".
+    Components are the decorated levels i in J with i <= N(n), followed
+    by the depth-N(n) portrait group labeled "tail".  The plain levels
+    are quotients of the tail, so they are left out: the product is the
+    same marked group with or without them.
     """
     om, n = spec.omega, spec.query_radius
     if om.is_stabilizing:
         raise ValueError("letter sequence must not stabilize")
     N = truncation_level(n, om)
     H = MatrixHGroup()
-    factors = []
-    labels = []
-    for i in range(1, N + 1):
-        if i in spec.J:
-            factors.append(iterate_functor(om, i, H))
-            labels.append(f"level {i} decorated")
-        else:
-            factors.append(grig(om, i))
-            labels.append(f"level {i} plain")
+    levels = [i for i in spec.J if i <= N]
+    factors = [iterate_functor(om, i, H) for i in levels]
+    labels = [f"level {i} decorated" for i in levels]
     factors.append(grig(om, N))
     labels.append("tail")
     g = product(factors, labels)
@@ -213,7 +210,8 @@ def is_kernel_section_element(gamma: ProductGroup, x) -> bool:
     """Tail coordinate trivial, some finite coordinate nontrivial.
 
     The last factor is taken as the tail stand-in (build_GJ puts it
-    there).
+    there).  A plain level, which build_GJ leaves out, is trivial
+    whenever the tail is, so it could not change the answer.
     """
     triv = gamma.component_triviality(x)
     return triv[-1] and not all(triv[:-1])

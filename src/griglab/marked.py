@@ -91,10 +91,6 @@ class MarkedGroup:
         return f"<{self.label}>"
 
 
-def evaluate(group: MarkedGroup, w) -> object:
-    return group.evaluate(w)
-
-
 class TrivialGroup(MarkedGroup):
     """One-element group carrying the standard four-symbol marking."""
 

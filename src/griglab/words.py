@@ -65,10 +65,6 @@ def reduce(w: WordLike) -> Word:
     return tuple(out)
 
 
-def word(text: WordLike) -> Word:
-    return reduce(text)
-
-
 def word_str(w: Word) -> str:
     return "".join(w) if w else "e"
 

@@ -131,9 +131,8 @@ def leaves(g: DecoratedElement) -> list:
     return leaves(g.left) + leaves(g.right)
 
 
-def leaf_permutation(group_or_elem, depth: int, elem=None) -> tuple:
+def leaf_permutation(g, depth: int) -> tuple:
     """Permutation induced on the 2^depth leaf addresses, in binary order."""
-    g = elem if elem is not None else group_or_elem
     if not isinstance(g, DecoratedElement):
         raise TypeError("need a decorated element")
     if depth > g.depth:

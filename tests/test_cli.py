@@ -133,6 +133,19 @@ def test_estimate_parse_error_exit_two(capsys):
     assert "expression error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "free(2)", "rho", "--n", "5"],
+        ["estimate", "grid(2)", "pc-bond", "--R", "0"],
+        ["estimate", "gamma_free()", "entropy", "--n", "600"],
+    ],
+)
+def test_estimate_invalid_value_exit_two(argv, capsys):
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_estimate_resource_error_exit_three(monkeypatch, capsys):
     def boom(*a, **k):
         raise BallBudgetError(3, 1000)

@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from griglab import estimators
 from griglab.cayley import bfs_ball, cogrowth
 from griglab.cli import parse_group_expr
 from griglab.estimators import (
@@ -126,6 +127,15 @@ def test_entropy_method_validation():
         entropy(GammaFree(), 4, method="radial")
     with pytest.raises(ValueError):
         entropy(FreeGroup(2), 4, method="nope")
+
+
+def test_ball_entropy_range_check_precedes_ball_build(monkeypatch):
+    def no_ball(*a, **k):
+        raise AssertionError("ball built before the range check")
+
+    monkeypatch.setattr(estimators, "bfs_ball", no_ball)
+    with pytest.raises(ValueError):
+        entropy(GammaFree(), 600, method="ball")
 
 
 # ------------------------------------------------------------------------- speed

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from griglab import family as F
-from griglab.marked import product
+from griglab.cayley import bfs_ball
+from griglab.marked import MatrixHGroup, product
 from griglab.words import FIRST_OMEGA as OM
 from griglab.words import OmegaWord, eta_word
-from griglab.wreath import ball_agreement_radius, grig
+from griglab.wreath import ball_agreement_radius, grig, iterate_functor
 
 
 def test_activation_margin():
@@ -45,13 +47,34 @@ def test_gjspec_normalization_and_json():
 def test_build_structure():
     g = F.build_GJ(F.GJSpec(OM, (1, 3), 3))
     assert g.truncation == 6
-    assert len(g.factors) == 7
-    assert g.component_labels[0] == "level 1 decorated"
-    assert g.component_labels[1] == "level 2 plain"
-    assert g.component_labels[2] == "level 3 decorated"
-    assert g.component_labels[-1] == "tail"
+    assert len(g.factors) == 3
+    assert g.component_labels == ["level 1 decorated", "level 3 decorated", "tail"]
     with pytest.raises(ValueError):
         F.build_GJ(F.GJSpec(OmegaWord("", "1"), (), 2))
+
+
+def full_gj(spec):
+    """Reference member with every level 1..N as a factor, plain ones too."""
+    N = F.truncation_level(spec.query_radius, spec.omega)
+    H = MatrixHGroup()
+    factors = [
+        iterate_functor(spec.omega, i, H) if i in spec.J else grig(spec.omega, i)
+        for i in range(1, N + 1)
+    ]
+    return product(factors + [grig(spec.omega, N)])
+
+
+@pytest.mark.parametrize("J", [(), (1,), (2,), (1, 3), (1, 2, 3)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_plain_levels_are_quotients_of_the_tail(J, n):
+    spec = F.GJSpec(OM, J, n)
+    lean, full = F.build_GJ(spec), full_gj(spec)
+    assert ball_agreement_radius(lean, full, n) == n
+    a, b = bfs_ball(lean, n), bfs_ball(full, n)
+    assert len(a.adjacency) == len(b.adjacency)
+    for col_a, col_b in zip(a.adjacency, b.adjacency):
+        assert np.array_equal(col_a, col_b)
+    assert np.array_equal(a.dist, b.dist)
 
 
 def test_continuity_probe():
