@@ -39,7 +39,7 @@ from .marked import (
     product,
 )
 from .matrixh import generator_matrices, relation_report
-from .words import FIRST_OMEGA, OmegaWord, eta_word, parse_omega
+from .words import OmegaWord, eta_word, parse_omega
 from .wreath import apply_functor, ball_agreement_radius, grig, iterate_functor
 
 VERIFY_SCHEMA = "griglab/verify/1"

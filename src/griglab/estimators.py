@@ -6,6 +6,7 @@ float rounding), confidence data for the Monte Carlo ones, and the full
 series/curve so callers can render CSV without recomputation.
 """
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -269,8 +270,7 @@ def speed(
 
     method "radial" (free groups, exact), "ball" (exact via the walk
     distribution; needs the radius-n ball), "mc" (sampled; per-sample
-    counter RNG streams so results are reproducible and thread-count
-    independent).
+    counter RNG streams so results are reproducible).
     """
     t0 = time.perf_counter()
     if n < 1:
@@ -337,30 +337,6 @@ def speed(
 
 # ------------------------------------------------------------------- percolation
 
-class _DSU:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def _undirected_edges(g: MarkedGroup, ball: CayleyBall) -> list:
     """Each geometric edge once; parallel generator edges stay distinct."""
     edges = []
@@ -379,42 +355,32 @@ def _undirected_edges(g: MarkedGroup, ball: CayleyBall) -> list:
     return edges
 
 
-def _bond_trial(edges, boundary, V, seed, trial):
-    rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
-    u = rng.random(len(edges))
-    order = np.argsort(u, kind="stable")
-    dsu = _DSU(V + 1)
-    bnd = V
-    for b in boundary:
-        dsu.union(b, bnd)
-    if dsu.find(0) == dsu.find(bnd):  # root on the sphere: R too small
-        return 0.0
-    for e in order:
-        a, b = edges[e]
-        dsu.union(a, b)
-        if dsu.find(0) == dsu.find(bnd):
-            return float(u[e])
-    return 1.0  # unreachable for a connected ball; defensive
+def _invasion_pstar(links, on_sphere, u, start) -> float:
+    """Minimax weight of a path from vertex 0 to the sphere.
 
-
-def _site_trial(neighbors, boundary_mask, V, seed, trial):
-    rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
-    u = rng.random(V)
-    order = np.argsort(u, kind="stable")
-    dsu = _DSU(V + 1)
-    bnd = V
-    open_ = bytearray(V)
-    for v in order:
-        v = int(v)
-        open_[v] = 1
-        for w in neighbors[v]:
-            if open_[w]:
-                dsu.union(v, w)
-        if boundary_mask[v]:
-            dsu.union(v, bnd)
-        if open_[0] and dsu.find(0) == dsu.find(bnd):
-            return float(u[v])
-    return 1.0
+    Invasion from the root (a Prim search): always open the cheapest
+    link on the cluster's frontier; links[v] lists (uniform index,
+    neighbour) pairs, on_sphere holds the sphere's vertices and start is
+    the root's own weight.  The largest
+    weight opened by the time a sphere vertex is reached is the minimax
+    value.  The sphere is nonempty and the ball connected, so the heap
+    never runs dry first.
+    """
+    seen = bytearray(len(links))
+    heap = [(start, 0)]
+    worst = start
+    while True:
+        key, v = heapq.heappop(heap)
+        if seen[v]:
+            continue
+        seen[v] = 1
+        if key > worst:
+            worst = key
+        if v in on_sphere:
+            return worst
+        for i, w in links[v]:
+            if not seen[w]:
+                heapq.heappush(heap, (u[i], w))
 
 
 def percolation_pstars(
@@ -423,33 +389,46 @@ def percolation_pstars(
     radius: int,
     trials: int,
     seed: int = 0,
-    threads: int | None = None,
     ball: CayleyBall | None = None,
 ) -> np.ndarray:
     """Per-trial bottleneck values: trial t connects root to the radius-R
-    sphere at occupation p exactly when pstars[t] < p.  Trial t only
-    depends on (seed, t), never on the trial count.  Trials run serially;
-    threads is accepted for compatibility and has no effect."""
+    sphere at occupation p exactly when pstars[t] < p.  Each p* is the
+    minimax path weight from the root to the sphere (over edges in bond
+    mode, over sites, root included, in site mode), found by invasion
+    from the root.  Trial t only depends on (seed, t), never on the
+    trial count."""
     if mode not in ("site", "bond"):
         raise ValueError("mode must be 'site' or 'bond'")
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    spec = getattr(g, "gj_spec", None)
+    if spec is not None and spec.query_radius < radius:
+        raise ValueError(
+            f"radius {radius} exceeds the query radius {spec.query_radius} "
+            "to which this gj truncation is faithful"
+        )
     if ball is None or ball.radius < radius:
         ball = bfs_ball(g, radius)
-    boundary = list(ball.sphere_indices(radius))
-    if not boundary:
+    on_sphere = ball.sphere_indices(radius)
+    if not on_sphere:
         return np.array([])  # ball closed before R: no sphere to reach
-    V = ball.size
     if mode == "bond":
         edges = _undirected_edges(g, ball)
-        return np.array([_bond_trial(edges, boundary, V, seed, t) for t in range(trials)])
-    neighbors = ball.neighbors()
-    mask = bytearray(V)
-    for b in boundary:
-        mask[b] = 1
-    return np.array([_site_trial(neighbors, mask, V, seed, t) for t in range(trials)])
+        links = [[] for _ in range(ball.size)]
+        for e, (a, b) in enumerate(edges):
+            links[a].append((e, b))
+            links[b].append((e, a))
+        n = len(edges)
+    else:
+        links = [[(w, w) for w in nbrs] for nbrs in ball.neighbors()]
+        n = ball.size
+    pstars = []
+    for t in range(trials):
+        u = np.random.Generator(np.random.Philox(key=[seed, t])).random(n).tolist()
+        pstars.append(_invasion_pstar(links, on_sphere, u, u[0] if mode == "site" else 0.0))
+    return np.array(pstars)
 
 
 def _wilson_ci(hits: int, n: int, z: float = 1.96) -> tuple:
@@ -469,7 +448,6 @@ def percolation(
     trials: int = 1000,
     seed: int = 0,
     p_grid: list | None = None,
-    threads: int | None = None,
     bootstrap: int = 200,
     ball: CayleyBall | None = None,
 ) -> EstimateReport:
@@ -478,11 +456,10 @@ def percolation(
 
     theta_hat(p) = fraction of trials with bottleneck below p is exactly
     nondecreasing in p by construction.  p_c estimate is the median
-    bottleneck (the 0.5 crossing); CI by bootstrap over trials.  threads
-    has no effect (see percolation_pstars).
+    bottleneck (the 0.5 crossing); CI by bootstrap over trials.
     """
     t0 = time.perf_counter()
-    pstars = percolation_pstars(g, mode, radius, trials, seed, threads, ball)
+    pstars = percolation_pstars(g, mode, radius, trials, seed, ball=ball)
     if p_grid is None:
         p_grid = [round(0.02 * i, 2) for i in range(51)]
     param = {"mode": mode, "radius": radius, "trials": trials, "seed": seed}

@@ -21,9 +21,9 @@ computable witness that dropping level i changes the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
-from .marked import MarkedGroup, MatrixHGroup, ProductGroup, product
+from .marked import MatrixHGroup, ProductGroup, product
 from .words import OmegaWord, eta_word, phi_twist, base_relator
 from .wreath import (
     grig,

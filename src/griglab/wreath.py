@@ -21,7 +21,7 @@ groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .marked import MarkedGroup, TrivialGroup, has_involutive_klein_marking
 from .words import OmegaWord

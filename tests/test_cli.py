@@ -139,6 +139,7 @@ def test_estimate_parse_error_exit_two(capsys):
         ["estimate", "free(2)", "rho", "--n", "5"],
         ["estimate", "grid(2)", "pc-bond", "--R", "0"],
         ["estimate", "gamma_free()", "entropy", "--n", "600"],
+        ["estimate", "gj((012)*, {1,3}, 5)", "pc-bond"],  # R 32 > query radius 5
     ],
 )
 def test_estimate_invalid_value_exit_two(argv, capsys):

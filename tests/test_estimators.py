@@ -199,10 +199,85 @@ def test_percolation_trials_are_independent_streams():
     assert np.array_equal(a, b[:30])  # extending trials never rewrites history
 
 
-def test_percolation_thread_count_invariant():
-    a = percolation_pstars(GridGroup(2), "site", radius=6, trials=24, seed=3, threads=1)
-    b = percolation_pstars(GridGroup(2), "site", radius=6, trials=24, seed=3, threads=4)
-    assert np.array_equal(a, b)
+class _DSU:
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+
+def reference_pstars(g, mode, R, trials, seed):
+    """The sort + union-find trials, kept as a reference: open the uniforms
+    in increasing order until the root's cluster joins the radius-R sphere."""
+    ball = bfs_ball(g, R)
+    boundary = list(ball.sphere_indices(R))
+    if not boundary:
+        return np.array([])
+    V = ball.size
+    edges = estimators._undirected_edges(g, ball)
+    neighbors = ball.neighbors()
+    out = []
+    for t in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=[seed, t]))
+        u = rng.random(len(edges) if mode == "bond" else V)
+        dsu = _DSU(V + 1)  # vertex V stands for the sphere
+        open_ = bytearray(V)
+        if mode == "bond":
+            for b in boundary:
+                dsu.union(b, V)
+        for i in np.argsort(u, kind="stable"):
+            i = int(i)
+            if mode == "bond":
+                dsu.union(*edges[i])
+            else:
+                open_[i] = 1
+                for w in neighbors[i]:
+                    if open_[w]:
+                        dsu.union(i, w)
+                if ball.dist[i] == R:
+                    dsu.union(i, V)
+            if (mode == "bond" or open_[0]) and dsu.find(0) == dsu.find(V):
+                out.append(float(u[i]))
+                break
+    return np.array(out)
+
+
+@pytest.mark.parametrize("mode", ["bond", "site"])
+@pytest.mark.parametrize(
+    "expr, R",
+    [
+        ("grid(1)", 8),
+        ("grid(2)", 6),
+        ("free(2)", 4),
+        ("gamma_free()", 5),
+        ("cycle(2)", 1),  # parallel generator edges; the sphere at R = 1
+        ("cycle(6)", 4),  # the ball closes at radius 3: no sphere
+        ("grig((012)*, 4)", 4),
+        ("gj((012)*, {1}, 4)", 4),
+        ("matrix_h()", 3),
+    ],
+)
+def test_invasion_matches_sort_and_union_find(expr, R, mode):
+    g = parse_group_expr(expr)
+    for seed in (0, 7):
+        got = percolation_pstars(g, mode, R, 25, seed)
+        assert np.array_equal(got, reference_pstars(g, mode, R, 25, seed))
+
 
 
 def test_percolation_site_dominated_by_bond():
