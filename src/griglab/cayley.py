@@ -8,7 +8,6 @@ integers or rationals, never floats.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,25 +152,6 @@ class CountSeries:
 
     def __post_init__(self):
         assert self.kind in ("cogrowth", "growth", "saw")
-
-    def normalized(self, k: int) -> list:
-        """Float companion column: n-th root scaled by the degree.
-
-        growth: log b(n)/(n k); cogrowth: c(n)^(1/n)/k; saw: v(n)^(1/n).
-        """
-        out = [float("nan")]
-        for n, v in enumerate(self.values):
-            if n == 0:
-                continue
-            if v <= 0:
-                out.append(0.0)
-            elif self.kind == "growth":
-                out.append(math.log(v) / (n * k))
-            elif self.kind == "cogrowth":
-                out.append(math.exp(math.log(v) / n) / k)
-            else:
-                out.append(math.exp(math.log(v) / n))
-        return out
 
 
 def walk_counts(
@@ -350,12 +330,3 @@ def cheeger_upper(
         best = r if best is None or r < best else best
         out.append(best)
     return out
-
-
-def series_csv(series: CountSeries, k: int) -> str:
-    rows = ["n,value,normalized_value"]
-    norm = series.normalized(k)
-    for n, v in enumerate(series.values):
-        nv = "" if n == 0 else f"{norm[n]:.10g}"
-        rows.append(f"{n},{v},{nv}")
-    return "\n".join(rows) + "\n"

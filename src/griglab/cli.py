@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+import time
 
 from . import __version__
 from .cayley import BallBudgetError
@@ -270,6 +271,7 @@ def run_verify(args) -> tuple:
 def run_estimate(args) -> dict:
     g = parse_group_expr(args.group)
     p = args.parameter
+    t0 = time.perf_counter()
     if p == "rho":
         rep = spectral_radius(g, args.n if args.n else 12)
     elif p in ("pc-site", "pc-bond"):
@@ -292,10 +294,8 @@ def run_estimate(args) -> dict:
         rep = growth_report(g, args.n if args.n else 8)
     else:
         raise ExprError(f"unknown parameter '{p}'", 0)
-    blob = rep.to_json()
-    print(f"runtime: {blob['runtime_seconds']} s", file=sys.stderr)
-    blob["runtime_seconds"] = None  # byte-stable artifacts
-    return blob
+    print(f"runtime: {round(time.perf_counter() - t0, 6)} s", file=sys.stderr)
+    return rep.to_json()
 
 
 # ---------------------------------------------------------------- sweep command
@@ -431,7 +431,7 @@ def load_config(path: str) -> dict:
 
 # ------------------------------------------------------------------- arg parser
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="griglab",
         description="exact checks and parameter estimates for decorated Grigorchuk groups",
@@ -449,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="accepted for compatibility; trials run serially",
         )
         p.add_argument("--omega", default="(012)*", help="defining word for functor towers")
+        p.set_defaults(**(defaults or {}))
 
     def estimate_options(p):
         p.add_argument("--n", type=int, default=0, help="series length (0 = per-parameter default)")
@@ -492,19 +493,12 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        ns = vars(args)
-        bad = set(conf) - set(ns)
+        bad = set(conf) - set(vars(args))
         if bad:
             print(f"config error: unknown keys {sorted(bad)}", file=sys.stderr)
             return 2
-        # flags win: skip any key spelled out on the command line
-        given = set()
-        for tok in list(argv) if argv is not None else sys.argv[1:]:
-            if tok.startswith("--"):
-                given.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-        for key, value in conf.items():
-            if key not in given:
-                ns[key] = value
+        # the config only moves defaults, so argparse lets any flag win
+        args = build_parser(conf).parse_args(argv)
     try:
         if args.command == "verify":
             ok, blob = run_verify(args)

@@ -8,7 +8,6 @@ series/curve so callers can render CSV without recomputation.
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,7 +29,6 @@ class EstimateReport:
     parameters: dict = field(default_factory=dict)
     series: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    runtime: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -43,7 +41,7 @@ class EstimateReport:
             "parameters": self.parameters,
             "series": self.series,
             "notes": self.notes,
-            "runtime_seconds": round(self.runtime, 6),
+            "runtime_seconds": None,  # wall time goes to stderr, not the report
         }
 
 
@@ -146,7 +144,6 @@ def spectral_radius(
     terms, clamped into [certified value, 1] (the correction overshoots at
     small n, on amenable groups and on finite truncations).
     """
-    t0 = time.perf_counter()
     if n_max < 4 or n_max % 2 != 0:
         raise ValueError("n_max must be an even integer >= 4")
     series = cogrowth(g, n_max, ball=ball)
@@ -170,7 +167,7 @@ def spectral_radius(
             notes.append(f"extrapolated {raw:.6g} clamped into [certified lower bound, 1]")
     else:
         estimate = None
-    rep = EstimateReport(
+    return EstimateReport(
         parameter="rho",
         group=g.label,
         estimate=estimate,
@@ -183,8 +180,6 @@ def spectral_radius(
         },
         notes=notes,
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep
 
 
 # ---------------------------------------------------------------------- entropy
@@ -202,7 +197,6 @@ def entropy(
     method: "ball" (any group, needs the full radius-n ball) or
     "radial" (free groups only, distance-counts recursion, no ball).
     """
-    t0 = time.perf_counter()
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if method == "auto":
@@ -239,7 +233,7 @@ def entropy(
     for r in rates:
         best = min(best, r)
         certified_seq.append(best)
-    rep = EstimateReport(
+    return EstimateReport(
         parameter="entropy",
         group=g.label,
         estimate=rates[-1],
@@ -253,8 +247,6 @@ def entropy(
         },
         notes=["H(n)/n upper-bounds the limit by subadditivity"],
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep
 
 
 # ------------------------------------------------------------------------ speed
@@ -272,7 +264,6 @@ def speed(
     distribution; needs the radius-n ball), "mc" (sampled; per-sample
     counter RNG streams so results are reproducible).
     """
-    t0 = time.perf_counter()
     if n < 1:
         raise ValueError("n must be >= 1")
     if method == "auto":
@@ -322,7 +313,7 @@ def speed(
         notes.append(f"monte carlo over {samples} walks")
     else:
         raise ValueError(f"unknown speed method: {method}")
-    rep = EstimateReport(
+    return EstimateReport(
         parameter="speed",
         group=g.label,
         estimate=estimate,
@@ -331,8 +322,6 @@ def speed(
         series=series,
         notes=notes,
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep
 
 
 # ------------------------------------------------------------------- percolation
@@ -458,13 +447,12 @@ def percolation(
     nondecreasing in p by construction.  p_c estimate is the median
     bottleneck (the 0.5 crossing); CI by bootstrap over trials.
     """
-    t0 = time.perf_counter()
     pstars = percolation_pstars(g, mode, radius, trials, seed, ball=ball)
     if p_grid is None:
         p_grid = [round(0.02 * i, 2) for i in range(51)]
     param = {"mode": mode, "radius": radius, "trials": trials, "seed": seed}
     if pstars.size == 0:
-        rep = EstimateReport(
+        return EstimateReport(
             parameter=f"pc-{mode}",
             group=g.label,
             estimate=None,
@@ -472,8 +460,6 @@ def percolation(
             series={"curve": []},
             notes=["ball closed before the requested radius: finite group, no threshold"],
         )
-        rep.runtime = time.perf_counter() - t0
-        return rep
     sorted_p = np.sort(pstars)
     curve = []
     for p in p_grid:
@@ -485,7 +471,7 @@ def percolation(
     idx = brng.integers(0, trials, size=(bootstrap, trials))
     medians = np.median(pstars[idx], axis=1)
     ci = (float(np.quantile(medians, 0.025)), float(np.quantile(medians, 0.975)))
-    rep = EstimateReport(
+    return EstimateReport(
         parameter=f"pc-{mode}",
         group=g.label,
         estimate=est,
@@ -502,8 +488,6 @@ def percolation(
             f"bootstrap over {bootstrap} resamples",
         ],
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep
 
 
 # --------------------------------------------------------- connective constant
@@ -512,7 +496,6 @@ def connective_constant(g: MarkedGroup, n_max: int) -> EstimateReport:
     """Growth rate of self-avoiding walks.  v(n)^(1/n) upper-bounds the
     limit (submultiplicativity), running minimum is certified; the
     point estimate is the last ratio v(n)/v(n-1)."""
-    t0 = time.perf_counter()
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     series = saw_count(g, n_max)
@@ -533,7 +516,7 @@ def connective_constant(g: MarkedGroup, n_max: int) -> EstimateReport:
         estimate = None
         certified = None
         notes.append("self-avoiding walks die out: finite geometry")
-    rep = EstimateReport(
+    return EstimateReport(
         parameter="mu",
         group=g.label,
         estimate=estimate,
@@ -542,16 +525,13 @@ def connective_constant(g: MarkedGroup, n_max: int) -> EstimateReport:
         series={"n": ns, "saw": [v[n] for n in ns], "certified_upper": certified_seq},
         notes=notes,
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep
 
 
 # --------------------------------------------------- wrappers for cayley series
 
 def cheeger_report(g: MarkedGroup, candidates: str = "balls", n_max: int = 6) -> EstimateReport:
-    t0 = time.perf_counter()
     vals = cheeger_upper(g, candidates=candidates, n_max=n_max)
-    rep = EstimateReport(
+    return EstimateReport(
         parameter="cheeger",
         group=g.label,
         estimate=float(vals[-1]),
@@ -564,15 +544,12 @@ def cheeger_report(g: MarkedGroup, candidates: str = "balls", n_max: int = 6) ->
         },
         notes=["exact rational edge-boundary ratios; running minimum"],
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep
 
 
 def growth_report(g: MarkedGroup, n_max: int) -> EstimateReport:
-    t0 = time.perf_counter()
     series = growth(g, n_max)
     v = series.values
-    rep = EstimateReport(
+    return EstimateReport(
         parameter="growth",
         group=g.label,
         estimate=math.log(v[-1]) / n_max if v[-1] > 1 else 0.0,
@@ -580,9 +557,7 @@ def growth_report(g: MarkedGroup, n_max: int) -> EstimateReport:
         series={
             "n": list(range(n_max + 1)),
             "ball_size": v,
-            "log_rate": [float("nan")] + [math.log(v[n]) / n for n in range(1, n_max + 1)],
+            "log_rate": [None] + [math.log(v[n]) / n for n in range(1, n_max + 1)],
         },
         notes=["exact ball sizes; estimate is log b(n)/n at the last n"],
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep

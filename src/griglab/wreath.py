@@ -125,12 +125,6 @@ def act(g: DecoratedElement, address: tuple) -> tuple:
     return (x ^ g.swap,) + act(child, rest)
 
 
-def leaves(g: DecoratedElement) -> list:
-    if g.depth == 0:
-        return [g.leaf]
-    return leaves(g.left) + leaves(g.right)
-
-
 def leaf_permutation(g, depth: int) -> tuple:
     """Permutation induced on the 2^depth leaf addresses, in binary order."""
     if not isinstance(g, DecoratedElement):
@@ -300,11 +294,14 @@ def grig(omega: OmegaWord, level: int) -> MarkedGroup:
 
 
 def ball_agreement_radius(g1: MarkedGroup, g2: MarkedGroup, n_max: int) -> int:
-    """Largest r <= n_max with identical marked balls of radius r.
+    """Largest r <= n_max with identical marked balls of radius r, or -1.
 
-    Runs a synchronized breadth-first search; the forced root-fixing
-    label-respecting correspondence either extends or pinpoints the first
-    radius at which the balls differ.
+    Balls are compared with their labelled edges, including those that
+    leave the ball, so -1 means even the radius-0 balls differ (a
+    generator is trivial in one group only).  Runs a synchronized
+    breadth-first search; the forced root-fixing label-respecting
+    correspondence either extends or pinpoints the first radius at which
+    the balls differ, whatever the order of the generators.
     """
     if g1.symbols != g2.symbols:
         raise ValueError("groups must share a marking to compare balls")
@@ -322,6 +319,7 @@ def ball_agreement_radius(g1: MarkedGroup, g2: MarkedGroup, n_max: int) -> int:
 
     def scan(frontier, layer, discover):
         # returns the agreement radius if a divergence shows up, else None
+        found = None
         nxt = []
         for pi in frontier:
             x1, x2 = pairs[pi]
@@ -341,11 +339,13 @@ def ball_agreement_radius(g1: MarkedGroup, g2: MarkedGroup, n_max: int) -> int:
                     continue
                 if i1 == i2:
                     continue
-                # the edge lands inside at least one ball; the smallest
-                # radius whose balls it refutes is max(layer - 1, d')
-                hit = [dist[i] for i in (i1, i2) if i is not None]
-                return min(max(layer - 1, min(hit)) - 1, n_max), nxt
-        return None, nxt
+                # an edge landing within layer - 1 in either ball refutes
+                # radius layer - 1; one landing on layer itself refutes only
+                # radius layer, so keep scanning for a lower refutation
+                if min(dist[i] for i in (i1, i2) if i is not None) < layer:
+                    return layer - 2, nxt
+                found = layer - 1
+        return found, nxt
 
     for layer in range(1, n_max + 1):
         bad, frontier = scan(frontier, layer, discover=True)

@@ -17,7 +17,6 @@ from griglab.cayley import (
     cogrowth,
     growth,
     saw_count,
-    series_csv,
 )
 from griglab.marked import (
     CyclicGroup,
@@ -236,14 +235,6 @@ def test_cheeger_greedy_improves_on_balls_for_gamma():
 def test_cheeger_running_minimum():
     vals = cheeger_upper(GridGroup(2), candidates="greedy", n_max=25)
     assert all(x >= y for x, y in zip(vals, vals[1:]))
-
-
-def test_series_csv_shape():
-    text = series_csv(cogrowth(FreeGroup(2), 4), k=4)
-    lines = text.strip().splitlines()
-    assert lines[0] == "n,value,normalized_value"
-    assert len(lines) == 6
-    assert lines[1].startswith("0,1,")
 
 
 def test_edge_list_and_dot():

@@ -128,6 +128,33 @@ def test_estimate_byte_stable(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free(2)", "rho", "--n", "8"],
+        ["grid(2)", "pc-site", "--R", "4", "--trials", "20"],
+        ["grid(2)", "pc-bond", "--R", "4", "--trials", "20"],
+        ["gamma_free()", "entropy", "--n", "4"],
+        ["gamma_free()", "speed", "--n", "4", "--samples", "20"],
+        ["grid(2)", "mu", "--n", "4"],
+        ["grid(2)", "cheeger", "--n", "3"],
+        ["free(2)", "growth", "--n", "4"],
+    ],
+)
+def test_estimate_json_strict_and_deterministic(argv, capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["estimate"] + argv + ["--json", "-"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    blob = json.loads(outs[0], parse_constant=_reject_constant)
+    assert blob["runtime_seconds"] is None
+
+
 def test_estimate_parse_error_exit_two(capsys):
     assert main(["estimate", "free(", "rho"]) == 2
     assert "expression error" in capsys.readouterr().err
@@ -214,6 +241,17 @@ def test_config_defaults_and_flag_priority(tmp_path):
     )
     assert rc == 0
     assert json.loads(jp2.read_text())["parameters"]["trials"] == 23
+    jp3 = tmp_path / "r3.json"
+    rc = main(
+        [
+            "estimate", "grid(2)", "pc-bond", "--R", "5", "--tri", "30",
+            "--config", str(conf), "--json", str(jp3),
+        ]
+    )
+    assert rc == 0
+    blob = json.loads(jp3.read_text())
+    assert blob["parameters"]["trials"] == 30  # an abbreviated flag wins too
+    assert blob["parameters"]["seed"] == 9
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

@@ -314,8 +314,14 @@ def test_percolation_validation():
 def test_percolation_report_deterministic_json():
     a = percolation(GridGroup(2), "bond", radius=6, trials=25, seed=8).to_json()
     b = percolation(GridGroup(2), "bond", radius=6, trials=25, seed=8).to_json()
-    a.pop("runtime_seconds"), b.pop("runtime_seconds")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_report_json_is_deterministic():
+    a = spectral_radius(FreeGroup(2), 8).to_json()
+    b = spectral_radius(FreeGroup(2), 8).to_json()
+    assert a == b
+    assert a["runtime_seconds"] is None
 
 
 # ------------------------------------------------------------ connective constant

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from griglab import words as W
 from griglab import wreath as Wr
+from griglab.cayley import bfs_ball
 from griglab.marked import (
+    CyclicGroup,
     FreeGroup,
     GammaFree,
+    GridGroup,
+    MarkedGroup,
     MatrixHGroup,
     TrivialGroup,
     product,
@@ -216,12 +222,88 @@ def test_agreement_radius_identical_groups():
 
 
 def test_agreement_radius_detects_generator_collapse():
-    assert Wr.ball_agreement_radius(Wr.grig(OM, 2), Wr.grig(OM, 7), 4) == 0
+    # d is trivial in grig(omega, 2): a loop at the root, so even the
+    # radius-0 balls differ
+    assert Wr.ball_agreement_radius(Wr.grig(OM, 2), Wr.grig(OM, 7), 4) == -1
+
+
+class Relabelled(MarkedGroup):
+    """The same group with its generators listed in another order."""
+
+    def __init__(self, g, order):
+        self.g, self.order = g, order
+        self.symbols = tuple(g.symbols[i] for i in order)
+        self.label = f"{g.label}{order}"
+
+    def identity(self):
+        return self.g.identity()
+
+    def generator(self, i):
+        return self.g.generator(self.order[i])
+
+    def mul(self, x, y):
+        return self.g.mul(x, y)
+
+    def inv(self, x):
+        return self.g.inv(x)
+
+
+class Z3xZ(MarkedGroup):
+    """Z/3 x Z on grid(2)'s symbols: an odd relation (a^3) and an even
+    one (abAB) both first show at radius 2."""
+
+    symbols = GridGroup(2).symbols
+    label = "Z/3 x Z"
+
+    def identity(self):
+        return (0, 0)
+
+    def generator(self, i):
+        return ((1, 0), (2, 0), (0, 1), (0, -1))[i]
+
+    def mul(self, x, y):
+        return ((x[0] + y[0]) % 3, x[1] + y[1])
+
+    def inv(self, x):
+        return (-x[0] % 3, -x[1])
+
+
+def oracle_agreement_radius(g1, g2, n_max):
+    """Largest r <= n_max whose bfs_ball adjacencies are equal, or -1."""
+    r = -1
+    while r < n_max:
+        b1, b2 = bfs_ball(g1, r + 1), bfs_ball(g2, r + 1)
+        if b1.size != b2.size or not all(
+            np.array_equal(x, y) for x, y in zip(b1.adjacency, b2.adjacency)
+        ):
+            break
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize(
+    "g1, g2, n_max, expected",
+    [
+        (Wr.grig(OM, 2), Wr.grig(OM, 7), 4, -1),
+        (Wr.grig(W.parse_omega("(2)*"), 3), Wr.grig(OM, 3), 4, -1),
+        (Wr.grig(OM, 1), Wr.grig(OM, 4), 3, -1),
+        (Z3xZ(), FreeGroup(2), 3, 0),
+        (Z3xZ(), GridGroup(2), 3, 0),
+        (FreeGroup(2), GridGroup(2), 4, 1),
+        (CyclicGroup(4), CyclicGroup(8), 5, 1),
+        (GammaFree(), Wr.grig(OM, 7), 4, 3),
+        (Wr.grig(W.parse_omega("(01)*"), 4), Wr.grig(OM, 4), 4, 4),
+    ],
+    ids=lambda v: getattr(v, "label", None),
+)
+def test_agreement_radius_matches_ball_oracle_under_relabelling(g1, g2, n_max, expected):
+    for order in itertools.permutations(range(g1.k)):
+        a, b = Relabelled(g1, order), Relabelled(g2, order)
+        assert oracle_agreement_radius(a, b, n_max) == expected
+        assert Wr.ball_agreement_radius(a, b, n_max) == expected, order
 
 
 def test_agreement_radius_on_cyclic_groups():
-    from griglab.marked import CyclicGroup
-
     assert Wr.ball_agreement_radius(CyclicGroup(4), CyclicGroup(8), 5) == 1
     assert Wr.ball_agreement_radius(CyclicGroup(9), CyclicGroup(9), 6) == 6
 
