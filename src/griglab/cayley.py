@@ -96,9 +96,18 @@ class CayleyBall:
 def bfs_ball(
     g: MarkedGroup, n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET
 ) -> CayleyBall:
-    """Complete radius-n ball with adjacency for every ball vertex."""
+    """Complete radius-n ball with adjacency for every ball vertex.
+
+    Refuses a radius past ``g.faithful_radius``: that ball would describe
+    the truncation, not the group it stands in for.
+    """
     if n < 0:
         raise ValueError("radius must be >= 0")
+    if g.faithful_radius is not None and n > g.faithful_radius:
+        raise ValueError(
+            f"radius {n} exceeds the query radius {g.faithful_radius} "
+            f"to which {g.label} is faithful"
+        )
     e = g.identity()
     vertices = [e]
     index = {e: 0}

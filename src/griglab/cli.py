@@ -484,6 +484,13 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return ap
 
 
+def _flag_dests(ap: argparse.ArgumentParser, command: str) -> set:
+    """Dests of the flags ``command`` takes: the only keys a config may set,
+    since positionals and the subcommand itself come from argv alone."""
+    (sub,) = (a for a in ap._actions if a.dest == "command")
+    return {a.dest for a in sub.choices[command]._actions if a.option_strings} - {"help"}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -493,7 +500,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        bad = set(conf) - set(vars(args))
+        bad = set(conf) - _flag_dests(ap, args.command)
         if bad:
             print(f"config error: unknown keys {sorted(bad)}", file=sys.stderr)
             return 2

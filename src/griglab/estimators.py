@@ -392,12 +392,6 @@ def percolation_pstars(
         raise ValueError("radius must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spec = getattr(g, "gj_spec", None)
-    if spec is not None and spec.query_radius < radius:
-        raise ValueError(
-            f"radius {radius} exceeds the query radius {spec.query_radius} "
-            "to which this gj truncation is faithful"
-        )
     if ball is None or ball.radius < radius:
         ball = bfs_ball(g, radius)
     on_sphere = ball.sphere_indices(radius)

@@ -123,6 +123,7 @@ def build_GJ(spec: GJSpec) -> ProductGroup:
     g.label = f"gj({om}, {{{','.join(map(str, spec.J))}}}, {n})"
     g.gj_spec = spec
     g.truncation = N
+    g.faithful_radius = n
     return g
 
 

@@ -24,6 +24,9 @@ class MarkedGroup:
 
     symbols: tuple = ()
     label: str = "group"
+    # largest radius whose balls match the group the expression names;
+    # None when every ball is exact (set by truncated family members)
+    faithful_radius: Union[int, None] = None
 
     @property
     def k(self) -> int:

@@ -7,8 +7,10 @@ the left-action convention for the wreath recursion
     (s; g0, g1) (t; h0, h1) = (s xor t; g_t h0, g_(1 xor t) h1)
 
 so that g h means "apply h first".  The child g0 is the state at input
-bit 0.  Nodes are interned, which makes structural equality cheap in the
-common case and keeps ball enumerations compact in memory.
+bit 0.  Nodes are interned: leaf() and node() are the only constructors
+and return one object per value, so two trees are equal exactly when
+they are the same object.  Equality and hashing are therefore the
+default identity ones, and ball enumerations stay compact in memory.
 
 The level functor takes a group with the involutive Klein marking
 (a, b, c, d) and produces a new one of tree depth one greater, with the
@@ -23,38 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
+from .cayley import OUTSIDE, bfs_ball
 from .marked import MarkedGroup, TrivialGroup, has_involutive_klein_marking
 from .words import OmegaWord
 
 
 class DecoratedElement:
-    __slots__ = ("depth", "swap", "left", "right", "leaf", "_hash")
+    __slots__ = ("depth", "swap", "left", "right", "leaf")
 
-    def __init__(self, depth, swap, left, right, leaf, h):
+    def __init__(self, depth, swap, left, right, leaf):
         self.depth = depth
         self.swap = swap
         self.left = left
         self.right = right
         self.leaf = leaf
-        self._hash = h
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, DecoratedElement):
-            return NotImplemented
-        if (
-            self._hash != other._hash
-            or self.depth != other.depth
-            or self.swap != other.swap
-        ):
-            return False
-        if self.depth == 0:
-            return self.leaf == other.leaf
-        return self.left == other.left and self.right == other.right
 
     def __repr__(self):
         if self.depth == 0:
@@ -69,9 +55,7 @@ def leaf(value) -> DecoratedElement:
     key = (0, value)
     got = _POOL.get(key)
     if got is None:
-        got = _POOL.setdefault(
-            key, DecoratedElement(0, 0, None, None, value, hash(key))
-        )
+        got = _POOL.setdefault(key, DecoratedElement(0, 0, None, None, value))
     return got
 
 
@@ -82,8 +66,7 @@ def node(swap: int, left: DecoratedElement, right: DecoratedElement) -> Decorate
     got = _POOL.get(key)
     if got is None:
         got = _POOL.setdefault(
-            key,
-            DecoratedElement(left.depth + 1, swap, left, right, None, hash(key)),
+            key, DecoratedElement(left.depth + 1, swap, left, right, None)
         )
     return got
 
@@ -298,61 +281,27 @@ def ball_agreement_radius(g1: MarkedGroup, g2: MarkedGroup, n_max: int) -> int:
 
     Balls are compared with their labelled edges, including those that
     leave the ball, so -1 means even the radius-0 balls differ (a
-    generator is trivial in one group only).  Runs a synchronized
-    breadth-first search; the forced root-fixing label-respecting
-    correspondence either extends or pinpoints the first radius at which
-    the balls differ, whatever the order of the generators.
+    generator is trivial in one group only).  Breadth-first search
+    numbers the vertices of equal labelled balls identically, so the
+    radius-r balls agree exactly when the first ball_size(r) rows of the
+    two adjacencies are equal once every target beyond them reads as
+    OUTSIDE; that holds whatever the order of the generators.  Both
+    radius-n_max balls are always built, even for a pair that differs
+    at radius 0.
     """
     if g1.symbols != g2.symbols:
         raise ValueError("groups must share a marking to compare balls")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    k = g1.k
-    e1, e2 = g1.identity(), g2.identity()
-    idx1 = {e1: 0}
-    idx2 = {e2: 0}
-    pairs = [(e1, e2)]
-    dist = [0]
-    frontier = [0]
-    gens1 = g1.generators()
-    gens2 = g2.generators()
-
-    def scan(frontier, layer, discover):
-        # returns the agreement radius if a divergence shows up, else None
-        found = None
-        nxt = []
-        for pi in frontier:
-            x1, x2 = pairs[pi]
-            for s in range(k):
-                y1 = g1.mul(x1, gens1[s])
-                y2 = g2.mul(x2, gens2[s])
-                i1 = idx1.get(y1)
-                i2 = idx2.get(y2)
-                if i1 is None and i2 is None:
-                    if discover:
-                        j = len(pairs)
-                        idx1[y1] = j
-                        idx2[y2] = j
-                        pairs.append((y1, y2))
-                        dist.append(layer)
-                        nxt.append(j)
-                    continue
-                if i1 == i2:
-                    continue
-                # an edge landing within layer - 1 in either ball refutes
-                # radius layer - 1; one landing on layer itself refutes only
-                # radius layer, so keep scanning for a lower refutation
-                if min(dist[i] for i in (i1, i2) if i is not None) < layer:
-                    return layer - 2, nxt
-                found = layer - 1
-        return found, nxt
-
-    for layer in range(1, n_max + 1):
-        bad, frontier = scan(frontier, layer, discover=True)
-        if bad is not None:
-            return bad
-        if not frontier:
-            return n_max  # both balls closed: entire groups agree
-    # discovery done; verify edges among the outermost layer
-    bad, _ = scan(frontier, n_max + 1, discover=False)
-    return n_max if bad is None else bad
+    b1, b2 = bfs_ball(g1, n_max), bfs_ball(g2, n_max)
+    for r in range(n_max + 1):
+        size = b1.ball_size(r)
+        if b2.ball_size(r) != size:
+            return r - 1
+        for c1, c2 in zip(b1.adjacency, b2.adjacency):
+            t1, t2 = c1[:size], c2[:size]
+            if not np.array_equal(
+                np.where(t1 < size, t1, OUTSIDE), np.where(t2 < size, t2, OUTSIDE)
+            ):
+                return r - 1
+    return n_max

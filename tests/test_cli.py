@@ -167,6 +167,8 @@ def test_estimate_parse_error_exit_two(capsys):
         ["estimate", "grid(2)", "pc-bond", "--R", "0"],
         ["estimate", "gamma_free()", "entropy", "--n", "600"],
         ["estimate", "gj((012)*, {1,3}, 5)", "pc-bond"],  # R 32 > query radius 5
+        ["estimate", "gj((012)*, {1,3}, 5)", "growth"],  # radius 8 > 5
+        ["estimate", "gj((012)*, {1,3}, 5)", "rho"],  # n 12 needs radius 6 > 5
     ],
 )
 def test_estimate_invalid_value_exit_two(argv, capsys):
@@ -256,9 +258,11 @@ def test_config_defaults_and_flag_priority(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
-    conf.write_text("wibble=3\n")
-    assert main(["estimate", "free(2)", "rho", "--config", str(conf)]) == 2
-    assert "unknown keys" in capsys.readouterr().err
+    # a positional or the subcommand named in a config is unknown too
+    for line in ("wibble=3", "command=sweep", "group=free(3)"):
+        conf.write_text(line + "\n")
+        assert main(["estimate", "free(2)", "rho", "--config", str(conf)]) == 2, line
+        assert "unknown keys" in capsys.readouterr().err
 
 
 def test_verify_csv_emission(tmp_path):

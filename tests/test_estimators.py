@@ -376,7 +376,7 @@ def test_entropy_ball_matches_walk_distribution_per_step():
 
 def test_point_estimates_respect_hard_bounds_over_zoo():
     zoo = ["cycle(2)", "cycle(4)", "grid(1)", "grid(2)", "free(2)", "gamma_free()",
-           "grig((012)*, 4)", "gj((012)*, {1}, 4)", "matrix_h()"]
+           "grig((012)*, 4)", "gj((012)*, {1}, 6)", "matrix_h()"]
     for expr in zoo:
         g = parse_group_expr(expr)
         rho = spectral_radius(g, 12)

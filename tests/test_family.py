@@ -53,6 +53,15 @@ def test_build_structure():
         F.build_GJ(F.GJSpec(OmegaWord("", "1"), (), 2))
 
 
+def test_balls_stop_at_the_query_radius():
+    g = F.build_GJ(F.GJSpec(OM, (1, 3), 5))
+    assert g.faithful_radius == 5
+    assert bfs_ball(g, 5).radius == 5
+    with pytest.raises(ValueError, match="exceeds the query radius 5"):
+        bfs_ball(g, 6)
+    assert grig(OM, 4).faithful_radius is None
+
+
 def full_gj(spec):
     """Reference member with every level 1..N as a factor, plain ones too."""
     N = F.truncation_level(spec.query_radius, spec.omega)

@@ -11,6 +11,7 @@ import pytest
 from griglab import words as W
 from griglab import wreath as Wr
 from griglab.cayley import bfs_ball
+from griglab.family import GJSpec, build_GJ
 from griglab.marked import (
     CyclicGroup,
     FreeGroup,
@@ -49,10 +50,21 @@ def rand_elem(rng, g, n=10):
 
 
 def test_interning_makes_equal_words_identical():
+    # trees compare by identity, so equal values must be one object
     g = Wr.grig(OM, 3)
     x = g.evaluate("abab")
     y = g.evaluate("abab")
     assert x is y
+    assert g.evaluate("bc") is g.evaluate("d")
+    assert g.evaluate("aa") is g.identity()
+    for build in (
+        lambda: Wr.grig(OM, 3),
+        lambda: Wr.iterate_functor(OM, 2, MatrixHGroup()),
+    ):
+        g1, g2 = build(), build()
+        assert g1.identity() is g2.identity()
+        for w in ("abab", "bc", "d", "adacab", "bcbcdada"):
+            assert g1.evaluate(w) is g2.evaluate(w), w
 
 
 def test_group_axioms_on_decorated_elements():
@@ -301,6 +313,14 @@ def test_agreement_radius_matches_ball_oracle_under_relabelling(g1, g2, n_max, e
         a, b = Relabelled(g1, order), Relabelled(g2, order)
         assert oracle_agreement_radius(a, b, n_max) == expected
         assert Wr.ball_agreement_radius(a, b, n_max) == expected, order
+
+
+def test_agreement_radius_of_a_divergent_family_pair():
+    # G_{} and G_{1} on (012)* first differ at radius 8
+    g1 = build_GJ(GJSpec(OM, (), 8))
+    g2 = build_GJ(GJSpec(OM, (1,), 8))
+    assert Wr.ball_agreement_radius(g1, g2, 8) == 7
+    assert oracle_agreement_radius(g1, g2, 8) == 7
 
 
 def test_agreement_radius_on_cyclic_groups():
