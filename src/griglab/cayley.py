@@ -8,6 +8,7 @@ integers or rationals, never floats.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .marked import MarkedGroup
+from .marked import GridGroup, MarkedGroup
 
 OUTSIDE = -1
 
@@ -271,54 +272,49 @@ def boundary_ratio(g: MarkedGroup, X: Iterable) -> Fraction:
     return Fraction(out, g.k * len(X))
 
 
-def _ball_candidates(g, n_max):
+def _boundary(cols: list, X: set) -> int:
+    """Number of (vertex, generator) pairs leaving the ball-index set X."""
+    return sum(col[x] not in X for col in cols for x in X)
+
+
+def _ball_ratios(g, n_max):
+    # B_r is the first ball_size(r) vertices: its boundary edges are those
+    # whose target is later in BFS order or OUTSIDE
     ball = bfs_ball(g, n_max)
     for r in range(n_max + 1):
-        yield [ball.vertices[i] for i in range(ball.ball_size(r))]
+        size = ball.ball_size(r)
+        out = sum(
+            int(np.count_nonzero((col[:size] < 0) | (col[:size] >= size)))
+            for col in ball.adjacency
+        )
+        yield Fraction(out, g.k * size)
 
 
-def _box_candidates(g, n_max):
+def _box_ratios(g, n_max):
     # axis-aligned boxes for grid groups; elements are integer tuples
-    from .marked import GridGroup
-
     if not isinstance(g, GridGroup):
         raise ValueError("boxes strategy needs a grid group")
-    from itertools import product as iproduct
-
     for s in range(1, n_max + 1):
-        yield [tuple(p) for p in iproduct(range(s), repeat=g.dim)]
+        yield boundary_ratio(g, itertools.product(range(s), repeat=g.dim))
 
 
-def _greedy_candidates(g, n_max):
-    # grow from the identity, always absorbing the outside neighbor that
-    # minimizes the resulting ratio; bounded by n_max added vertices
+def _greedy_ratios(g, n_max):
+    # grow from the identity, always absorbing the in-ball neighbour that
+    # minimizes the resulting ratio (the first index on a tie); bounded by
+    # n_max added vertices
     ball = bfs_ball(g, max(2, min(n_max, 12)))
-    gens = g.generators()
-    X = {g.identity()}
-    yield list(X)
+    cols = [col.tolist() for col in ball.adjacency]
+    X = {0}
+    yield Fraction(_boundary(cols, X), g.k)
     for _ in range(n_max):
-        boundary = set()
-        for x in X:
-            for s in range(g.k):
-                y = g.mul(x, gens[s])
-                if y not in X and y in ball.index:
-                    boundary.add(y)
-        if not boundary:
+        frontier = sorted({col[x] for col in cols for x in X} - X - {OUTSIDE})
+        if not frontier:
             return
-        best = None
-        for y in sorted(boundary, key=lambda e: ball.index[e]):
-            r = boundary_ratio(g, X | {y})
-            if best is None or r < best[0]:
-                best = (r, y)
-        X.add(best[1])
-        yield list(X)
+        X.add(min(frontier, key=lambda y: _boundary(cols, X | {y})))
+        yield Fraction(_boundary(cols, X), g.k * len(X))
 
 
-_STRATEGIES = {
-    "balls": _ball_candidates,
-    "boxes": _box_candidates,
-    "greedy": _greedy_candidates,
-}
+_STRATEGIES = {"balls": _ball_ratios, "boxes": _box_ratios, "greedy": _greedy_ratios}
 
 
 def cheeger_upper(
@@ -328,14 +324,12 @@ def cheeger_upper(
 
     Evaluates the exact boundary ratio over a family of candidate sets
     and returns the running minimum, so every prefix is a valid certified
-    upper-bound sequence.
+    upper-bound sequence.  "balls" and "greedy" count boundary edges on
+    one bfs_ball's adjacency; "boxes" multiplies out via boundary_ratio.
     """
     if candidates not in _STRATEGIES:
         raise ValueError(f"unknown strategy {candidates!r}")
     out = []
-    best = None
-    for X in _STRATEGIES[candidates](g, n_max):
-        r = boundary_ratio(g, X)
-        best = r if best is None or r < best else best
-        out.append(best)
+    for r in _STRATEGIES[candidates](g, n_max):
+        out.append(r if not out or r < out[-1] else out[-1])
     return out

@@ -261,13 +261,16 @@ def speed(
     """Mean displacement rate E|walk at n| / n.
 
     method "radial" (free groups, exact), "ball" (exact via the walk
-    distribution; needs the radius-n ball), "mc" (sampled; per-sample
-    counter RNG streams so results are reproducible).
+    distribution; needs the radius-n ball), "mc" (sampled; needs the
+    word-length oracle g.distance; per-sample counter RNG streams so
+    results are reproducible).  "auto" takes mc only where g.distance is
+    known: without it a walk's length needs the ball, which is exact.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    has_oracle = g.distance(g.identity()) is not None
     if method == "auto":
-        method = "radial" if isinstance(g, FreeGroup) else "mc"
+        method = "radial" if isinstance(g, FreeGroup) else ("mc" if has_oracle else "ball")
     k = g.k
     ci = None
     notes = []
@@ -290,20 +293,16 @@ def speed(
         series = {"n": [n], "mean_distance": [float(mean)], "rate": [estimate]}
         notes.append("exact finite-time mean from the full walk distribution")
     elif method == "mc":
+        if not has_oracle:
+            raise ValueError(f"monte carlo speed needs a word-length oracle; {g.label} has none")
         gens = g.generators()
-        ball = None
-        if g.distance(g.identity()) is None:
-            ball = bfs_ball(g, n)
         acc = []
         for i in range(samples):
             rng = np.random.Generator(np.random.Philox(key=[seed, i]))
             x = g.identity()
             for s in rng.integers(0, k, size=n):
                 x = g.mul(x, gens[int(s)])
-            d = g.distance(x)
-            if d is None:
-                d = int(ball.dist[ball.index[x]])
-            acc.append(d)
+            acc.append(g.distance(x))
         mean = sum(acc) / samples
         sd = math.sqrt(sum((a - mean) ** 2 for a in acc) / max(samples - 1, 1))
         half = 1.96 * sd / math.sqrt(samples)
@@ -430,7 +429,6 @@ def percolation(
     radius: int = 32,
     trials: int = 1000,
     seed: int = 0,
-    p_grid: list | None = None,
     bootstrap: int = 200,
     ball: CayleyBall | None = None,
 ) -> EstimateReport:
@@ -442,8 +440,6 @@ def percolation(
     bottleneck (the 0.5 crossing); CI by bootstrap over trials.
     """
     pstars = percolation_pstars(g, mode, radius, trials, seed, ball=ball)
-    if p_grid is None:
-        p_grid = [round(0.02 * i, 2) for i in range(51)]
     param = {"mode": mode, "radius": radius, "trials": trials, "seed": seed}
     if pstars.size == 0:
         return EstimateReport(
@@ -456,7 +452,7 @@ def percolation(
         )
     sorted_p = np.sort(pstars)
     curve = []
-    for p in p_grid:
+    for p in (round(0.02 * i, 2) for i in range(51)):
         hits = int(np.searchsorted(sorted_p, p, side="left"))
         lo, hi = _wilson_ci(hits, trials)
         curve.append((float(p), hits / trials, lo, hi))

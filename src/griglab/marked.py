@@ -295,6 +295,8 @@ class ProductGroup(MarkedGroup):
             else [g.label for g in factors]
         )
         self.label = "product(" + ", ".join(g.label for g in factors) + ")"
+        radii = [g.faithful_radius for g in factors if g.faithful_radius is not None]
+        self.faithful_radius = min(radii, default=None)
 
     def identity(self):
         return tuple(g.identity() for g in self.factors)

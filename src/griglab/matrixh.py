@@ -82,9 +82,6 @@ class GaussianDyadic:
         re, im, e = t
         return cls(int(re), int(im), int(e))
 
-    def __complex__(self) -> complex:
-        return complex(self.re_num, self.im_num) / (1 << self.exp)
-
     def __repr__(self) -> str:
         if self.exp:
             return f"({self.re_num}{self.im_num:+d}i)/2^{self.exp}"

@@ -205,6 +205,7 @@ class WreathGroup(MarkedGroup):
             )
         self.letter = letter
         self.base = base
+        self.faithful_radius = base.faithful_radius  # safe: sections never outgrow a word
         if isinstance(base, WreathGroup):
             self.leaf_base = base.leaf_base
             self.depth = base.depth + 1

@@ -18,6 +18,7 @@ from griglab.cayley import (
     growth,
     saw_count,
 )
+from griglab.cli import parse_group_expr
 from griglab.marked import (
     CyclicGroup,
     FreeGroup,
@@ -235,6 +236,67 @@ def test_cheeger_greedy_improves_on_balls_for_gamma():
 def test_cheeger_running_minimum():
     vals = cheeger_upper(GridGroup(2), candidates="greedy", n_max=25)
     assert all(x >= y for x, y in zip(vals, vals[1:]))
+
+
+def reference_ball_candidates(g, n_max):
+    """Balls as element lists (the pre-adjacency candidate generator)."""
+    ball = bfs_ball(g, n_max)
+    for r in range(n_max + 1):
+        yield [ball.vertices[i] for i in range(ball.ball_size(r))]
+
+
+def reference_greedy_candidates(g, n_max):
+    """Greedy growth that multiplies every candidate set out again."""
+    ball = bfs_ball(g, max(2, min(n_max, 12)))
+    gens = g.generators()
+    X = {g.identity()}
+    yield list(X)
+    for _ in range(n_max):
+        boundary = set()
+        for x in X:
+            for s in range(g.k):
+                y = g.mul(x, gens[s])
+                if y not in X and y in ball.index:
+                    boundary.add(y)
+        if not boundary:
+            return
+        best = None
+        for y in sorted(boundary, key=lambda e: ball.index[e]):
+            r = boundary_ratio(g, X | {y})
+            if best is None or r < best[0]:
+                best = (r, y)
+        X.add(best[1])
+        yield list(X)
+
+
+def reference_cheeger(candidates, g, n_max):
+    out = []
+    for X in candidates(g, n_max):
+        r = boundary_ratio(g, X)
+        out.append(r if not out or r < out[-1] else out[-1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "expr, n_ball, n_greedy",
+    [
+        ("free(2)", 4, 8),
+        ("gamma_free()", 4, 12),
+        ("grid(2)", 4, 12),
+        ("cycle(6)", 4, 12),
+        ("grig((012)*, 5)", 5, 12),
+        ("gj((012)*, {1}, 4)", 4, 4),  # greedy's ball radius stays <= 4
+        ("matrix_h()", 4, 10),
+    ],
+)
+def test_cheeger_adjacency_counts_match_multiplied_sets(expr, n_ball, n_greedy):
+    g = parse_group_expr(expr)
+    assert cheeger_upper(g, "balls", n_ball) == reference_cheeger(
+        reference_ball_candidates, g, n_ball
+    )
+    assert cheeger_upper(g, "greedy", n_greedy) == reference_cheeger(
+        reference_greedy_candidates, g, n_greedy
+    )
 
 
 def test_edge_list_and_dot():

@@ -140,6 +140,7 @@ def _reject_constant(name):
         ["grid(2)", "pc-bond", "--R", "4", "--trials", "20"],
         ["gamma_free()", "entropy", "--n", "4"],
         ["gamma_free()", "speed", "--n", "4", "--samples", "20"],
+        ["grig((012)*, 4)", "speed", "--n", "8"],
         ["grid(2)", "mu", "--n", "4"],
         ["grid(2)", "cheeger", "--n", "3"],
         ["free(2)", "growth", "--n", "4"],
@@ -169,6 +170,9 @@ def test_estimate_parse_error_exit_two(capsys):
         ["estimate", "gj((012)*, {1,3}, 5)", "pc-bond"],  # R 32 > query radius 5
         ["estimate", "gj((012)*, {1,3}, 5)", "growth"],  # radius 8 > 5
         ["estimate", "gj((012)*, {1,3}, 5)", "rho"],  # n 12 needs radius 6 > 5
+        # products and functors inherit the least query radius of their parts
+        ["estimate", "product(gj((012)*, {1}, 3), matrix_h())", "growth", "--n", "6"],
+        ["estimate", "functor((012)*, 1, gj((012)*, {1}, 3))", "growth", "--n", "6"],
     ],
 )
 def test_estimate_invalid_value_exit_two(argv, capsys):

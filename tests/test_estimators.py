@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from griglab import estimators
-from griglab.cayley import bfs_ball, cogrowth
+from griglab.cayley import bfs_ball, cheeger_upper, cogrowth
 from griglab.cli import parse_group_expr
 from griglab.estimators import (
     EstimateReport,
@@ -25,6 +25,8 @@ from griglab.estimators import (
     walk_distribution,
 )
 from griglab.marked import CyclicGroup, FreeGroup, GammaFree, GridGroup
+from griglab.words import FIRST_OMEGA
+from griglab.wreath import grig
 
 ALPHA_4 = math.sqrt(3) / 2  # spectral radius of the 4-regular tree
 H_FREE_2 = 0.5 * math.log(3)  # entropy rate, rank 2, standard marking
@@ -172,6 +174,41 @@ def test_speed_mc_deterministic_and_reasonable():
 def test_speed_finite_group_slow():
     rep = speed(CyclicGroup(4), 24, samples=100, seed=5, method="mc")
     assert rep.estimate < 0.15
+
+
+def test_speed_without_oracle_is_exact_on_the_ball():
+    g = grig(FIRST_OMEGA, 4)
+    rep = speed(g, 8)
+    assert rep.parameters["method"] == "ball" and rep.ci is None
+    assert rep.estimate == float(walk_distribution(g, 8).mean_distance()) / 8
+    with pytest.raises(ValueError):
+        speed(g, 8, method="mc")
+
+
+def test_ball_estimators_multiply_only_inside_bfs_ball():
+    """Cheeger balls/greedy and oracle-free speed read one bfs_ball and
+    multiply nothing beyond it."""
+    g = grig(FIRST_OMEGA, 5)
+    calls = [0]
+    mul = g.mul
+
+    def counted(x, y):
+        calls[0] += 1
+        return mul(x, y)
+
+    g.mul = counted
+
+    def muls(run):
+        calls[0] = 0
+        run()
+        return calls[0]
+
+    for run, radius in [
+        (lambda: cheeger_upper(g, "balls", 6), 6),
+        (lambda: cheeger_upper(g, "greedy", 20), 12),
+        (lambda: speed(g, 8), 8),
+    ]:
+        assert muls(run) == muls(lambda: bfs_ball(g, radius))
 
 
 # ------------------------------------------------------------------- percolation

@@ -62,6 +62,18 @@ def test_balls_stop_at_the_query_radius():
     assert grig(OM, 4).faithful_radius is None
 
 
+def test_products_and_functors_inherit_the_query_radius():
+    g3, g5 = (F.build_GJ(F.GJSpec(OM, (1,), n)) for n in (3, 5))
+    H = MatrixHGroup()
+    assert product([g5, H, g3]).faithful_radius == 3
+    assert product([H, grig(OM, 2)]).faithful_radius is None
+    assert iterate_functor(OM, 2, g3).faithful_radius == 3
+    for g in (product([g3, H]), iterate_functor(OM, 1, g3)):
+        assert bfs_ball(g, 3).radius == 3
+        with pytest.raises(ValueError, match="exceeds the query radius 3"):
+            bfs_ball(g, 4)
+
+
 def full_gj(spec):
     """Reference member with every level 1..N as a factor, plain ones too."""
     N = F.truncation_level(spec.query_radius, spec.omega)
