@@ -94,13 +94,12 @@ class CayleyBall:
         return "\n".join(lines)
 
 
-def bfs_ball(
-    g: MarkedGroup, n: int, max_vertices: int = DEFAULT_VERTEX_BUDGET
-) -> CayleyBall:
+def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
     """Complete radius-n ball with adjacency for every ball vertex.
 
     Refuses a radius past ``g.faithful_radius``: that ball would describe
-    the truncation, not the group it stands in for.
+    the truncation, not the group it stands in for.  Raises
+    BallBudgetError past DEFAULT_VERTEX_BUDGET vertices.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
@@ -117,6 +116,7 @@ def bfs_ball(
     gens = g.generators()
     k = g.k
     adjacency = [array("q") for _ in range(k)]  # compact; ball can hit 1e6 vertices
+    budget = DEFAULT_VERTEX_BUDGET
     frontier = [0]
     for layer in range(1, n + 1):
         nxt = []
@@ -126,8 +126,8 @@ def bfs_ball(
                 y = g.mul(x, gens[s])
                 j = index.get(y)
                 if j is None:
-                    if len(vertices) >= max_vertices:
-                        raise BallBudgetError(layer - 1, max_vertices)
+                    if len(vertices) >= budget:
+                        raise BallBudgetError(layer - 1, budget)
                     j = len(vertices)
                     index[y] = j
                     vertices.append(y)
@@ -155,6 +155,19 @@ def bfs_ball(
     )
 
 
+def ensure_ball(g: MarkedGroup, radius: int, ball: CayleyBall | None = None) -> CayleyBall:
+    """``ball`` if it is a ball of g of radius >= radius, else bfs_ball(g, radius).
+
+    A ball of another group is refused, not replaced: its counts would be
+    reported under g's label.
+    """
+    if ball is not None and ball.group is not g:
+        raise ValueError(f"ball of {ball.group.label} passed for {g.label}")
+    if ball is None or ball.radius < radius:
+        ball = bfs_ball(g, radius)
+    return ball
+
+
 @dataclass
 class CountSeries:
     kind: str  # cogrowth | growth | saw
@@ -164,17 +177,15 @@ class CountSeries:
         assert self.kind in ("cogrowth", "growth", "saw")
 
 
-def walk_counts(
-    g: MarkedGroup, ball: CayleyBall, n_max: int, force_exact: bool = False
-) -> Iterator[np.ndarray]:
+def walk_counts(g: MarkedGroup, ball: CayleyBall, n_max: int) -> Iterator[np.ndarray]:
     """Yield c_t for t = 0..n_max: c_t[v] counts the length-t symbol words
     from the identity that evaluate to ball vertex v without leaving the ball.
 
-    Counts are int64 while k^n_max < 2^62 (and force_exact is off), else
-    Python ints in an object array.  Each step is a fresh array.
+    Counts are int64 while k^n_max < 2^62, else Python ints in an object
+    array.  Each step is a fresh array.
     """
     V = ball.size
-    dtype = np.int64 if not force_exact and g.k**n_max < 2**62 else object
+    dtype = np.int64 if g.k**n_max < 2**62 else object
     # predecessors of v through s are v * s^{-1}; OUTSIDE reads the zero cell V
     preds = [
         np.where(col >= 0, col, V)
@@ -191,36 +202,26 @@ def walk_counts(
         yield cur[:V]
 
 
-def cogrowth(
-    g: MarkedGroup,
-    n_max: int,
-    ball: CayleyBall | None = None,
-    force_exact: bool = False,
-) -> CountSeries:
+def cogrowth(g: MarkedGroup, n_max: int, ball: CayleyBall | None = None) -> CountSeries:
     """Exact counts of length-n words over the symbols equal to identity.
 
     Backtracking allowed; a returning walk of length n stays within
     radius n/2, so the dynamic program runs on bfs_ball(g, n_max/2).
-    force_exact skips the int64 fast path (counts can exceed 2^62).
     """
     if n_max < 0 or n_max % 2 != 0:
         raise ValueError("n_max must be an even nonnegative integer")
-    if ball is None or ball.radius < n_max // 2:
-        ball = bfs_ball(g, n_max // 2)
-    values = [int(c[0]) for c in walk_counts(g, ball, n_max, force_exact)]
+    ball = ensure_ball(g, n_max // 2, ball)
+    values = [int(c[0]) for c in walk_counts(g, ball, n_max)]
     return CountSeries("cogrowth", values)
 
 
 def growth(g: MarkedGroup, n_max: int, ball: CayleyBall | None = None) -> CountSeries:
     """Exact ball sizes b(0..n_max)."""
-    if ball is None or ball.radius < n_max:
-        ball = bfs_ball(g, n_max)
+    ball = ensure_ball(g, n_max, ball)
     return CountSeries("growth", [ball.ball_size(r) for r in range(n_max + 1)])
 
 
-def saw_count(
-    g: MarkedGroup, n_max: int, ball: CayleyBall | None = None
-) -> CountSeries:
+def saw_count(g: MarkedGroup, n_max: int) -> CountSeries:
     """Exact self-avoiding walk counts v(0..n_max) from the identity.
 
     Walks are counted as vertex paths: parallel generator edges to the
@@ -229,8 +230,7 @@ def saw_count(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if ball is None or ball.radius < n_max:
-        ball = bfs_ball(g, n_max)
+    ball = bfs_ball(g, n_max)
     neigh = ball.neighbors()
     counts = [0] * (n_max + 1)
     counts[0] = 1
@@ -294,6 +294,8 @@ def _box_ratios(g, n_max):
     # axis-aligned boxes for grid groups; elements are integer tuples
     if not isinstance(g, GridGroup):
         raise ValueError("boxes strategy needs a grid group")
+    if n_max < 1:
+        raise ValueError("boxes strategy needs n_max >= 1")
     for s in range(1, n_max + 1):
         yield boundary_ratio(g, itertools.product(range(s), repeat=g.dim))
 
@@ -329,6 +331,8 @@ def cheeger_upper(
     """
     if candidates not in _STRATEGIES:
         raise ValueError(f"unknown strategy {candidates!r}")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     out = []
     for r in _STRATEGIES[candidates](g, n_max):
         out.append(r if not out or r < out[-1] else out[-1])

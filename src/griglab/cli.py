@@ -112,6 +112,8 @@ class _Parser:
             return ()
         while True:
             vals.append(self.parse_int())
+            if vals[-1] < 1:
+                self.fail("levels must be positive")
             self.ws()
             if self.pos < len(self.text) and self.text[self.pos] == ",":
                 self.pos += 1
@@ -174,13 +176,17 @@ class _Parser:
         self.fail(f"unknown constructor '{name}'")
 
 
-def parse_group_expr(text: str) -> MarkedGroup:
+def _parse_whole(text: str, parse):
     p = _Parser(text)
-    g = p.parse_expr()
+    out = parse(p)
     p.ws()
     if p.pos != len(text):
         p.fail("trailing input")
-    return g
+    return out
+
+
+def parse_group_expr(text: str) -> MarkedGroup:
+    return _parse_whole(text, _Parser.parse_expr)
 
 
 # -------------------------------------------------------------- verify suites
@@ -268,12 +274,17 @@ def run_verify(args) -> tuple:
 
 # ------------------------------------------------------------- estimate command
 
+# series length when --n is not given
+_DEFAULT_N = {"rho": 12, "entropy": 16, "speed": 16, "mu": 10, "cheeger": 6, "growth": 8}
+
+
 def run_estimate(args) -> dict:
     g = parse_group_expr(args.group)
     p = args.parameter
+    n = _DEFAULT_N.get(p) if args.n is None else args.n
     t0 = time.perf_counter()
     if p == "rho":
-        rep = spectral_radius(g, args.n if args.n else 12)
+        rep = spectral_radius(g, n)
     elif p in ("pc-site", "pc-bond"):
         rep = percolation(
             g,
@@ -283,15 +294,15 @@ def run_estimate(args) -> dict:
             seed=args.seed,
         )
     elif p == "entropy":
-        rep = entropy(g, args.n if args.n else 16)
+        rep = entropy(g, n)
     elif p == "speed":
-        rep = speed(g, args.n if args.n else 16, samples=args.samples, seed=args.seed)
+        rep = speed(g, n, samples=args.samples, seed=args.seed)
     elif p == "mu":
-        rep = connective_constant(g, args.n if args.n else 10)
+        rep = connective_constant(g, n)
     elif p == "cheeger":
-        rep = cheeger_report(g, candidates=args.candidates, n_max=args.n if args.n else 6)
+        rep = cheeger_report(g, candidates=args.candidates, n_max=n)
     elif p == "growth":
-        rep = growth_report(g, args.n if args.n else 8)
+        rep = growth_report(g, n)
     else:
         raise ExprError(f"unknown parameter '{p}'", 0)
     print(f"runtime: {round(time.perf_counter() - t0, 6)} s", file=sys.stderr)
@@ -322,10 +333,7 @@ def run_sweep(args) -> dict:
     omega = parse_omega(args.omega)
     rows = []
     if args.parameter == "eta-witness":
-        sets = []
-        for text in args.groups:
-            p = _Parser(text)
-            sets.append(p.parse_set())
+        sets = [_parse_whole(text, _Parser.parse_set) for text in args.groups]
         rows = _witness_matrix(sets, omega)
     else:
         for text in args.groups:
@@ -439,24 +447,25 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"griglab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # each subcommand takes only the flags it reads; --R, --trials,
+    # --samples, --candidates and --seed default as the functions they feed
     def common(p):
         p.add_argument("--json", metavar="PATH", help="write JSON report ('-' = stdout)")
         p.add_argument("--csv", metavar="PATH", help="write CSV table ('-' = stdout)")
         p.add_argument("--config", metavar="FILE", help="flat key=value defaults; flags win")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--threads", type=int, default=0,
-            help="accepted for compatibility; trials run serially",
-        )
-        p.add_argument("--omega", default="(012)*", help="defining word for functor towers")
         p.set_defaults(**(defaults or {}))
 
+    def omega(p):
+        p.add_argument("--omega", default="(012)*", help="defining word for functor towers")
+
     def estimate_options(p):
-        p.add_argument("--n", type=int, default=0, help="series length (0 = per-parameter default)")
+        shown = ", ".join(f"{name} {n}" for name, n in _DEFAULT_N.items())
+        p.add_argument("--n", type=int, help=f"series length (default: {shown})")
         p.add_argument("--R", type=int, default=32, help="percolation ball radius")
         p.add_argument("--trials", type=int, default=500)
-        p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--samples", type=int, default=1000, help="monte carlo speed walks")
         p.add_argument("--candidates", default="balls", choices=["balls", "boxes", "greedy"])
+        p.add_argument("--seed", type=int, default=0, help="random stream key")
 
     v = sub.add_parser("verify", help="run an exact invariant suite")
     v.add_argument(
@@ -465,6 +474,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     )
     v.add_argument("--m", type=int, default=2, help="contraction depth")
     v.add_argument("--k", type=int, default=1, help="separating word index")
+    omega(v)
     common(v)
 
     e = sub.add_parser("estimate", help="estimate one parameter on one group")
@@ -474,12 +484,17 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         choices=["rho", "pc-site", "pc-bond", "entropy", "speed", "mu", "cheeger", "growth"],
     )
     estimate_options(e)
+    e.add_argument(
+        "--threads", type=int, default=0,
+        help="accepted for compatibility; trials run serially",
+    )
     common(e)
 
     s = sub.add_parser("sweep", help="one report row per family member")
     s.add_argument("parameter", help="estimate parameter, or 'eta-witness'")
     s.add_argument("groups", nargs="*", help="group expressions (J sets for eta-witness)")
     estimate_options(s)
+    omega(s)
     common(s)
     return ap
 

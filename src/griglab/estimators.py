@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cayley import OUTSIDE, CayleyBall, bfs_ball, cheeger_upper, cogrowth, growth, saw_count, walk_counts
+from .cayley import OUTSIDE, CayleyBall, cheeger_upper, cogrowth, ensure_ball, growth, saw_count, walk_counts
 from .marked import FreeGroup, MarkedGroup
 
 SCHEMA = "griglab/estimate/1"
@@ -119,8 +119,7 @@ def walk_distribution(
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_float_range(g, n)
-    if ball is None or ball.radius < n:
-        ball = bfs_ball(g, n)
+    ball = ensure_ball(g, n, ball)
     for counts in walk_counts(g, ball, n):
         pass  # keep the last step
     return WalkDistribution(g, n, ball, counts.tolist())
@@ -219,8 +218,7 @@ def entropy(
             hs.append(t * logk - math.fsum(terms))
     elif method == "ball":
         _check_float_range(g, n_max)
-        if ball is None or ball.radius < n_max:
-            ball = bfs_ball(g, n_max)
+        ball = ensure_ball(g, n_max, ball)
         steps = walk_counts(g, ball, n_max)
         next(steps)  # t = 0
         for t, counts in enumerate(steps, start=1):
@@ -254,7 +252,7 @@ def entropy(
 def speed(
     g: MarkedGroup,
     n: int,
-    samples: int = 2000,
+    samples: int = 1000,
     seed: int = 0,
     method: str = "auto",
 ) -> EstimateReport:
@@ -312,12 +310,15 @@ def speed(
         notes.append(f"monte carlo over {samples} walks")
     else:
         raise ValueError(f"unknown speed method: {method}")
+    parameters = {"n": n, "method": method}
+    if method == "mc":
+        parameters.update(samples=samples, seed=seed)
     return EstimateReport(
         parameter="speed",
         group=g.label,
         estimate=estimate,
         ci=ci,
-        parameters={"n": n, "method": method, "samples": samples, "seed": seed},
+        parameters=parameters,
         series=series,
         notes=notes,
     )
@@ -391,8 +392,7 @@ def percolation_pstars(
         raise ValueError("radius must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if ball is None or ball.radius < radius:
-        ball = bfs_ball(g, radius)
+    ball = ensure_ball(g, radius, ball)
     on_sphere = ball.sphere_indices(radius)
     if not on_sphere:
         return np.array([])  # ball closed before R: no sphere to reach
@@ -423,14 +423,11 @@ def _wilson_ci(hits: int, n: int, z: float = 1.96) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+_BOOTSTRAP = 200  # resamples for the p_c confidence interval
+
+
 def percolation(
-    g: MarkedGroup,
-    mode: str,
-    radius: int = 32,
-    trials: int = 1000,
-    seed: int = 0,
-    bootstrap: int = 200,
-    ball: CayleyBall | None = None,
+    g: MarkedGroup, mode: str, radius: int = 32, trials: int = 500, seed: int = 0
 ) -> EstimateReport:
     """Critical density estimate on the radius-R ball with an absorbing
     sphere: the crossing event is 'root cluster touches the sphere'.
@@ -439,7 +436,7 @@ def percolation(
     nondecreasing in p by construction.  p_c estimate is the median
     bottleneck (the 0.5 crossing); CI by bootstrap over trials.
     """
-    pstars = percolation_pstars(g, mode, radius, trials, seed, ball=ball)
+    pstars = percolation_pstars(g, mode, radius, trials, seed)
     param = {"mode": mode, "radius": radius, "trials": trials, "seed": seed}
     if pstars.size == 0:
         return EstimateReport(
@@ -458,7 +455,7 @@ def percolation(
         curve.append((float(p), hits / trials, lo, hi))
     est = float(np.median(pstars))
     brng = np.random.Generator(np.random.Philox(key=[seed, 1 << 32]))
-    idx = brng.integers(0, trials, size=(bootstrap, trials))
+    idx = brng.integers(0, trials, size=(_BOOTSTRAP, trials))
     medians = np.median(pstars[idx], axis=1)
     ci = (float(np.quantile(medians, 0.025)), float(np.quantile(medians, 0.975)))
     return EstimateReport(
@@ -475,7 +472,7 @@ def percolation(
         },
         notes=[
             "finite-radius proxy: crossing to the sphere of the stated radius",
-            f"bootstrap over {bootstrap} resamples",
+            f"bootstrap over {_BOOTSTRAP} resamples",
         ],
     )
 

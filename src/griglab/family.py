@@ -84,22 +84,6 @@ class GJSpec:
         if self.query_radius < 0:
             raise ValueError("query_radius must be >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "omega": {"pre": self.omega.pre, "period": self.omega.period},
-            "J": list(self.J),
-            "radius": self.query_radius,
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "GJSpec":
-        om = data["omega"]
-        return cls(
-            OmegaWord(om.get("pre", ""), om["period"]),
-            tuple(data["J"]),
-            int(data["radius"]),
-        )
-
 
 def build_GJ(spec: GJSpec) -> ProductGroup:
     """Truncated member of the family, faithful for balls of radius <= n.

@@ -11,7 +11,7 @@ equality in the projective group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .words import WordLike, _letters, base_relator
 
@@ -73,14 +73,6 @@ class GaussianDyadic:
         if self.re_num != 0:
             return self.re_num > 0
         return self.im_num > 0
-
-    def to_triple(self) -> list:
-        return [self.re_num, self.im_num, self.exp]
-
-    @classmethod
-    def from_triple(cls, t: Iterable) -> "GaussianDyadic":
-        re, im, e = t
-        return cls(int(re), int(im), int(e))
 
     def __repr__(self) -> str:
         if self.exp:
@@ -147,24 +139,6 @@ class ProjectiveMat:
     def is_real(self) -> bool:
         return all(x.is_real for x in self.entries)
 
-    def to_json(self) -> dict:
-        return {
-            "m": [
-                [self.m00.to_triple(), self.m01.to_triple()],
-                [self.m10.to_triple(), self.m11.to_triple()],
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "ProjectiveMat":
-        (r0, r1) = data["m"]
-        return cls(
-            GaussianDyadic.from_triple(r0[0]),
-            GaussianDyadic.from_triple(r0[1]),
-            GaussianDyadic.from_triple(r1[0]),
-            GaussianDyadic.from_triple(r1[1]),
-        )
-
     @classmethod
     def from_ints(cls, rows) -> "ProjectiveMat":
         (a, b), (c, d) = rows
@@ -208,24 +182,27 @@ def verify_relations(gens: Mapping) -> dict:
     }
 
 
-def relation_report(gens: Mapping | None = None, power_limit: int = 64) -> dict:
+_POWER_LIMIT = 64  # powers of ad checked by the infinite-order certificate
+
+
+def relation_report(gens: Mapping | None = None) -> dict:
     """Defining relations plus the distinguished exact identities.
 
     Includes the infinite-order certificate for the ad product (no power
-    up to ``power_limit`` is the identity) and the exact forms of (ad)^4
-    and of the nested-commutator image.
+    up to 64 is the identity) and the exact forms of (ad)^4 and of the
+    nested-commutator image.
     """
     table = generator_matrices() if gens is None else gens
     report = dict(verify_relations(table))
     ad = table["a"] @ table["d"]
     p = MAT_ID
     order_free = True
-    for _ in range(power_limit):
+    for _ in range(_POWER_LIMIT):
         p = p @ ad
         if p.is_identity:
             order_free = False
             break
-    report[f"(ad)^m != 1 for m <= {power_limit}"] = order_free
+    report[f"(ad)^m != 1 for m <= {_POWER_LIMIT}"] = order_free
     report["(ad)^4 exact"] = (
         word_to_matrix("ad", table) @ word_to_matrix("ad", table)
         @ word_to_matrix("ad", table) @ word_to_matrix("ad", table)
@@ -238,12 +215,12 @@ def relation_report(gens: Mapping | None = None, power_limit: int = 64) -> dict:
     return report
 
 
-def _real_subgroup_probe(table: Mapping, depth: int = 6) -> bool:
+def _real_subgroup_probe(table: Mapping) -> bool:
     c = table["c"]
     ad = table["a"] @ table["d"]
     seen = {MAT_ID}
     frontier = [MAT_ID]
-    for _ in range(depth):
+    for _ in range(6):  # products of up to six factors
         nxt = []
         for m in frontier:
             for g in (c, ad, ad.inverse()):

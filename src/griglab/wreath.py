@@ -138,20 +138,6 @@ class Portrait:
     def is_trivial(self) -> bool:
         return self.bits == 0
 
-    def bit(self, level: int, index: int) -> int:
-        if not 0 <= level < self.depth:
-            raise ValueError("level out of range")
-        if not 0 <= index < (1 << level):
-            raise ValueError("index out of range")
-        return (self.bits >> ((1 << level) - 1 + index)) & 1
-
-    def to_json(self) -> dict:
-        return {"depth": self.depth, "bits": format(self.bits, "x")}
-
-    @classmethod
-    def from_json(cls, data) -> "Portrait":
-        return cls(int(data["depth"]), int(data["bits"], 16))
-
 
 def portrait(g: DecoratedElement) -> Portrait:
     bits = 0

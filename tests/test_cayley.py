@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from griglab import cayley
 from griglab.cayley import (
     OUTSIDE,
     BallBudgetError,
@@ -15,8 +16,10 @@ from griglab.cayley import (
     boundary_ratio,
     cheeger_upper,
     cogrowth,
+    ensure_ball,
     growth,
     saw_count,
+    walk_counts,
 )
 from griglab.cli import parse_group_expr
 from griglab.marked import (
@@ -100,9 +103,10 @@ def test_ball_outside_only_on_surface():
         assert (col[inner:] == OUTSIDE).any()
 
 
-def test_ball_budget_error():
+def test_ball_budget_error(monkeypatch):
+    monkeypatch.setattr(cayley, "DEFAULT_VERTEX_BUDGET", 50)
     with pytest.raises(BallBudgetError) as ei:
-        bfs_ball(FreeGroup(2), 8, max_vertices=50)
+        bfs_ball(FreeGroup(2), 8)
     assert ei.value.achieved_radius == 2
     assert ei.value.budget == 50
 
@@ -151,13 +155,26 @@ def test_cogrowth_rejects_odd():
 
 
 def test_cogrowth_bigint_path_matches_numpy_path():
-    # force the python-int fallback by shrinking the overflow threshold
-    g = GammaFree()
-    fast = cogrowth(g, 10)
-    ball = bfs_ball(g, 6)
-    slow = cogrowth(g, 10, ball=ball, force_exact=True)
-    assert fast.values == slow.values == reference_return_counts(g, ball, 10)
-    assert all(type(c) is int for c in fast.values + slow.values)
+    # 4^32 >= 2^62 takes the Python-int path, 4^30 < 2^62 the int64 one
+    g = GridGroup(2)
+    ball = bfs_ball(g, 16)
+    assert ball.size == 545
+    exact = cogrowth(g, 32, ball=ball).values
+    fast = cogrowth(g, 30, ball=ball).values
+    assert exact == reference_return_counts(g, ball, 32)
+    assert exact[:31] == fast
+    assert exact[32] == math.comb(32, 16) ** 2  # returns on Z^2
+    assert next(walk_counts(g, ball, 32)).dtype == object
+    assert next(walk_counts(g, ball, 30)).dtype == np.int64
+
+
+def test_ball_of_another_group_is_refused():
+    g, other = FreeGroup(2), GridGroup(2)
+    ball = bfs_ball(other, 4)
+    assert ensure_ball(other, 3, ball) is ball
+    for f in (cogrowth, growth):
+        with pytest.raises(ValueError, match="ball of grid"):
+            f(g, 8, ball=ball)
 
 
 def test_growth_saturates_on_finite_truncation():
@@ -236,6 +253,15 @@ def test_cheeger_greedy_improves_on_balls_for_gamma():
 def test_cheeger_running_minimum():
     vals = cheeger_upper(GridGroup(2), candidates="greedy", n_max=25)
     assert all(x >= y for x, y in zip(vals, vals[1:]))
+
+
+def test_cheeger_n_max_zero_is_the_identity_alone():
+    for strategy in ("balls", "greedy"):
+        assert cheeger_upper(GridGroup(2), strategy, 0) == [1]
+        with pytest.raises(ValueError):
+            cheeger_upper(GridGroup(2), strategy, -1)
+    with pytest.raises(ValueError):  # the smallest box has side 1
+        cheeger_upper(GridGroup(2), "boxes", 0)
 
 
 def reference_ball_candidates(g, n_max):

@@ -1,5 +1,6 @@
 """Expression language, command dispatch, exit codes, emission formats."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from griglab import cli
 from griglab.cayley import BallBudgetError
 from griglab.cli import ExprError, main, parse_group_expr, to_csv
+from griglab.estimators import cheeger_report, percolation, speed
 from griglab.marked import ProductGroup
 
 
@@ -210,6 +212,12 @@ def test_sweep_rho_quotient_bound_exceeds_free(tmp_path):
     assert by["gamma_free()"]["certified"] > by["free(2)"]["certified"]
 
 
+@pytest.mark.parametrize("sets", [["{1}x"], ["{}", "{0}"]])  # trailing input, level 0
+def test_sweep_eta_witness_rejects_bad_sets(sets, capsys):
+    assert main(["sweep", "eta-witness", *sets]) == 2
+    assert "expression error" in capsys.readouterr().err
+
+
 def test_sweep_empty_family(capsys):
     assert main(["sweep", "rho"]) == 0
     assert capsys.readouterr().out == ""
@@ -294,3 +302,70 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("griglab ")
+
+
+# ------------------------------------------------------ flags and their defaults
+
+_OUTPUT = {"--json", "--csv", "--config"}
+_ESTIMATE = {"--n", "--R", "--trials", "--samples", "--candidates", "--seed"}
+# each subcommand takes exactly the flags it reads; a new one is a deliberate change
+FLAGS = {
+    "verify": {"--m", "--k", "--omega"} | _OUTPUT,
+    "estimate": _ESTIMATE | {"--threads"} | _OUTPUT,
+    "sweep": _ESTIMATE | {"--omega"} | _OUTPUT,
+}
+
+
+def _subparsers() -> dict:
+    (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    return sub.choices
+
+
+def test_each_subcommand_has_its_pinned_flag_set():
+    subs = _subparsers()
+    assert set(subs) == set(FLAGS)
+    for name, p in subs.items():
+        flags = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        assert flags == FLAGS[name], name
+
+
+def test_cli_defaults_are_the_signature_defaults():
+    def default(f, name):
+        return inspect.signature(f).parameters[name].default
+
+    for name in ("estimate", "sweep"):
+        d = {a.dest: a.default for a in _subparsers()[name]._actions}
+        assert d["samples"] == default(speed, "samples")
+        assert d["trials"] == default(percolation, "trials")
+        assert d["R"] == default(percolation, "radius")
+        assert d["candidates"] == default(cheeger_report, "candidates")
+        assert d["seed"] == default(speed, "seed") == default(percolation, "seed")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["estimate", "free(2)", "growth", "--n", "2"], "omega"),
+        (["verify", "matrix-relations"], "seed"),
+        (["verify", "matrix-relations"], "threads"),
+        (["sweep", "growth", "free(2)", "--n", "2"], "threads"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_two(argv, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(argv + [f"--{flag}", "1"])
+    assert ei.value.code == 2
+    conf = tmp_path / "lab.conf"
+    conf.write_text(f"{flag}=1\n")
+    assert main(argv + ["--config", str(conf)]) == 2
+    assert "unknown keys" in capsys.readouterr().err
+
+
+def test_n_zero_is_a_length_not_a_default(capsys):
+    assert main(["estimate", "free(2)", "growth", "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["n_max"] == 8
+    assert main(["estimate", "free(2)", "growth", "--n", "0", "--json", "-"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["parameters"]["n_max"] == 0 and blob["series"]["ball_size"] == [1]
+    assert main(["estimate", "free(2)", "rho", "--n", "0"]) == 2
+    assert "usage error" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from griglab import estimators
+from griglab import cayley, estimators
 from griglab.cayley import bfs_ball, cheeger_upper, cogrowth
 from griglab.cli import parse_group_expr
 from griglab.estimators import (
@@ -135,7 +135,7 @@ def test_ball_entropy_range_check_precedes_ball_build(monkeypatch):
     def no_ball(*a, **k):
         raise AssertionError("ball built before the range check")
 
-    monkeypatch.setattr(estimators, "bfs_ball", no_ball)
+    monkeypatch.setattr(cayley, "bfs_ball", no_ball)
     with pytest.raises(ValueError):
         entropy(GammaFree(), 600, method="ball")
 
@@ -183,6 +183,29 @@ def test_speed_without_oracle_is_exact_on_the_ball():
     assert rep.estimate == float(walk_distribution(g, 8).mean_distance()) / 8
     with pytest.raises(ValueError):
         speed(g, 8, method="mc")
+
+
+def test_speed_reports_only_the_inputs_that_act():
+    radial = speed(FreeGroup(2), 6, samples=7, seed=3)
+    ball = speed(grig(FIRST_OMEGA, 4), 6, samples=7, seed=3)
+    mc = speed(GammaFree(), 6, samples=7, seed=3)
+    assert radial.parameters == {"n": 6, "method": "radial"}
+    assert ball.parameters == {"n": 6, "method": "ball"}
+    assert mc.parameters == {"n": 6, "method": "mc", "samples": 7, "seed": 3}
+
+
+def test_ball_estimators_refuse_a_ball_of_another_group():
+    grid_ball = bfs_ball(GridGroup(2), 4)
+    free = FreeGroup(2)
+    for call in (
+        lambda: spectral_radius(free, 8, ball=grid_ball),
+        lambda: entropy(free, 4, method="ball", ball=grid_ball),
+        lambda: walk_distribution(free, 4, ball=grid_ball),
+        lambda: percolation_pstars(free, "bond", 4, 5, ball=grid_ball),
+    ):
+        with pytest.raises(ValueError, match="ball of grid"):
+            call()
+    assert spectral_radius(free, 8).series["return_count"] == [4, 28, 232, 2092]
 
 
 def test_ball_estimators_multiply_only_inside_bfs_ball():
@@ -392,7 +415,7 @@ def test_connective_finite_degenerate():
 
 def test_walk_counts_past_int64_match_binomial_sums():
     # cycle(4) with k = 2: a word with j steps s lands on (2j - n) mod 4, and
-    # 2^n >= 2^62 here, so the Python-int path runs without force_exact
+    # 2^n >= 2^62 here, so the Python-int path runs
     g = CyclicGroup(4)
 
     def landing(n, x):
@@ -418,7 +441,7 @@ def test_point_estimates_respect_hard_bounds_over_zoo():
         g = parse_group_expr(expr)
         rho = spectral_radius(g, 12)
         assert rho.certified["value"] <= rho.estimate <= 1.0, expr
-        pc = percolation(g, "bond", radius=3, trials=40, seed=2, bootstrap=20)
+        pc = percolation(g, "bond", radius=3, trials=40, seed=2)
         assert pc.estimate is None or 0.0 <= pc.estimate <= 1.0, expr
     clamped = spectral_radius(GridGroup(1), 12)
     assert clamped.estimate == 1.0

@@ -30,16 +30,9 @@ def test_truncation_level_values():
         F.truncation_level(-1, OM)
 
 
-def test_gjspec_normalization_and_json():
+def test_gjspec_normalization():
     s = F.GJSpec(OM, (3, 1, 3), 8)
     assert s.J == (1, 3)
-    data = s.to_json()
-    assert data == {
-        "omega": {"pre": "", "period": "012"},
-        "J": [1, 3],
-        "radius": 8,
-    }
-    assert F.GJSpec.from_json(data) == s
     with pytest.raises(ValueError):
         F.GJSpec(OM, (0, 2), 4)
 

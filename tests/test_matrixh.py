@@ -98,14 +98,6 @@ def test_word_evaluation_respects_normal_form():
         assert M.word_to_matrix(w) == M.word_to_matrix(W.reduce(w))
 
 
-def test_json_round_trip():
-    rng = random.Random(4)
-    for _ in range(30):
-        w = "".join(rng.choices(W.LETTERS, k=rng.randrange(0, 10)))
-        m = M.word_to_matrix(w)
-        assert M.ProjectiveMat.from_json(m.to_json()) == m
-
-
 # ------------------------------------------------------- defining relations
 
 
