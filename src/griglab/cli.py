@@ -41,7 +41,14 @@ from .marked import (
 )
 from .matrixh import generator_matrices, relation_report
 from .words import OmegaWord, eta_word, parse_omega
-from .wreath import apply_functor, ball_agreement_radius, grig, iterate_functor
+from .wreath import (
+    apply_functor,
+    ball_agreement_radius,
+    grig,
+    iterate_functor,
+    nontrivial_leaves,
+    portrait,
+)
 
 VERIFY_SCHEMA = "griglab/verify/1"
 SWEEP_SCHEMA = "griglab/sweep/1"
@@ -229,8 +236,6 @@ def suite_eta(k: int, omega: OmegaWord) -> list:
     else:
         Fk = iterate_functor(omega, k, H)
         x = Fk.evaluate(Fk.parse(w))
-        from .wreath import nontrivial_leaves, portrait
-
         leaves = nontrivial_leaves(x, Fk.leaf_base.identity())
         checks.append(_check(f"eta_{k} nontrivial at level {k}", x != Fk.identity()))
         checks.append(
@@ -355,7 +360,7 @@ def run_sweep(args) -> dict:
     return {
         "schema": SWEEP_SCHEMA,
         "parameter": args.parameter,
-        "seed": args.seed,
+        "seed": None if args.parameter == "eta-witness" else args.seed,  # exact search
         "rows": rows,
     }
 

@@ -11,6 +11,15 @@ bit 0.  Nodes are interned: leaf() and node() are the only constructors
 and return one object per value, so two trees are equal exactly when
 they are the same object.  Equality and hashing are therefore the
 default identity ones, and ball enumerations stay compact in memory.
+The intern pool is process-global and never shrinks.
+
+Each tower keeps one composition memo, a dict from a pair (g, h) of
+interned trees to g h.  The depth-1 functor group creates it and every
+group stacked on top shares it, since they share one leaf multiplication;
+subtrees of every depth are keys.  So each distinct pair of subtrees,
+leaf pairs included, is composed once per tower, and a product walks the
+DAG of shared subtrees rather than the whole tree.  The memo is an
+attribute of the groups, so it is freed with the tower.
 
 The level functor takes a group with the involutive Klein marking
 (a, b, c, d) and produces a new one of tree depth one greater, with the
@@ -75,18 +84,28 @@ def pool_size() -> int:
     return len(_POOL)
 
 
-def compose(g: DecoratedElement, h: DecoratedElement, base_mul: Callable) -> DecoratedElement:
+def compose(
+    g: DecoratedElement, h: DecoratedElement, base_mul: Callable, memo: dict
+) -> DecoratedElement:
+    """The product g h, via ``memo``: pairs (g, h) -> g h under this base_mul."""
+    key = (g, h)
+    got = memo.get(key)
+    if got is not None:
+        return got
     if g.depth != h.depth:
         raise ValueError("depth mismatch")
     if g.depth == 0:
-        return leaf(base_mul(g.leaf, h.leaf))
-    if h.swap == 0:
-        l = compose(g.left, h.left, base_mul)
-        r = compose(g.right, h.right, base_mul)
+        got = leaf(base_mul(g.leaf, h.leaf))
     else:
-        l = compose(g.right, h.left, base_mul)
-        r = compose(g.left, h.right, base_mul)
-    return node(g.swap ^ h.swap, l, r)
+        if h.swap == 0:
+            l = compose(g.left, h.left, base_mul, memo)
+            r = compose(g.right, h.right, base_mul, memo)
+        else:
+            l = compose(g.right, h.left, base_mul, memo)
+            r = compose(g.left, h.right, base_mul, memo)
+        got = node(g.swap ^ h.swap, l, r)
+    memo[key] = got
+    return got
 
 
 def invert(g: DecoratedElement, base_inv: Callable) -> DecoratedElement:
@@ -194,11 +213,13 @@ class WreathGroup(MarkedGroup):
         self.faithful_radius = base.faithful_radius  # safe: sections never outgrow a word
         if isinstance(base, WreathGroup):
             self.leaf_base = base.leaf_base
+            self._memo = base._memo
             self.depth = base.depth + 1
             self.omega_prefix = (letter,) + base.omega_prefix
             wrap = lambda e: e
         else:
             self.leaf_base = base
+            self._memo = {}  # (g, h) -> g h for every tree of the tower
             self.depth = 1
             self.omega_prefix = (letter,)
             wrap = leaf
@@ -222,7 +243,7 @@ class WreathGroup(MarkedGroup):
         return self._gens[i]
 
     def mul(self, x, y):
-        return compose(x, y, self.leaf_base.mul)
+        return compose(x, y, self.leaf_base.mul, self._memo)
 
     def inv(self, x):
         return invert(x, self.leaf_base.inv)

@@ -201,6 +201,17 @@ def test_sweep_eta_witness_matrix(tmp_path):
     assert all(",True," in ln or ln.endswith("True") or ",1" in ln for ln in lines[1:])
 
 
+def test_sweep_seed_is_null_for_the_exact_eta_witness(tmp_path):
+    # the witness search draws no random numbers, so no seed shaped it
+    for argv, seed in (
+        (["eta-witness", "{}", "{1}"], None),
+        (["growth", "free(2)", "--n", "2"], 7),
+    ):
+        jp = tmp_path / "s.json"
+        assert main(["sweep", *argv, "--seed", "7", "--json", str(jp)]) == 0
+        assert json.loads(jp.read_text())["seed"] == seed
+
+
 def test_sweep_rho_quotient_bound_exceeds_free(tmp_path):
     jp = tmp_path / "s.json"
     rc = main(

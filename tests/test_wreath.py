@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -106,6 +108,73 @@ def test_depth_and_letters_track_base():
     assert g2.depth == 2 and g2.omega_prefix == (0, 2)
     t = Wr.iterate_functor(OM, 3, H)
     assert t.depth == 3 and t.omega_prefix == (0, 1, 2)
+
+
+# ------------------------------------------------------------ composition
+
+
+def reference_compose(g, h, base_mul):
+    """The product g h by the plain wreath recursion over both whole trees."""
+    if g.depth == 0:
+        return Wr.leaf(base_mul(g.leaf, h.leaf))
+    if h.swap == 0:
+        l = reference_compose(g.left, h.left, base_mul)
+        r = reference_compose(g.right, h.right, base_mul)
+    else:
+        l = reference_compose(g.right, h.left, base_mul)
+        r = reference_compose(g.left, h.right, base_mul)
+    return Wr.node(g.swap ^ h.swap, l, r)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Wr.grig(OM, 4),
+        Wr.iterate_functor(OM, 3, MatrixHGroup()),
+        *(Wr.apply_functor(x, GammaFree()) for x in (0, 1, 2)),
+        *(
+            Wr.apply_functor(x, product([MatrixHGroup(), Wr.grig(OM, 1)]))
+            for x in (0, 1, 2)
+        ),
+    ],
+    ids=lambda g: g.label,
+)
+def test_memoised_product_is_the_reference_product(g):
+    rng = random.Random(17)
+    for _ in range(150):
+        x, y = rand_elem(rng, g, 20), rand_elem(rng, g, 20)
+        assert g.mul(x, y) is reference_compose(x, y, g.leaf_base.mul)
+
+
+class CountingMatrixH(MatrixHGroup):
+    """matrix_h() recording every pair it multiplies."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = []
+
+    def mul(self, x, y):
+        self.pairs.append((x, y))
+        return super().mul(x, y)
+
+
+def test_tower_multiplies_each_leaf_pair_once_and_frees_its_memo():
+    H = CountingMatrixH()
+
+    def ball_pairs(tower):
+        H.pairs.clear()  # the marking check multiplies generators directly
+        bfs_ball(tower, 8)
+        return list(H.pairs)
+
+    tower = Wr.iterate_functor(OM, 3, H)
+    first = ball_pairs(tower)
+    assert first and len(set(first)) == len(first)
+    # a second tower on the same leaf group starts with an empty memo
+    assert ball_pairs(Wr.iterate_functor(OM, 3, H)) == first
+    ref = weakref.ref(tower)
+    del tower
+    gc.collect()
+    assert ref() is None
 
 
 # ------------------------------------------------------------ the action
