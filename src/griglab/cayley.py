@@ -181,21 +181,24 @@ def walk_counts(g: MarkedGroup, ball: CayleyBall, n_max: int) -> Iterator[np.nda
     """Yield c_t for t = 0..n_max: c_t[v] counts the length-t symbol words
     from the identity that evaluate to ball vertex v without leaving the ball.
 
-    Counts are int64 while k^n_max < 2^62, else Python ints in an object
-    array.  Each step is a fresh array.
+    Counts start as int64 and become Python ints in an object array before
+    the first step t -> t+1 with max(c_t) * k >= 2^63: a new count sums k old
+    ones, so below that bound int64 is exact.  Each step is a fresh array.
     """
-    V = ball.size
-    dtype = np.int64 if g.k**n_max < 2**62 else object
+    V, k = ball.size, g.k
     # predecessors of v through s are v * s^{-1}; OUTSIDE reads the zero cell V
     preds = [
         np.where(col >= 0, col, V)
-        for col in (ball.adjacency[g.inverse_symbol_index(s)] for s in range(g.k))
+        for col in (ball.adjacency[g.inverse_symbol_index(s)] for s in range(k))
     ]
-    cur = np.zeros(V + 1, dtype=dtype)
+    cur = np.zeros(V + 1, dtype=np.int64)
     cur[0] = 1
     yield cur[:V]
-    for _ in range(n_max):
-        new = np.zeros(V + 1, dtype=dtype)
+    for t in range(n_max):
+        # k^(t+1) bounds every new count, so the max is read only past 2^63
+        if cur.dtype != object and k ** (t + 1) >= 2**63 and int(cur.max()) * k >= 2**63:
+            cur = cur.astype(object)
+        new = np.zeros(V + 1, dtype=cur.dtype)
         for idx in preds:
             new[:V] += cur[idx]
         cur = new

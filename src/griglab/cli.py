@@ -281,6 +281,8 @@ def run_verify(args) -> tuple:
 
 # series length when --n is not given
 _DEFAULT_N = {"rho": 12, "entropy": 16, "speed": 16, "mu": 10, "cheeger": 6, "growth": 8}
+# dests of the flags that estimate and sweep share
+_ESTIMATE_FLAGS = ("n", "R", "trials", "samples", "candidates", "seed")
 
 
 def run_estimate(args) -> dict:
@@ -511,9 +513,17 @@ def _flag_dests(ap: argparse.ArgumentParser, command: str) -> set:
     return {a.dest for a in sub.choices[command]._actions if a.option_strings} - {"help"}
 
 
+def _unread_flags(argv, conf: dict) -> list:
+    """The estimate flags that argv or the config set: ``sweep eta-witness``
+    reads none of them, since its witness search is exact."""
+    probe = build_parser({**dict.fromkeys(_ESTIMATE_FLAGS), **conf}).parse_args(argv)
+    return [f"--{d}" for d in _ESTIMATE_FLAGS if getattr(probe, d) is not None]
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    conf = {}
     if args.config:
         try:
             conf = load_config(args.config)
@@ -526,6 +536,12 @@ def main(argv=None) -> int:
             return 2
         # the config only moves defaults, so argparse lets any flag win
         args = build_parser(conf).parse_args(argv)
+    if args.command == "sweep" and args.parameter == "eta-witness":
+        unread = _unread_flags(argv, conf)
+        if unread:
+            print(f"usage error: sweep eta-witness does not read {', '.join(unread)}",
+                  file=sys.stderr)
+            return 2
     try:
         if args.command == "verify":
             ok, blob = run_verify(args)

@@ -137,10 +137,12 @@ class GammaFree(MarkedGroup):
         return (self.symbols[i],)
 
     def mul(self, x, y):
-        return words.mul(x, y)
+        # both operands are normal forms
+        return words.reduce_onto(x, y)
 
     def inv(self, x):
-        return words.inverse(x)
+        # a reversed normal form is one, every letter being an involution
+        return x[::-1]
 
     def evaluate(self, w):
         if isinstance(w, str):

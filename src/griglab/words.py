@@ -46,8 +46,15 @@ def _letters(w: WordLike) -> Iterable[str]:
 
 def reduce(w: WordLike) -> Word:
     """Normal form of ``w``: cancel doubled letters, fold b/c/d pairs."""
-    out: list[str] = []
-    for ch in _letters(w):
+    return reduce_onto((), _letters(w))
+
+
+def reduce_onto(u: Word, letters: Iterable[str]) -> Word:
+    """Normal form of ``u`` followed by ``letters``, for ``u`` already in
+    normal form: only the seam can reduce, so ``u`` is not re-checked and
+    ``letters`` must be valid letters."""
+    out = list(u)
+    for ch in letters:
         while True:
             if not out:
                 out.append(ch)

@@ -155,7 +155,9 @@ def test_cogrowth_rejects_odd():
 
 
 def test_cogrowth_bigint_path_matches_numpy_path():
-    # 4^32 >= 2^62 takes the Python-int path, 4^30 < 2^62 the int64 one
+    # counts widen to Python ints only before a step whose max(c_t) * k
+    # reaches 2^63: on Z^2 that is never up to n = 32 (4^32 >= 2^63 though),
+    # and somewhere past t = 32 up to n = 40
     g = GridGroup(2)
     ball = bfs_ball(g, 16)
     assert ball.size == 545
@@ -164,8 +166,24 @@ def test_cogrowth_bigint_path_matches_numpy_path():
     assert exact == reference_return_counts(g, ball, 32)
     assert exact[:31] == fast
     assert exact[32] == math.comb(32, 16) ** 2  # returns on Z^2
-    assert next(walk_counts(g, ball, 32)).dtype == object
-    assert next(walk_counts(g, ball, 30)).dtype == np.int64
+    assert {c.dtype for c in walk_counts(g, ball, 32)} == {np.dtype(np.int64)}
+
+    ball = bfs_ball(g, 20)
+    dtypes = [c.dtype for c in walk_counts(g, ball, 40)]
+    assert dtypes[32] == np.int64 and dtypes[40] == object
+    assert dtypes == sorted(dtypes, key=lambda d: d == object)  # widened once
+    wide = cogrowth(g, 40, ball=ball).values
+    assert wide == reference_return_counts(g, ball, 40)
+    assert wide[40] == math.comb(40, 20) ** 2
+
+
+def test_gamma_free_sphere_sizes_follow_the_closed_form():
+    # s(0) = 1, s(2m+1) = 4 * 3^m, s(2m) = 6 * 3^(m-1)
+    sizes = bfs_ball(GammaFree(), 16).layer_sizes()
+    assert sizes[0] == 1
+    for r in range(1, 17):
+        m = r // 2
+        assert sizes[r] == (4 * 3**m if r % 2 else 6 * 3 ** (m - 1)), r
 
 
 def test_ball_of_another_group_is_refused():

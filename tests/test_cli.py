@@ -205,11 +205,31 @@ def test_sweep_seed_is_null_for_the_exact_eta_witness(tmp_path):
     # the witness search draws no random numbers, so no seed shaped it
     for argv, seed in (
         (["eta-witness", "{}", "{1}"], None),
-        (["growth", "free(2)", "--n", "2"], 7),
+        (["growth", "free(2)", "--n", "2", "--seed", "7"], 7),
     ):
         jp = tmp_path / "s.json"
-        assert main(["sweep", *argv, "--seed", "7", "--json", str(jp)]) == 0
+        assert main(["sweep", *argv, "--json", str(jp)]) == 0
         assert json.loads(jp.read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize(
+    "given, named",
+    [
+        (["--seed", "7"], "--seed"),
+        (["--n", "4", "--R", "3"], "--n, --R"),
+        (["--tri", "5"], "--trials"),  # abbreviated
+        (["--samples", "9", "--candidates", "boxes"], "--samples, --candidates"),
+        (["--seed", "0"], "--seed"),  # a default value given is still given
+    ],
+)
+def test_sweep_eta_witness_rejects_the_estimate_flags(given, named, tmp_path, capsys):
+    argv = ["sweep", "eta-witness", "{}", "{1}"]
+    assert main(argv + given) == 2
+    assert f"does not read {named}" in capsys.readouterr().err
+    conf = tmp_path / "lab.conf"
+    conf.write_text("seed=7\n")
+    assert main(argv + ["--config", str(conf)]) == 2
+    assert "does not read --seed" in capsys.readouterr().err
 
 
 def test_sweep_rho_quotient_bound_exceeds_free(tmp_path):

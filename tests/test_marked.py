@@ -45,6 +45,26 @@ def test_evaluate_concatenation():
             )
 
 
+def test_gamma_free_seam_product_is_the_reduced_concatenation():
+    g = M.GammaFree()
+    rng = random.Random(43)
+    deep = folds = 0
+    for _ in range(600):
+        x = W.reduce("".join(rng.choices(W.LETTERS, k=rng.randrange(0, 16))))
+        # y opens with x's last j letters reversed, so the seam cancels them
+        j = rng.randrange(0, len(x) + 1)
+        tail = "".join(rng.choices(W.LETTERS, k=rng.randrange(0, 6)))
+        y = W.reduce(x[len(x) - j:][::-1] + tuple(tail))
+        xy = g.mul(x, y)
+        assert xy == W.reduce(x + y)
+        assert g.mul(x, g.inv(x)) == g.mul(g.inv(x), x) == ()
+        assert W.reduce(g.inv(x)) == g.inv(x) == W.inverse(x)
+        lost = len(x) + len(y) - len(xy)
+        deep += lost >= 4
+        folds += lost % 2  # cancelling drops two letters, folding b/c/d one
+    assert deep > 100 and folds > 100, (deep, folds)
+
+
 def test_inverse_symbol_index():
     f = M.FreeGroup(2)
     assert f.inverse_symbol_index(0) == 1
