@@ -19,6 +19,7 @@ import numpy as np
 from .marked import GridGroup, MarkedGroup
 
 OUTSIDE = -1
+UNKNOWN = -2  # a cell not yet filled; none survives bfs_ball
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 
@@ -97,9 +98,13 @@ class CayleyBall:
 def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
     """Complete radius-n ball with adjacency for every ball vertex.
 
-    Refuses a radius past ``g.faithful_radius``: that ball would describe
-    the truncation, not the group it stands in for.  Raises
-    BallBudgetError past DEFAULT_VERTEX_BUDGET vertices.
+    One group product per edge inside the ball: when u * s lands on a
+    ball vertex v, v's cell for the inverse symbol is filled with u, and a
+    filled cell is never multiplied out again.  So the marking must be
+    symmetric (ValueError otherwise).  Refuses a radius past
+    ``g.faithful_radius``: that ball would describe the truncation, not the
+    group it stands in for.  Raises BallBudgetError past
+    DEFAULT_VERTEX_BUDGET vertices.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
@@ -108,48 +113,48 @@ def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
             f"radius {n} exceeds the query radius {g.faithful_radius} "
             f"to which {g.label} is faithful"
         )
+    k = g.k
+    inverse = [g.inverse_symbol_index(s) for s in range(k)]
+    gens = g.generators()
     e = g.identity()
     vertices = [e]
     index = {e: 0}
-    dist = [0]
     offsets = [0, 1]
-    gens = g.generators()
-    k = g.k
-    adjacency = [array("q") for _ in range(k)]  # compact; ball can hit 1e6 vertices
+    unknown_row = array("q", [UNKNOWN]) * k
+    cells = array("q", unknown_row)  # row-major: cells[u * k + s] = u * s
     budget = DEFAULT_VERTEX_BUDGET
-    frontier = [0]
-    for layer in range(1, n + 1):
-        nxt = []
-        for u in frontier:
+    # pass r fills the rows of sphere r - 1 and finds sphere r; pass n + 1
+    # finds nothing and marks the products that leave the ball OUTSIDE
+    for layer in range(1, n + 2):
+        for u in range(offsets[layer - 1], offsets[layer]):
             x = vertices[u]
+            row = u * k
             for s in range(k):
+                if cells[row + s] != UNKNOWN:
+                    continue  # filled from the inverse edge v * s^-1 = u
                 y = g.mul(x, gens[s])
                 j = index.get(y)
                 if j is None:
+                    if layer > n:
+                        cells[row + s] = OUTSIDE
+                        continue
                     if len(vertices) >= budget:
                         raise BallBudgetError(layer - 1, budget)
                     j = len(vertices)
                     index[y] = j
                     vertices.append(y)
-                    dist.append(layer)
-                    nxt.append(j)
-                adjacency[s].append(j)  # row u grows in expansion order
-        frontier = nxt
-        offsets.append(len(vertices))
-    # adjacency rows were appended in expansion order, which is vertex
-    # order; finish the rows for the outermost layer
-    for u in frontier:
-        x = vertices[u]
-        for s in range(k):
-            y = g.mul(x, gens[s])
-            adjacency[s].append(index.get(y, OUTSIDE))
-    cols = [np.frombuffer(adjacency[s], dtype=np.int64).copy() for s in range(k)]
+                    cells.extend(unknown_row)
+                cells[row + s] = j
+                cells[j * k + inverse[s]] = u
+        if layer <= n:
+            offsets.append(len(vertices))
+    rows = np.frombuffer(cells, dtype=np.int64).reshape(-1, k)
     return CayleyBall(
         radius=n,
         vertices=vertices,
         index=index,
-        dist=np.array(dist, dtype=np.int64),
-        adjacency=cols,
+        dist=np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(offsets)),
+        adjacency=[rows[:, s].copy() for s in range(k)],
         layer_offsets=offsets,
         group=g,
     )
@@ -237,22 +242,26 @@ def saw_count(g: MarkedGroup, n_max: int) -> CountSeries:
     neigh = ball.neighbors()
     counts = [0] * (n_max + 1)
     counts[0] = 1
-    visited = bytearray(ball.size)
-    visited[0] = 1
-    # depth-first over self-avoiding paths; each level keeps its neighbour iterator
+    visited = {0}
+    # depth-first over self-avoiding paths; each level keeps its neighbour
+    # iterator, and a walk one step short of n_max counts its last steps
+    # (the unvisited neighbours of its end) without descending
     path = [0]
     todo = [iter(neigh[0])] if n_max else []
     while todo:
         for v in todo[-1]:
-            if not visited[v]:
+            if v not in visited:
                 break
         else:  # level exhausted: backtrack
             todo.pop()
-            visited[path.pop()] = 0
+            visited.discard(path.pop())
             continue
-        counts[len(path)] += 1
-        if len(path) < n_max:
-            visited[v] = 1
+        depth = len(path)
+        counts[depth] += 1
+        if depth == n_max - 1:
+            counts[n_max] += len(neigh[v]) - len(visited.intersection(neigh[v]))
+        elif depth < n_max:
+            visited.add(v)
             path.append(v)
             todo.append(iter(neigh[v]))
     return CountSeries("saw", counts)

@@ -283,6 +283,18 @@ def run_verify(args) -> tuple:
 _DEFAULT_N = {"rho": 12, "entropy": 16, "speed": 16, "mu": 10, "cheeger": 6, "growth": 8}
 # dests of the flags that estimate and sweep share
 _ESTIMATE_FLAGS = ("n", "R", "trials", "samples", "candidates", "seed")
+# the ones each parameter reads; setting any other is a usage error
+_READS = {
+    "rho": ("n",),
+    "entropy": ("n",),
+    "mu": ("n",),
+    "growth": ("n",),
+    "cheeger": ("n", "candidates"),
+    "speed": ("n", "samples", "seed"),
+    "pc-site": ("R", "trials", "seed"),
+    "pc-bond": ("R", "trials", "seed"),
+    "eta-witness": (),  # the witness search is exact
+}
 
 
 def run_estimate(args) -> dict:
@@ -513,11 +525,15 @@ def _flag_dests(ap: argparse.ArgumentParser, command: str) -> set:
     return {a.dest for a in sub.choices[command]._actions if a.option_strings} - {"help"}
 
 
-def _unread_flags(argv, conf: dict) -> list:
-    """The estimate flags that argv or the config set: ``sweep eta-witness``
-    reads none of them, since its witness search is exact."""
+def _unread_flags(argv, conf: dict, parameter: str) -> list:
+    """The estimate flags that argv or the config set and ``parameter``
+    never reads."""
     probe = build_parser({**dict.fromkeys(_ESTIMATE_FLAGS), **conf}).parse_args(argv)
-    return [f"--{d}" for d in _ESTIMATE_FLAGS if getattr(probe, d) is not None]
+    return [
+        f"--{d}"
+        for d in _ESTIMATE_FLAGS
+        if d not in _READS[parameter] and getattr(probe, d) is not None
+    ]
 
 
 def main(argv=None) -> int:
@@ -536,10 +552,10 @@ def main(argv=None) -> int:
             return 2
         # the config only moves defaults, so argparse lets any flag win
         args = build_parser(conf).parse_args(argv)
-    if args.command == "sweep" and args.parameter == "eta-witness":
-        unread = _unread_flags(argv, conf)
+    if args.command != "verify" and args.parameter in _READS:
+        unread = _unread_flags(argv, conf, args.parameter)
         if unread:
-            print(f"usage error: sweep eta-witness does not read {', '.join(unread)}",
+            print(f"usage error: {args.parameter} does not read {', '.join(unread)}",
                   file=sys.stderr)
             return 2
     try:

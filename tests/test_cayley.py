@@ -11,6 +11,7 @@ import pytest
 from griglab import cayley
 from griglab.cayley import (
     OUTSIDE,
+    UNKNOWN,
     BallBudgetError,
     bfs_ball,
     boundary_ratio,
@@ -27,6 +28,7 @@ from griglab.marked import (
     FreeGroup,
     GammaFree,
     GridGroup,
+    MarkedGroup,
     TrivialGroup,
 )
 from griglab.words import FIRST_OMEGA
@@ -115,6 +117,120 @@ def test_ball_closes_on_finite_group():
     b = bfs_ball(CyclicGroup(5), 10)
     assert b.size == 5
     assert max(b.layer_sizes()) <= 2
+
+
+def reference_bfs_ball(g, n):
+    """The builder that multiplies every (vertex, generator) pair, kept as a
+    reference: each edge inside the ball costs two products."""
+    e = g.identity()
+    vertices, index, dist, offsets = [e], {e: 0}, [0], [0, 1]
+    gens = g.generators()
+    adjacency = [[] for _ in range(g.k)]
+    frontier = [0]
+    for layer in range(1, n + 1):
+        nxt = []
+        for u in frontier:
+            for s in range(g.k):
+                y = g.mul(vertices[u], gens[s])
+                j = index.get(y)
+                if j is None:
+                    if len(vertices) >= cayley.DEFAULT_VERTEX_BUDGET:
+                        raise BallBudgetError(layer - 1, cayley.DEFAULT_VERTEX_BUDGET)
+                    j = len(vertices)
+                    index[y] = j
+                    vertices.append(y)
+                    dist.append(layer)
+                    nxt.append(j)
+                adjacency[s].append(j)
+        frontier = nxt
+        offsets.append(len(vertices))
+    for u in frontier:
+        for s in range(g.k):
+            adjacency[s].append(index.get(g.mul(vertices[u], gens[s]), OUTSIDE))
+    return vertices, index, dist, offsets, adjacency
+
+
+# grig((012)*, 2) has generators with equal images; cycle(1) has parallel
+# self-loops
+BUILDER_CASES = [
+    ("free(2)", 4),
+    ("gamma_free()", 6),
+    ("grid(2)", 5),
+    ("cycle(1)", 3),
+    ("cycle(2)", 3),
+    ("matrix_h()", 4),
+    ("grig((012)*, 2)", 4),
+    ("gj((012)*, {1,3}, 6)", 5),
+    ("product(grig((012)*, 3), matrix_h())", 4),
+    ("functor((012)*, 1, gj((012)*, {1}, 4))", 4),
+]
+
+
+@pytest.mark.parametrize("expr, n", BUILDER_CASES)
+def test_ball_matches_the_two_product_builder(expr, n):
+    g = parse_group_expr(expr)
+    b = bfs_ball(g, n)
+    vertices, index, dist, offsets, adjacency = reference_bfs_ball(g, n)
+    assert b.vertices == vertices
+    assert b.index == index
+    assert b.dist.dtype == np.int64 and b.dist.tolist() == dist
+    assert b.layer_offsets == offsets
+    assert [col.tolist() for col in b.adjacency] == adjacency
+    for col in b.adjacency:
+        assert col.dtype == np.int64 and len(col) == b.size
+        assert not (col == UNKNOWN).any()
+
+
+@pytest.mark.parametrize(
+    "g, n, products",
+    [
+        # one product per edge: 212 and 92 when every pair was multiplied
+        (FreeGroup(2), 3, 160),
+        (parse_group_expr("matrix_h()"), 3, 55),
+    ],
+)
+def test_ball_costs_one_product_per_edge(monkeypatch, g, n, products):
+    calls = []
+    mul = g.mul
+    monkeypatch.setattr(g, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    bfs_ball(g, n)
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 17, 50, 53, 54, 160])
+def test_ball_budget_error_radius_is_unchanged(monkeypatch, budget):
+    monkeypatch.setattr(cayley, "DEFAULT_VERTEX_BUDGET", budget)
+    for g, n in ((FreeGroup(2), 4), (GammaFree(), 10)):
+        with pytest.raises(BallBudgetError) as want:
+            reference_bfs_ball(g, n)
+        with pytest.raises(BallBudgetError) as got:
+            bfs_ball(g, n)
+        assert got.value.achieved_radius == want.value.achieved_radius
+        assert got.value.budget == budget
+
+
+class _Successor(MarkedGroup):
+    """Z marked by +1 alone: no symbol inverts the generator."""
+
+    symbols = ("s",)
+    label = "successor"
+
+    def identity(self):
+        return 0
+
+    def generator(self, i):
+        return 1
+
+    def mul(self, x, y):
+        return x + y
+
+    def inv(self, x):
+        return -x
+
+
+def test_ball_needs_a_symmetric_marking():
+    with pytest.raises(ValueError, match="not symmetric"):
+        bfs_ball(_Successor(), 2)
 
 
 def test_cogrowth_free_frozen():
@@ -226,6 +342,49 @@ def test_saw_submultiplicative_and_finite_death():
             assert v[n + m] <= v[n] * v[m]
     w = saw_count(CyclicGroup(4), 6).values
     assert w == [1, 2, 2, 2, 0, 0, 0]
+
+
+def reference_saw_count(g, n_max):
+    """The depth-first search that descends into every walk, leaves included."""
+    neigh = bfs_ball(g, n_max).neighbors()
+    counts = [1] + [0] * n_max
+    visited = bytearray(len(neigh))
+    visited[0] = 1
+    path = [0]
+    todo = [iter(neigh[0])] if n_max else []
+    while todo:
+        for v in todo[-1]:
+            if not visited[v]:
+                break
+        else:
+            todo.pop()
+            visited[path.pop()] = 0
+            continue
+        counts[len(path)] += 1
+        if len(path) < n_max:
+            visited[v] = 1
+            path.append(v)
+            todo.append(iter(neigh[v]))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "expr, n_max",
+    [
+        ("grid(2)", 0),
+        ("grid(2)", 1),
+        ("grid(2)", 2),
+        ("grid(2)", 12),
+        ("free(2)", 7),
+        ("gamma_free()", 10),
+        ("grid(3)", 6),
+        ("cycle(6)", 8),
+        ("grig((012)*, 6)", 10),
+    ],
+)
+def test_saw_count_matches_the_full_search(expr, n_max):
+    g = parse_group_expr(expr)
+    assert saw_count(g, n_max).values == reference_saw_count(g, n_max)
 
 
 def test_saw_first_term_counts_distinct_neighbors():

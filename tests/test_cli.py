@@ -2,8 +2,10 @@
 
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,7 +207,7 @@ def test_sweep_seed_is_null_for_the_exact_eta_witness(tmp_path):
     # the witness search draws no random numbers, so no seed shaped it
     for argv, seed in (
         (["eta-witness", "{}", "{1}"], None),
-        (["growth", "free(2)", "--n", "2", "--seed", "7"], 7),
+        (["pc-site", "grid(2)", "--R", "3", "--trials", "5", "--seed", "7"], 7),
     ):
         jp = tmp_path / "s.json"
         assert main(["sweep", *argv, "--json", str(jp)]) == 0
@@ -230,6 +232,53 @@ def test_sweep_eta_witness_rejects_the_estimate_flags(given, named, tmp_path, ca
     conf.write_text("seed=7\n")
     assert main(argv + ["--config", str(conf)]) == 2
     assert "does not read --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["grid(2)", "pc-bond", "--R", "4", "--trials", "5", "--n", "99", "--samples",
+          "3", "--candidates", "greedy"], "--n, --samples, --candidates"),
+        (["free(2)", "rho", "--R", "4", "--trials", "5"], "--R, --trials"),
+        (["free(2)", "entropy", "--seed", "0"], "--seed"),  # given, though the default
+        (["grid(2)", "mu", "--samples", "9"], "--samples"),
+        (["free(2)", "growth", "--candidates", "boxes"], "--candidates"),
+        (["grid(2)", "cheeger", "--seed", "1"], "--seed"),
+        (["free(2)", "speed", "--trials", "5", "--candidates", "balls"],
+         "--trials, --candidates"),
+        (["grid(2)", "pc-site", "--n", "4"], "--n"),
+    ],
+)
+def test_estimate_rejects_the_flags_its_parameter_does_not_read(argv, named, capsys):
+    assert main(["estimate", *argv]) == 2
+    assert f"does not read {named}" in capsys.readouterr().err
+    assert main(["sweep", argv[1], argv[0], *argv[2:]]) == 2
+    assert f"does not read {named}" in capsys.readouterr().err
+
+
+def test_unread_flags_from_the_config_are_named(tmp_path, capsys):
+    conf = tmp_path / "lab.conf"
+    conf.write_text("trials=17\nsamples=3\n")
+    assert main(["estimate", "free(2)", "growth", "--n", "2", "--config", str(conf)]) == 2
+    assert "growth does not read --trials, --samples" in capsys.readouterr().err
+    # one flag from argv, one from the config; speed reads neither
+    argv = ["estimate", "free(2)", "speed", "--n", "2", "--R", "3", "--config", str(conf)]
+    assert main(argv) == 2
+    assert "speed does not read --R, --trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free(2)", "cheeger", "--n", "2", "--candidates", "greedy"],
+        ["free(2)", "speed", "--n", "2", "--samples", "5", "--seed", "3"],
+        ["grid(2)", "pc-bond", "--R", "3", "--trials", "5", "--seed", "3"],
+        ["grid(2)", "pc-bond", "--R", "3", "--trials", "5", "--threads", "2"],
+    ],
+)
+def test_estimate_accepts_the_flags_its_parameter_reads(argv, capsys):
+    assert main(["estimate", *argv, "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameter"]
 
 
 def test_sweep_rho_quotient_bound_exceeds_free(tmp_path):
@@ -326,10 +375,14 @@ def test_csv_escaping():
 
 
 def test_module_entry_point():
+    # the interpreter started here does not inherit pytest's pythonpath
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [sys.executable, "-m", "griglab.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("griglab ")
