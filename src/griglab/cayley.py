@@ -328,7 +328,8 @@ def _greedy_ratios(g, n_max):
         yield Fraction(_boundary(cols, X), g.k * len(X))
 
 
-_STRATEGIES = {"balls": _ball_ratios, "boxes": _box_ratios, "greedy": _greedy_ratios}
+# the candidate-set families of cheeger_upper, by name
+STRATEGIES = {"balls": _ball_ratios, "boxes": _box_ratios, "greedy": _greedy_ratios}
 
 
 def cheeger_upper(
@@ -341,11 +342,11 @@ def cheeger_upper(
     upper-bound sequence.  "balls" and "greedy" count boundary edges on
     one bfs_ball's adjacency; "boxes" multiplies out via boundary_ratio.
     """
-    if candidates not in _STRATEGIES:
+    if candidates not in STRATEGIES:
         raise ValueError(f"unknown strategy {candidates!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     out = []
-    for r in _STRATEGIES[candidates](g, n_max):
+    for r in STRATEGIES[candidates](g, n_max):
         out.append(r if not out or r < out[-1] else out[-1])
     return out

@@ -13,13 +13,15 @@ carry runtime as null, the wall-clock number goes to stderr.
 """
 
 import argparse
+import functools
+import inspect
 import json
 import re
 import sys
 import time
 
-from . import __version__
-from .cayley import BallBudgetError
+from . import __version__, estimators
+from .cayley import STRATEGIES, BallBudgetError
 from .estimators import (
     cheeger_report,
     connective_constant,
@@ -40,7 +42,7 @@ from .marked import (
     product,
 )
 from .matrixh import generator_matrices, relation_report
-from .words import OmegaWord, eta_word, parse_omega
+from .words import FIRST_OMEGA, OmegaWord, eta_word, parse_omega
 from .wreath import (
     apply_functor,
     ball_agreement_radius,
@@ -261,8 +263,12 @@ def suite_product_compat(omega: OmegaWord) -> list:
     return checks
 
 
+def _omega(args) -> OmegaWord:
+    return FIRST_OMEGA if args.omega is None else parse_omega(args.omega)
+
+
 def run_verify(args) -> tuple:
-    omega = parse_omega(args.omega)
+    omega = _omega(args)
     checks = []
     if args.suite in ("matrix-relations", "all"):
         checks += suite_matrix_relations()
@@ -279,51 +285,40 @@ def run_verify(args) -> tuple:
 
 # ------------------------------------------------------------- estimate command
 
-# series length when --n is not given
-_DEFAULT_N = {"rho": 12, "entropy": 16, "speed": 16, "mu": 10, "cheeger": 6, "growth": 8}
-# dests of the flags that estimate and sweep share
-_ESTIMATE_FLAGS = ("n", "R", "trials", "samples", "candidates", "seed")
-# the ones each parameter reads; setting any other is a usage error
-_READS = {
-    "rho": ("n",),
-    "entropy": ("n",),
-    "mu": ("n",),
-    "growth": ("n",),
-    "cheeger": ("n", "candidates"),
-    "speed": ("n", "samples", "seed"),
-    "pc-site": ("R", "trials", "seed"),
-    "pc-bond": ("R", "trials", "seed"),
-    "eta-witness": (),  # the witness search is exact
+# parameter -> (estimator, fixed arguments, flag dest -> estimator keyword).
+# The estimator is named, not held: it is looked up when it runs, so a
+# patched module global is the one called.  A flag left unset is not
+# passed, so the estimator's signature default is the only default.
+_PERCOLATION = {"R": "radius", "trials": "trials", "seed": "seed"}
+_PARAMETERS = {
+    "rho": ("spectral_radius", {}, {"n": "n_max"}),
+    "pc-site": ("percolation", {"mode": "site"}, _PERCOLATION),
+    "pc-bond": ("percolation", {"mode": "bond"}, _PERCOLATION),
+    "entropy": ("entropy", {}, {"n": "n_max"}),
+    "speed": ("speed", {}, {"n": "n", "samples": "samples", "seed": "seed"}),
+    "mu": ("connective_constant", {}, {"n": "n_max"}),
+    "cheeger": ("cheeger_report", {}, {"n": "n_max", "candidates": "candidates"}),
+    "growth": ("growth_report", {}, {"n": "n_max"}),
+    "eta-witness": (None, {}, {"omega": "omega"}),  # sweep only: an exact search
 }
+# the flags that some parameter reads, in the order a usage error names them
+_PARAMETER_FLAGS = ("n", "R", "trials", "samples", "candidates", "seed", "omega")
+
+
+@functools.cache  # every parser build reads six of these for the --n help
+def _signature_default(parameter: str, dest: str):
+    """What the estimator of ``parameter`` uses when flag ``dest`` is unset,
+    read in its home module, so a stand-in patched in here may differ."""
+    name, _, reads = _PARAMETERS[parameter]
+    return inspect.signature(getattr(estimators, name)).parameters[reads[dest]].default
 
 
 def run_estimate(args) -> dict:
     g = parse_group_expr(args.group)
-    p = args.parameter
-    n = _DEFAULT_N.get(p) if args.n is None else args.n
+    name, fixed, reads = _PARAMETERS[args.parameter]
+    given = {kw: getattr(args, d) for d, kw in reads.items() if getattr(args, d) is not None}
     t0 = time.perf_counter()
-    if p == "rho":
-        rep = spectral_radius(g, n)
-    elif p in ("pc-site", "pc-bond"):
-        rep = percolation(
-            g,
-            p.split("-")[1],
-            radius=args.R,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    elif p == "entropy":
-        rep = entropy(g, n)
-    elif p == "speed":
-        rep = speed(g, n, samples=args.samples, seed=args.seed)
-    elif p == "mu":
-        rep = connective_constant(g, n)
-    elif p == "cheeger":
-        rep = cheeger_report(g, candidates=args.candidates, n_max=n)
-    elif p == "growth":
-        rep = growth_report(g, n)
-    else:
-        raise ExprError(f"unknown parameter '{p}'", 0)
+    rep = globals()[name](g, **fixed, **given)
     print(f"runtime: {round(time.perf_counter() - t0, 6)} s", file=sys.stderr)
     return rep.to_json()
 
@@ -349,11 +344,10 @@ def _witness_matrix(specs: list, omega: OmegaWord) -> list:
 
 
 def run_sweep(args) -> dict:
-    omega = parse_omega(args.omega)
     rows = []
     if args.parameter == "eta-witness":
         sets = [_parse_whole(text, _Parser.parse_set) for text in args.groups]
-        rows = _witness_matrix(sets, omega)
+        rows = _witness_matrix(sets, _omega(args))
     else:
         for text in args.groups:
             row = {"group": text}
@@ -371,12 +365,12 @@ def run_sweep(args) -> dict:
             except (ExprError, ValueError) as exc:
                 row["error"] = str(exc)  # record and continue
             rows.append(row)
-    return {
-        "schema": SWEEP_SCHEMA,
-        "parameter": args.parameter,
-        "seed": None if args.parameter == "eta-witness" else args.seed,  # exact search
-        "rows": rows,
-    }
+    seed = args.seed
+    if "seed" not in _PARAMETERS[args.parameter][2]:
+        seed = None  # no random stream shaped the rows
+    elif seed is None:
+        seed = _signature_default(args.parameter, "seed")
+    return {"schema": SWEEP_SCHEMA, "parameter": args.parameter, "seed": seed, "rows": rows}
 
 
 # -------------------------------------------------------------------- emission
@@ -466,8 +460,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"griglab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # each subcommand takes only the flags it reads; --R, --trials,
-    # --samples, --candidates and --seed default as the functions they feed
+    # each subcommand takes only the flags it reads; a parameter's flags
+    # default to None, which leaves the estimator's own default in force
     def common(p):
         p.add_argument("--json", metavar="PATH", help="write JSON report ('-' = stdout)")
         p.add_argument("--csv", metavar="PATH", help="write CSV table ('-' = stdout)")
@@ -475,16 +469,20 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         p.set_defaults(**(defaults or {}))
 
     def omega(p):
-        p.add_argument("--omega", default="(012)*", help="defining word for functor towers")
+        p.add_argument("--omega", help=f"defining word for functor towers (default {FIRST_OMEGA})")
 
     def estimate_options(p):
-        shown = ", ".join(f"{name} {n}" for name, n in _DEFAULT_N.items())
+        shown = ", ".join(
+            f"{name} {_signature_default(name, 'n')}"
+            for name, (_, _, reads) in _PARAMETERS.items()
+            if "n" in reads
+        )
         p.add_argument("--n", type=int, help=f"series length (default: {shown})")
-        p.add_argument("--R", type=int, default=32, help="percolation ball radius")
-        p.add_argument("--trials", type=int, default=500)
-        p.add_argument("--samples", type=int, default=1000, help="monte carlo speed walks")
-        p.add_argument("--candidates", default="balls", choices=["balls", "boxes", "greedy"])
-        p.add_argument("--seed", type=int, default=0, help="random stream key")
+        p.add_argument("--R", type=int, help="percolation ball radius")
+        p.add_argument("--trials", type=int)
+        p.add_argument("--samples", type=int, help="monte carlo speed walks")
+        p.add_argument("--candidates", choices=list(STRATEGIES))
+        p.add_argument("--seed", type=int, help="random stream key")
 
     v = sub.add_parser("verify", help="run an exact invariant suite")
     v.add_argument(
@@ -498,10 +496,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     e = sub.add_parser("estimate", help="estimate one parameter on one group")
     e.add_argument("group", help="group expression, e.g. 'grig((012)*, 4)'")
-    e.add_argument(
-        "parameter",
-        choices=["rho", "pc-site", "pc-bond", "entropy", "speed", "mu", "cheeger", "growth"],
-    )
+    e.add_argument("parameter", choices=[p for p, (name, _, _) in _PARAMETERS.items() if name])
     estimate_options(e)
     e.add_argument(
         "--threads", type=int, default=0,
@@ -510,7 +505,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common(e)
 
     s = sub.add_parser("sweep", help="one report row per family member")
-    s.add_argument("parameter", help="estimate parameter, or 'eta-witness'")
+    s.add_argument("parameter", choices=list(_PARAMETERS))
     s.add_argument("groups", nargs="*", help="group expressions (J sets for eta-witness)")
     estimate_options(s)
     omega(s)
@@ -525,21 +520,9 @@ def _flag_dests(ap: argparse.ArgumentParser, command: str) -> set:
     return {a.dest for a in sub.choices[command]._actions if a.option_strings} - {"help"}
 
 
-def _unread_flags(argv, conf: dict, parameter: str) -> list:
-    """The estimate flags that argv or the config set and ``parameter``
-    never reads."""
-    probe = build_parser({**dict.fromkeys(_ESTIMATE_FLAGS), **conf}).parse_args(argv)
-    return [
-        f"--{d}"
-        for d in _ESTIMATE_FLAGS
-        if d not in _READS[parameter] and getattr(probe, d) is not None
-    ]
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    conf = {}
     if args.config:
         try:
             conf = load_config(args.config)
@@ -552,8 +535,14 @@ def main(argv=None) -> int:
             return 2
         # the config only moves defaults, so argparse lets any flag win
         args = build_parser(conf).parse_args(argv)
-    if args.command != "verify" and args.parameter in _READS:
-        unread = _unread_flags(argv, conf, args.parameter)
+    if args.command != "verify":
+        # a flag given in argv or the config is exactly one that is not None
+        _, _, reads = _PARAMETERS[args.parameter]
+        unread = [
+            f"--{d}"
+            for d in _PARAMETER_FLAGS
+            if d not in reads and getattr(args, d, None) is not None
+        ]
         if unread:
             print(f"usage error: {args.parameter} does not read {', '.join(unread)}",
                   file=sys.stderr)

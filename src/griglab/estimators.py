@@ -133,7 +133,7 @@ def _check_float_range(g: MarkedGroup, n: int):
 # --------------------------------------------------------------- spectral radius
 
 def spectral_radius(
-    g: MarkedGroup, n_max: int, ball: CayleyBall | None = None
+    g: MarkedGroup, n_max: int = 12, ball: CayleyBall | None = None
 ) -> EstimateReport:
     """Random walk spectral radius from exact return counts.
 
@@ -185,7 +185,7 @@ def spectral_radius(
 
 def entropy(
     g: MarkedGroup,
-    n_max: int,
+    n_max: int = 16,
     method: str = "auto",
     ball: CayleyBall | None = None,
 ) -> EstimateReport:
@@ -251,7 +251,7 @@ def entropy(
 
 def speed(
     g: MarkedGroup,
-    n: int,
+    n: int = 16,
     samples: int = 1000,
     seed: int = 0,
     method: str = "auto",
@@ -479,7 +479,7 @@ def percolation(
 
 # --------------------------------------------------------- connective constant
 
-def connective_constant(g: MarkedGroup, n_max: int) -> EstimateReport:
+def connective_constant(g: MarkedGroup, n_max: int = 10) -> EstimateReport:
     """Growth rate of self-avoiding walks.  v(n)^(1/n) upper-bounds the
     limit (submultiplicativity), running minimum is certified; the
     point estimate is the last ratio v(n)/v(n-1)."""
@@ -533,7 +533,7 @@ def cheeger_report(g: MarkedGroup, candidates: str = "balls", n_max: int = 6) ->
     )
 
 
-def growth_report(g: MarkedGroup, n_max: int) -> EstimateReport:
+def growth_report(g: MarkedGroup, n_max: int = 8) -> EstimateReport:
     series = growth(g, n_max)
     v = series.values
     return EstimateReport(

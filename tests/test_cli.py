@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from griglab import cli
+from griglab import cli, estimators
 from griglab.cayley import BallBudgetError
 from griglab.cli import ExprError, main, parse_group_expr, to_csv
-from griglab.estimators import cheeger_report, percolation, speed
+from griglab.estimators import EstimateReport
 from griglab.marked import ProductGroup
 
 
@@ -204,10 +204,13 @@ def test_sweep_eta_witness_matrix(tmp_path):
 
 
 def test_sweep_seed_is_null_for_the_exact_eta_witness(tmp_path):
-    # the witness search draws no random numbers, so no seed shaped it
+    # the seed field is the seed the rows used: null where no parameter
+    # reads one, the estimator's default where none was given
     for argv, seed in (
         (["eta-witness", "{}", "{1}"], None),
+        (["rho", "free(2)", "--n", "4"], None),
         (["pc-site", "grid(2)", "--R", "3", "--trials", "5", "--seed", "7"], 7),
+        (["pc-site", "grid(2)", "--R", "3", "--trials", "5"], 0),
     ):
         jp = tmp_path / "s.json"
         assert main(["sweep", *argv, "--json", str(jp)]) == 0
@@ -279,6 +282,24 @@ def test_unread_flags_from_the_config_are_named(tmp_path, capsys):
 def test_estimate_accepts_the_flags_its_parameter_reads(argv, capsys):
     assert main(["estimate", *argv, "--json", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["parameter"]
+
+
+def test_sweep_rejects_an_unknown_parameter(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["sweep", "nope", "free(2)"])
+    assert ei.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_sweep_omega_is_read_by_eta_witness_only(tmp_path, capsys):
+    argv = ["sweep", "growth", "free(2)", "--n", "2"]
+    assert main(argv + ["--omega", "(021)*"]) == 2
+    assert "growth does not read --omega" in capsys.readouterr().err
+    conf = tmp_path / "lab.conf"
+    conf.write_text("omega=(021)*\n")
+    assert main(argv + ["--config", str(conf)]) == 2
+    assert "growth does not read --omega" in capsys.readouterr().err
+    assert main(["sweep", "eta-witness", "{}", "{1}", "--config", str(conf)]) == 0
 
 
 def test_sweep_rho_quotient_bound_exceeds_free(tmp_path):
@@ -414,16 +435,63 @@ def test_each_subcommand_has_its_pinned_flag_set():
 
 
 def test_cli_defaults_are_the_signature_defaults():
-    def default(f, name):
-        return inspect.signature(f).parameters[name].default
-
+    # an unset flag is not passed on, so the estimator's default is the only one
+    subs = _subparsers()
     for name in ("estimate", "sweep"):
-        d = {a.dest: a.default for a in _subparsers()[name]._actions}
-        assert d["samples"] == default(speed, "samples")
-        assert d["trials"] == default(percolation, "trials")
-        assert d["R"] == default(percolation, "radius")
-        assert d["candidates"] == default(cheeger_report, "candidates")
-        assert d["seed"] == default(speed, "seed") == default(percolation, "seed")
+        d = {a.dest: a.default for a in subs[name]._actions}
+        assert all(d[flag[2:]] is None for flag in _ESTIMATE), name
+    for name in ("verify", "sweep"):
+        assert {a.dest: a.default for a in subs[name]._actions}["omega"] is None
+
+
+@pytest.mark.parametrize(
+    "group, parameter, pinned",
+    [
+        ("free(2)", "rho", {"n_max": 12}),
+        ("free(2)", "entropy", {"n_max": 16}),
+        ("grid(2)", "mu", {"n_max": 10}),
+        ("free(2)", "cheeger", {"n_max": 6, "candidates": "balls"}),
+        ("free(2)", "growth", {"n_max": 8}),
+        ("gamma_free()", "speed", {"n": 16, "samples": 1000, "seed": 0}),
+        ("grid(2)", "pc-site", {"radius": 32, "trials": 500, "seed": 0}),
+        ("grid(2)", "pc-bond", {"radius": 32, "trials": 500, "seed": 0}),
+    ],
+)
+def test_flagless_estimate_reports_the_pinned_defaults(group, parameter, pinned, capsys):
+    assert main(["estimate", group, parameter, "--json", "-"]) == 0
+    params = json.loads(capsys.readouterr().out)["parameters"]
+    assert {k: params.get(k) for k in pinned} == pinned
+
+
+@pytest.mark.parametrize(
+    "argv, name, kwargs",
+    [
+        (["free(2)", "rho"], "spectral_radius", {}),
+        (["free(2)", "rho", "--n", "6"], "spectral_radius", {"n_max": 6}),
+        (["grid(2)", "pc-site", "--R", "5", "--trials", "7", "--seed", "2"],
+         "percolation", {"mode": "site", "radius": 5, "trials": 7, "seed": 2}),
+        (["grid(2)", "pc-bond", "--tri", "7"], "percolation", {"mode": "bond", "trials": 7}),
+        (["free(2)", "entropy", "--n", "3"], "entropy", {"n_max": 3}),
+        (["free(2)", "speed", "--n", "3", "--samples", "4", "--seed", "5"],
+         "speed", {"n": 3, "samples": 4, "seed": 5}),
+        (["free(2)", "speed", "--seed", "0"], "speed", {"seed": 0}),
+        (["grid(2)", "mu", "--n", "3"], "connective_constant", {"n_max": 3}),
+        (["free(2)", "cheeger", "--n", "3", "--candidates", "greedy"],
+         "cheeger_report", {"n_max": 3, "candidates": "greedy"}),
+        (["free(2)", "growth", "--n", "0"], "growth_report", {"n_max": 0}),
+    ],
+)
+def test_estimate_passes_exactly_the_given_flags(argv, name, kwargs, monkeypatch, capsys):
+    calls = []
+
+    def record(g, **kw):
+        calls.append((g.label, kw))
+        return EstimateReport(parameter=argv[1], group=g.label, estimate=None)
+
+    monkeypatch.setattr(cli, name, record)
+    assert main(["estimate", *argv]) == 0
+    assert calls == [(parse_group_expr(argv[0]).label, kwargs)]
+    assert set(kwargs) <= set(inspect.signature(getattr(estimators, name)).parameters)
 
 
 @pytest.mark.parametrize(
