@@ -267,15 +267,27 @@ def _omega(args) -> OmegaWord:
     return FIRST_OMEGA if args.omega is None else parse_omega(args.omega)
 
 
+# suite -> the flags it reads, "all" reading every one; an unset --m or
+# --k runs at its default here
+_SUITE_READS = {
+    "matrix-relations": (),
+    "contraction": ("m", "omega"),
+    "eta": ("k", "omega"),
+    "product-compat": ("omega",),
+    "all": ("m", "k", "omega"),
+}
+_DEFAULT_M, _DEFAULT_K = 2, 1
+
+
 def run_verify(args) -> tuple:
     omega = _omega(args)
     checks = []
     if args.suite in ("matrix-relations", "all"):
         checks += suite_matrix_relations()
     if args.suite in ("contraction", "all"):
-        checks += suite_contraction(args.m, omega)
+        checks += suite_contraction(_DEFAULT_M if args.m is None else args.m, omega)
     if args.suite in ("eta", "all"):
-        checks += suite_eta(args.k, omega)
+        checks += suite_eta(_DEFAULT_K if args.k is None else args.k, omega)
     if args.suite in ("product-compat", "all"):
         checks += suite_product_compat(omega)
     ok = all(c["ok"] for c in checks)
@@ -489,8 +501,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         "suite",
         choices=["matrix-relations", "contraction", "eta", "product-compat", "all"],
     )
-    v.add_argument("--m", type=int, default=2, help="contraction depth")
-    v.add_argument("--k", type=int, default=1, help="separating word index")
+    v.add_argument("--m", type=int, help=f"contraction depth (default {_DEFAULT_M})")
+    v.add_argument("--k", type=int, help=f"separating word index (default {_DEFAULT_K})")
     omega(v)
     common(v)
 
@@ -535,18 +547,18 @@ def main(argv=None) -> int:
             return 2
         # the config only moves defaults, so argparse lets any flag win
         args = build_parser(conf).parse_args(argv)
-    if args.command != "verify":
-        # a flag given in argv or the config is exactly one that is not None
-        _, _, reads = _PARAMETERS[args.parameter]
-        unread = [
-            f"--{d}"
-            for d in _PARAMETER_FLAGS
-            if d not in reads and getattr(args, d, None) is not None
-        ]
-        if unread:
-            print(f"usage error: {args.parameter} does not read {', '.join(unread)}",
-                  file=sys.stderr)
-            return 2
+    # a flag given in argv or the config is exactly one that is not None
+    if args.command == "verify":
+        name, reads, flags = args.suite, _SUITE_READS[args.suite], _SUITE_READS["all"]
+    else:
+        name, flags = args.parameter, _PARAMETER_FLAGS
+        _, _, reads = _PARAMETERS[name]
+    unread = [
+        f"--{d}" for d in flags if d not in reads and getattr(args, d, None) is not None
+    ]
+    if unread:
+        print(f"usage error: {name} does not read {', '.join(unread)}", file=sys.stderr)
+        return 2
     try:
         if args.command == "verify":
             ok, blob = run_verify(args)

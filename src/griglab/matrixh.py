@@ -1,11 +1,15 @@
 """Exact projective 2x2 matrices over the Gaussian dyadic rationals.
 
-Entries have the form (re + im*i) / 2^exp with integer re, im and exp >= 0,
-kept normalized so that exp is minimal.  Matrices are taken up to sign
-(projectively) and are required to have determinant one, which holds for
-the four distinguished generators below and is preserved by products and
-inverses.  All arithmetic is exact; equality of canonical forms decides
-equality in the projective group.
+A GaussianDyadic is (re + im*i) / 2^exp with integer re, im and exp >= 0,
+kept normalized so that exp is minimal.  A ProjectiveMat stores its four
+entries as one integer tuple over a shared, minimal power of two, so a
+product is eight integer sums of products and one canonicalisation; the
+entries come back as GaussianDyadic views.  Matrices are taken up to sign
+(projectively) and must have determinant one, which holds for the four
+distinguished generators below.  The canonicaliser checks the determinant
+in integers on every construction, product and inverse.  All arithmetic
+is exact; equality of canonical forms decides equality in the projective
+group.
 """
 
 from __future__ import annotations
@@ -14,6 +18,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .words import WordLike, _letters, base_relator
+
+
+def _dyadic_shift(bits: int, exp: int) -> int:
+    """How many factors of two cancel from x / 2^exp for every numerator x
+    OR-ed into the nonzero ``bits``: their common trailing zeros, at most exp."""
+    return min((bits & -bits).bit_length() - 1, exp)
 
 
 @dataclass(frozen=True)
@@ -31,10 +41,8 @@ class GaussianDyadic:
         if re == 0 and im == 0:
             e = 0
         else:
-            while e > 0 and re % 2 == 0 and im % 2 == 0:
-                re //= 2
-                im //= 2
-                e -= 1
+            k = _dyadic_shift(re | im, e)
+            re, im, e = re >> k, im >> k, e - k
         object.__setattr__(self, "re_num", re)
         object.__setattr__(self, "im_num", im)
         object.__setattr__(self, "exp", e)
@@ -59,21 +67,6 @@ class GaussianDyadic:
         a, b, c, d = self.re_num, self.im_num, other.re_num, other.im_num
         return GaussianDyadic(a * c - b * d, a * d + b * c, self.exp + other.exp)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.re_num == 0 and self.im_num == 0
-
-    @property
-    def is_real(self) -> bool:
-        return self.im_num == 0
-
-    @property
-    def sign_is_positive(self) -> bool:
-        """Lexicographic sign of a nonzero value: re > 0, ties broken by im."""
-        if self.re_num != 0:
-            return self.re_num > 0
-        return self.im_num > 0
-
     def __repr__(self) -> str:
         if self.exp:
             return f"({self.re_num}{self.im_num:+d}i)/2^{self.exp}"
@@ -89,43 +82,61 @@ def gd(re: int, im: int = 0, exp: int = 0) -> GaussianDyadic:
     return GaussianDyadic(re, im, exp)
 
 
-@dataclass(frozen=True)
 class ProjectiveMat:
     """2x2 determinant-one matrix up to sign, entries row-major.
 
-    The canonical representative makes the first nonzero entry positive
-    in the (re, im) lexicographic sense, so dataclass equality and hash
-    decide projective equality.
+    Stored as one canonical tuple (exp, re00, im00, re01, im01, re10, im10,
+    re11, im11): entry jk is (rejk + imjk*i) / 2^exp.  The first nonzero
+    entry is positive in the (re, im) lexicographic sense and exp is
+    minimal, so tuple equality and hash decide projective equality.
     """
 
-    m00: GaussianDyadic
-    m01: GaussianDyadic
-    m10: GaussianDyadic
-    m11: GaussianDyadic
+    __slots__ = ("_key",)
 
-    def __post_init__(self):
-        entries = (self.m00, self.m01, self.m10, self.m11)
-        lead = next((x for x in entries if not x.is_zero), None)
-        if lead is None:
-            raise ValueError("zero matrix is not projective")
-        if not lead.sign_is_positive:
-            for name, x in zip(("m00", "m01", "m10", "m11"), entries):
-                object.__setattr__(self, name, -x)
-        det = self.m00 * self.m11 - self.m01 * self.m10
-        if det != GD_ONE:
-            raise ValueError(f"determinant must be one, got {det!r}")
+    def __init__(self, m00, m01, m10, m11):
+        entries = (m00, m01, m10, m11)
+        e = max(x.exp for x in entries)
+        ints = []
+        for x in entries:
+            s = e - x.exp
+            ints += (x.re_num << s, x.im_num << s)
+        self._key = _canonical(e, ints)
 
     def __matmul__(self, other: "ProjectiveMat") -> "ProjectiveMat":
-        return ProjectiveMat(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
-        )
+        e, ar, ai, br, bi, cr, ci, dr, di = self._key
+        f, er, ei, fr, fi, gr, gi, hr, hi = other._key
+        return _from_key(_canonical(e + f, (
+            ar * er - ai * ei + br * gr - bi * gi,
+            ar * ei + ai * er + br * gi + bi * gr,
+            ar * fr - ai * fi + br * hr - bi * hi,
+            ar * fi + ai * fr + br * hi + bi * hr,
+            cr * er - ci * ei + dr * gr - di * gi,
+            cr * ei + ci * er + dr * gi + di * gr,
+            cr * fr - ci * fi + dr * hr - di * hi,
+            cr * fi + ci * fr + dr * hi + di * hr,
+        )))
 
     def inverse(self) -> "ProjectiveMat":
         # adjugate works because the determinant is one
-        return ProjectiveMat(self.m11, -self.m01, -self.m10, self.m00)
+        e, ar, ai, br, bi, cr, ci, dr, di = self._key
+        return _from_key(_canonical(e, (dr, di, -br, -bi, -cr, -ci, ar, ai)))
+
+    def __eq__(self, other):
+        if other.__class__ is ProjectiveMat:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def _entry(self, j: int) -> GaussianDyadic:
+        k = self._key
+        return GaussianDyadic(k[j], k[j + 1], k[0])
+
+    m00 = property(lambda self: self._entry(1))
+    m01 = property(lambda self: self._entry(3))
+    m10 = property(lambda self: self._entry(5))
+    m11 = property(lambda self: self._entry(7))
 
     @property
     def entries(self) -> tuple:
@@ -133,11 +144,12 @@ class ProjectiveMat:
 
     @property
     def is_identity(self) -> bool:
-        return self == MAT_ID
+        return self._key == MAT_ID._key
 
     @property
     def is_real(self) -> bool:
-        return all(x.is_real for x in self.entries)
+        k = self._key
+        return not (k[2] or k[4] or k[6] or k[8])
 
     @classmethod
     def from_ints(cls, rows) -> "ProjectiveMat":
@@ -146,6 +158,39 @@ class ProjectiveMat:
 
     def __repr__(self) -> str:
         return f"[{self.m00!r} {self.m01!r}; {self.m10!r} {self.m11!r}]"
+
+
+def _canonical(exp: int, ints) -> tuple:
+    """The canonical key of the matrix with entries ints / 2^exp.
+
+    ints holds re00, im00, re01, im01, re10, im10, re11, im11.  Raises on
+    the zero matrix and on any determinant other than one; the check runs
+    on every constructor call, product and inverse.  Sign and exponent
+    are fixed after it, as neither changes whether det = 1.
+    """
+    for lead in ints:
+        if lead:
+            break
+    else:
+        raise ValueError("zero matrix is not projective")
+    ar, ai, br, bi, cr, ci, dr, di = ints
+    det_re = ar * dr - ai * di - br * cr + bi * ci
+    det_im = ar * di + ai * dr - br * ci - bi * cr
+    if det_re != 1 << 2 * exp or det_im:
+        det = GaussianDyadic(det_re, det_im, 2 * exp)
+        raise ValueError(f"determinant must be one, got {det!r}")
+    s = _dyadic_shift(ar | ai | br | bi | cr | ci | dr | di, exp)
+    if lead < 0:
+        ints = [-x for x in ints]
+    if s:
+        ints = [x >> s for x in ints]
+    return (exp - s, *ints)
+
+
+def _from_key(key: tuple) -> ProjectiveMat:
+    m = object.__new__(ProjectiveMat)
+    m._key = key
+    return m
 
 
 MAT_ID = ProjectiveMat(GD_ONE, GD_ZERO, GD_ZERO, GD_ONE)

@@ -89,6 +89,45 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["matrix-relations", "--m", "7", "--k", "9"], "matrix-relations does not read --m, --k"),
+        (["matrix-relations", "--omega", "(021)*"], "matrix-relations does not read --omega"),
+        (["contraction", "--k", "2"], "contraction does not read --k"),
+        (["eta", "--m", "3"], "eta does not read --m"),
+        (["product-compat", "--m", "3", "--k", "2"], "product-compat does not read --m, --k"),
+    ],
+)
+def test_verify_unread_flags_exit_two(argv, named, monkeypatch, capsys, tmp_path):
+    ran = []
+    for suite in ("suite_matrix_relations", "suite_contraction", "suite_eta",
+                  "suite_product_compat"):
+        monkeypatch.setattr(cli, suite, lambda *a, s=suite: ran.append(s) or [])
+    assert main(["verify", *argv]) == 2
+    assert named in capsys.readouterr().err
+    # a flag set by the config is refused the same way
+    flag, value = argv[1].lstrip("-"), argv[2]
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"{flag}={value}\n")
+    assert main(["verify", argv[0], "--config", str(conf)]) == 2
+    assert f"does not read --{flag}" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_verify_suites_read_their_flags_with_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "suite_matrix_relations", lambda: [])
+    monkeypatch.setattr(cli, "suite_contraction", lambda m, om: seen.append(("m", m)) or [])
+    monkeypatch.setattr(cli, "suite_eta", lambda k, om: seen.append(("k", k)) or [])
+    monkeypatch.setattr(cli, "suite_product_compat", lambda om: [])
+    assert main(["verify", "all"]) == 0
+    assert main(["verify", "all", "--m", "4", "--k", "3", "--omega", "(021)*"]) == 0
+    assert main(["verify", "contraction", "--m", "5"]) == 0
+    assert main(["verify", "eta", "--k", "0"]) == 0
+    assert seen == [("m", 2), ("k", 1), ("m", 4), ("k", 3), ("m", 5), ("k", 0)]
+
+
 def test_verify_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as ei:
         main(["verify", "bogus"])

@@ -9,6 +9,7 @@ import pytest
 
 from griglab import matrixh as M
 from griglab import words as W
+from griglab.family import separation_witness
 
 
 def as_fractions(x: M.GaussianDyadic) -> tuple:
@@ -74,6 +75,106 @@ def test_determinant_guard():
         M.ProjectiveMat.from_ints([[1, 0], [0, 2]])
     with pytest.raises(ValueError):
         M.ProjectiveMat(M.GD_ZERO, M.GD_ZERO, M.GD_ZERO, M.GD_ZERO)
+
+
+def test_canonicaliser_rejects_a_non_unit_determinant():
+    # a product of determinant 1 and determinant 4 reaches the canonical form
+    # with determinant 4 and is refused there, not only at the constructor
+    doubled = M.ProjectiveMat.__new__(M.ProjectiveMat)
+    doubled._key = (0, 2, 0, 0, 0, 0, 0, 2, 0)
+    with pytest.raises(ValueError, match="determinant must be one"):
+        M.MAT_A @ doubled
+    with pytest.raises(ValueError, match="determinant must be one"):
+        doubled.inverse()
+    with pytest.raises(ValueError, match="determinant must be one"):
+        M._canonical(1, (1, 0, 0, 0, 0, 0, 1, 0))
+
+
+# the printed forms below reach users through describe_element and the
+# witness report, so they are pinned byte for byte
+PRINTED = {
+    "a": "[(0+1i) (0+1i)/2^2; (0+0i) (0-1i)]",
+    "b": "[(0+0i) (0+1i); (0+1i) (0+0i)]",
+    "c": "[(0+0i) (1+0i); (-1+0i) (0+0i)]",
+    "d": "[(0+1i) (0+0i); (0+0i) (0-1i)]",
+    "adadadad": "[(1+0i) (-1+0i); (0+0i) (1+0i)]",
+    "ab": "[(1+0i)/2^2 (1+0i); (-1+0i) (0+0i)]",
+    "": "[(1+0i) (0+0i); (0+0i) (1+0i)]",
+}
+
+WITNESS_LEAVES = {
+    1: (
+        "1",
+        "[(9869084189172817+0i)/2^52 (1238573844314433+0i)/2^50; "
+        "(-1238573844314433+0i)/2^50 (-26994862186289+0i)/2^48]",
+    ),
+    2: (
+        "11",
+        "[(576281830673830207+0i)/2^59 (-46454770363801167+0i)/2^61; "
+        "(4439814895922385+0i)/2^57 (576281830673830207+0i)/2^59]",
+    ),
+}
+
+
+def test_printed_forms_pinned():
+    gens = M.generator_matrices()
+    for w, text in PRINTED.items():
+        assert repr(M.word_to_matrix(w)) == text, w
+    for s in "abcd":
+        assert repr(gens[s]) == PRINTED[s]
+
+
+@pytest.mark.parametrize("i", sorted(WITNESS_LEAVES))
+def test_witness_leaf_printed_form_pinned(i):
+    rep = separation_witness(W.parse_omega("(012)*"), (), (i,), i)
+    (got,) = rep["witness_leaves"]
+    assert (got["address"], got["leaf"]) == WITNESS_LEAVES[i]
+
+
+# ------------------------------------------------------- fraction oracle
+
+
+def frac_entries(m: M.ProjectiveMat) -> list:
+    return [as_fractions(x) for x in m.entries]
+
+
+def frac_product(x: list, y: list) -> list:
+    def mul(p, q):
+        return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+    def add(p, q):
+        return (p[0] + q[0], p[1] + q[1])
+
+    (a, b, c, d), (e, f, g, h) = x, y
+    return [
+        add(mul(a, e), mul(b, g)),
+        add(mul(a, f), mul(b, h)),
+        add(mul(c, e), mul(d, g)),
+        add(mul(c, f), mul(d, h)),
+    ]
+
+
+def same_up_to_sign(x: list, y: list) -> bool:
+    neg = [(-re, -im) for re, im in y]
+    return x == y or x == neg
+
+
+def test_products_against_fraction_oracle():
+    rng = random.Random(14)
+    gens = M.generator_matrices()
+    for _ in range(150):
+        w = "".join(rng.choices(W.LETTERS, k=rng.randrange(0, 41)))
+        want = frac_entries(M.MAT_ID)
+        for ch in w:
+            want = frac_product(want, frac_entries(gens[ch]))
+        m = M.word_to_matrix(w)
+        assert same_up_to_sign(frac_entries(m), want), w
+        assert m.inverse() @ m == M.MAT_ID
+        assert m @ m.inverse() == M.MAT_ID
+        rebuilt = M.ProjectiveMat(m.m00, m.m01, m.m10, m.m11)
+        assert rebuilt == m
+        assert hash(rebuilt) == hash(m)
+        assert repr(rebuilt) == repr(m)
 
 
 def test_matrix_inverse_and_products():
