@@ -42,9 +42,9 @@ class BallBudgetError(RuntimeError):
 class CayleyBall:
     radius: int
     vertices: list
-    index: dict
     dist: np.ndarray
-    adjacency: list  # per generator: np.ndarray of target index or OUTSIDE
+    adjacency: np.ndarray  # (k, V) int64: adjacency[s, u] is u * s's index, or OUTSIDE
+    inverse: tuple  # inverse[s] is the symbol index of s^-1
     layer_offsets: list  # vertices[layer_offsets[r]:layer_offsets[r+1]] is sphere r
     group: MarkedGroup
 
@@ -64,23 +64,44 @@ class CayleyBall:
     def ball_size(self, r: int) -> int:
         return self.layer_offsets[r + 1]
 
-    def neighbors(self) -> list:
-        """Sorted distinct neighbours of each vertex, without itself or
-        OUTSIDE; parallel generator edges give one neighbour."""
-        cols = [col.tolist() for col in self.adjacency]
-        return [
-            tuple(sorted({col[u] for col in cols} - {u, OUTSIDE}))
-            for u in range(self.size)
-        ]
+    def within(self, r: int) -> np.ndarray:
+        """(k, ball_size(r)) adjacency of the radius-r sub-ball.
 
-    def edge_list(self) -> list:
-        """(source index, symbol, target index or OUTSIDE) triples."""
+        BFS order is prefix-stable, so this equals bfs_ball(group, r).adjacency:
+        the first ball_size(r) columns, every target past them read as OUTSIDE.
+        """
+        size = self.ball_size(r)
+        sub = self.adjacency[:, :size]
+        return np.where(sub < size, sub, OUTSIDE)
+
+    def edges(self) -> list:
+        """Each undirected in-ball edge once, as (u, v) pairs.
+
+        Ordered by symbol (the lower index of each inverse pair), then by u
+        ascending: percolation draws one uniform per edge in this order.
+        Self-loops are dropped.  Parallel edges of symbols that ``inverse``
+        pairs up stay distinct; a symbol mapped below itself but not back
+        (cycle(2)'s S, as s and S both invert to s) adds none.
+        """
+        u = np.arange(self.size)
         out = []
-        for s, sym in enumerate(self.group.symbols):
-            col = self.adjacency[s]
-            for u in range(self.size):
-                out.append((u, sym, int(col[u])))
+        for s, col in enumerate(self.adjacency):
+            si = self.inverse[s]
+            if si < s:
+                continue  # partner symbol already emitted these
+            # an involution sees each edge from both ends: keep v > u
+            keep = col > u if si == s else (col != OUTSIDE) & (col != u)
+            out.extend(zip(u[keep].tolist(), col[keep].tolist()))
         return out
+
+    def neighbors(self) -> list:
+        """Sorted distinct neighbours of each vertex, the other ends of its
+        edges(); parallel generator edges give one neighbour."""
+        sets = [set() for _ in range(self.size)]
+        for u, v in self.edges():
+            sets[u].add(v)
+            sets[v].add(u)
+        return [tuple(sorted(n)) for n in sets]
 
     def to_dot(self) -> str:
         lines = ["digraph ball {"]
@@ -88,9 +109,10 @@ class CayleyBall:
             lbl = self.group.describe_element(self.vertices[u]).replace('"', "'")
             lines.append(f'  v{u} [label="{lbl}"];')
         lines.append("  outside [label=\"...\", shape=plaintext];")
-        for u, sym, v in self.edge_list():
-            tgt = f"v{v}" if v != OUTSIDE else "outside"
-            lines.append(f'  v{u} -> {tgt} [label="{sym}"];')
+        for sym, row in zip(self.group.symbols, self.adjacency.tolist()):
+            for u, v in enumerate(row):
+                tgt = f"v{v}" if v != OUTSIDE else "outside"
+                lines.append(f'  v{u} -> {tgt} [label="{sym}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -114,7 +136,7 @@ def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
             f"to which {g.label} is faithful"
         )
     k = g.k
-    inverse = [g.inverse_symbol_index(s) for s in range(k)]
+    inverse = tuple(g.inverse_symbol_index(s) for s in range(k))
     gens = g.generators()
     e = g.identity()
     vertices = [e]
@@ -152,9 +174,9 @@ def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
     return CayleyBall(
         radius=n,
         vertices=vertices,
-        index=index,
         dist=np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(offsets)),
-        adjacency=[rows[:, s].copy() for s in range(k)],
+        adjacency=rows.T.copy(),
+        inverse=inverse,
         layer_offsets=offsets,
         group=g,
     )
@@ -182,7 +204,7 @@ class CountSeries:
         assert self.kind in ("cogrowth", "growth", "saw")
 
 
-def walk_counts(g: MarkedGroup, ball: CayleyBall, n_max: int) -> Iterator[np.ndarray]:
+def walk_counts(ball: CayleyBall, n_max: int) -> Iterator[np.ndarray]:
     """Yield c_t for t = 0..n_max: c_t[v] counts the length-t symbol words
     from the identity that evaluate to ball vertex v without leaving the ball.
 
@@ -190,12 +212,9 @@ def walk_counts(g: MarkedGroup, ball: CayleyBall, n_max: int) -> Iterator[np.nda
     the first step t -> t+1 with max(c_t) * k >= 2^63: a new count sums k old
     ones, so below that bound int64 is exact.  Each step is a fresh array.
     """
-    V, k = ball.size, g.k
+    V, k = ball.size, ball.group.k
     # predecessors of v through s are v * s^{-1}; OUTSIDE reads the zero cell V
-    preds = [
-        np.where(col >= 0, col, V)
-        for col in (ball.adjacency[g.inverse_symbol_index(s)] for s in range(k))
-    ]
+    preds = np.where(ball.adjacency >= 0, ball.adjacency, V)[list(ball.inverse)]
     cur = np.zeros(V + 1, dtype=np.int64)
     cur[0] = 1
     yield cur[:V]
@@ -219,7 +238,7 @@ def cogrowth(g: MarkedGroup, n_max: int, ball: CayleyBall | None = None) -> Coun
     if n_max < 0 or n_max % 2 != 0:
         raise ValueError("n_max must be an even nonnegative integer")
     ball = ensure_ball(g, n_max // 2, ball)
-    values = [int(c[0]) for c in walk_counts(g, ball, n_max)]
+    values = [int(c[0]) for c in walk_counts(ball, n_max)]
     return CountSeries("cogrowth", values)
 
 
@@ -284,22 +303,17 @@ def boundary_ratio(g: MarkedGroup, X: Iterable) -> Fraction:
     return Fraction(out, g.k * len(X))
 
 
-def _boundary(cols: list, X: set) -> int:
+def _boundary(rows: list, X: set) -> int:
     """Number of (vertex, generator) pairs leaving the ball-index set X."""
-    return sum(col[x] not in X for col in cols for x in X)
+    return sum(row[x] not in X for row in rows for x in X)
 
 
 def _ball_ratios(g, n_max):
-    # B_r is the first ball_size(r) vertices: its boundary edges are those
-    # whose target is later in BFS order or OUTSIDE
+    # B_r's boundary edges are the OUTSIDE cells of its sub-ball adjacency
     ball = bfs_ball(g, n_max)
     for r in range(n_max + 1):
-        size = ball.ball_size(r)
-        out = sum(
-            int(np.count_nonzero((col[:size] < 0) | (col[:size] >= size)))
-            for col in ball.adjacency
-        )
-        yield Fraction(out, g.k * size)
+        sub = ball.within(r)
+        yield Fraction(int(np.count_nonzero(sub == OUTSIDE)), sub.size)
 
 
 def _box_ratios(g, n_max):
@@ -315,17 +329,18 @@ def _box_ratios(g, n_max):
 def _greedy_ratios(g, n_max):
     # grow from the identity, always absorbing the in-ball neighbour that
     # minimizes the resulting ratio (the first index on a tie); bounded by
-    # n_max added vertices
-    ball = bfs_ball(g, max(2, min(n_max, 12)))
-    cols = [col.tolist() for col in ball.adjacency]
+    # n_max added vertices, so the set never leaves the radius-n_max ball
+    ball = bfs_ball(g, min(n_max, 12))
+    rows = ball.adjacency.tolist()
+    neigh = ball.neighbors()
     X = {0}
-    yield Fraction(_boundary(cols, X), g.k)
+    yield Fraction(_boundary(rows, X), g.k)
     for _ in range(n_max):
-        frontier = sorted({col[x] for col in cols for x in X} - X - {OUTSIDE})
+        frontier = sorted(set().union(*(neigh[x] for x in X)) - X)
         if not frontier:
             return
-        X.add(min(frontier, key=lambda y: _boundary(cols, X | {y})))
-        yield Fraction(_boundary(cols, X), g.k * len(X))
+        X.add(min(frontier, key=lambda y: _boundary(rows, X | {y})))
+        yield Fraction(_boundary(rows, X), g.k * len(X))
 
 
 # the candidate-set families of cheeger_upper, by name

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cayley import OUTSIDE, CayleyBall, cheeger_upper, cogrowth, ensure_ball, growth, saw_count, walk_counts
+from .cayley import CayleyBall, cheeger_upper, cogrowth, ensure_ball, growth, saw_count, walk_counts
 from .marked import FreeGroup, MarkedGroup
 
 SCHEMA = "griglab/estimate/1"
@@ -120,7 +120,7 @@ def walk_distribution(
         raise ValueError("n must be >= 0")
     _check_float_range(g, n)
     ball = ensure_ball(g, n, ball)
-    for counts in walk_counts(g, ball, n):
+    for counts in walk_counts(ball, n):
         pass  # keep the last step
     return WalkDistribution(g, n, ball, counts.tolist())
 
@@ -219,7 +219,7 @@ def entropy(
     elif method == "ball":
         _check_float_range(g, n_max)
         ball = ensure_ball(g, n_max, ball)
-        steps = walk_counts(g, ball, n_max)
+        steps = walk_counts(ball, n_max)
         next(steps)  # t = 0
         for t, counts in enumerate(steps, start=1):
             hs.append(WalkDistribution(g, t, ball, counts.tolist()).entropy())
@@ -293,6 +293,8 @@ def speed(
     elif method == "mc":
         if not has_oracle:
             raise ValueError(f"monte carlo speed needs a word-length oracle; {g.label} has none")
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         gens = g.generators()
         acc = []
         for i in range(samples):
@@ -325,24 +327,6 @@ def speed(
 
 
 # ------------------------------------------------------------------- percolation
-
-def _undirected_edges(g: MarkedGroup, ball: CayleyBall) -> list:
-    """Each geometric edge once; parallel generator edges stay distinct."""
-    edges = []
-    for s in range(g.k):
-        si = g.inverse_symbol_index(s)
-        if si < s:
-            continue  # partner symbol already emitted these
-        col = ball.adjacency[s]
-        for u in range(ball.size):
-            v = int(col[u])
-            if v == OUTSIDE or v == u:
-                continue
-            if si == s and v < u:
-                continue  # involution: each edge seen from both ends
-            edges.append((u, v))
-    return edges
-
 
 def _invasion_pstar(links, on_sphere, u, start) -> float:
     """Minimax weight of a path from vertex 0 to the sphere.
@@ -397,7 +381,7 @@ def percolation_pstars(
     if not on_sphere:
         return np.array([])  # ball closed before R: no sphere to reach
     if mode == "bond":
-        edges = _undirected_edges(g, ball)
+        edges = ball.edges()
         links = [[] for _ in range(ball.size)]
         for e, (a, b) in enumerate(edges):
             links[a].append((e, b))

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cayley import OUTSIDE, bfs_ball
+from .cayley import bfs_ball
 from .marked import MarkedGroup, TrivialGroup, has_involutive_klein_marking
 from .words import OmegaWord
 
@@ -291,11 +291,10 @@ def ball_agreement_radius(g1: MarkedGroup, g2: MarkedGroup, n_max: int) -> int:
     leave the ball, so -1 means even the radius-0 balls differ (a
     generator is trivial in one group only).  Breadth-first search
     numbers the vertices of equal labelled balls identically, so the
-    radius-r balls agree exactly when the first ball_size(r) rows of the
-    two adjacencies are equal once every target beyond them reads as
-    OUTSIDE; that holds whatever the order of the generators.  Both
-    radius-n_max balls are always built, even for a pair that differs
-    at radius 0.
+    radius-r balls agree exactly when their sub-ball adjacencies
+    ``within(r)`` are equal; that holds whatever the order of the
+    generators.  Both radius-n_max balls are always built, even for a pair
+    that differs at radius 0.
     """
     if g1.symbols != g2.symbols:
         raise ValueError("groups must share a marking to compare balls")
@@ -303,13 +302,6 @@ def ball_agreement_radius(g1: MarkedGroup, g2: MarkedGroup, n_max: int) -> int:
         raise ValueError("n_max must be >= 0")
     b1, b2 = bfs_ball(g1, n_max), bfs_ball(g2, n_max)
     for r in range(n_max + 1):
-        size = b1.ball_size(r)
-        if b2.ball_size(r) != size:
+        if not np.array_equal(b1.within(r), b2.within(r)):  # unequal sizes too
             return r - 1
-        for c1, c2 in zip(b1.adjacency, b2.adjacency):
-            t1, t2 = c1[:size], c2[:size]
-            if not np.array_equal(
-                np.where(t1 < size, t1, OUTSIDE), np.where(t2 < size, t2, OUTSIDE)
-            ):
-                return r - 1
     return n_max

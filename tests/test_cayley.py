@@ -91,7 +91,7 @@ def test_ball_dist_and_adjacency_consistent():
         y = g.mul(b.vertices[u], gens[s])
         j = int(b.adjacency[s][u])
         if j == OUTSIDE:
-            assert y not in b.index
+            assert y not in b.vertices
         else:
             assert b.vertices[j] == y
             assert abs(int(b.dist[j]) - int(b.dist[u])) <= 1
@@ -170,15 +170,58 @@ BUILDER_CASES = [
 def test_ball_matches_the_two_product_builder(expr, n):
     g = parse_group_expr(expr)
     b = bfs_ball(g, n)
-    vertices, index, dist, offsets, adjacency = reference_bfs_ball(g, n)
+    vertices, _, dist, offsets, adjacency = reference_bfs_ball(g, n)
     assert b.vertices == vertices
-    assert b.index == index
     assert b.dist.dtype == np.int64 and b.dist.tolist() == dist
     assert b.layer_offsets == offsets
-    assert [col.tolist() for col in b.adjacency] == adjacency
-    for col in b.adjacency:
-        assert col.dtype == np.int64 and len(col) == b.size
-        assert not (col == UNKNOWN).any()
+    assert b.adjacency.dtype == np.int64 and b.adjacency.shape == (g.k, b.size)
+    assert b.adjacency.tolist() == adjacency
+    assert not (b.adjacency == UNKNOWN).any()
+    assert b.inverse == tuple(g.inverse_symbol_index(s) for s in range(g.k))
+
+
+# cycle(6) closes at radius 3; cycle(2) and grig((012)*, 2) have parallel
+# edges; every generator of gamma_free() is an involution
+GRAPH_CASES = [
+    ("free(2)", 5),
+    ("gamma_free()", 6),
+    ("grid(2)", 6),
+    ("cycle(6)", 6),
+    ("cycle(2)", 2),
+    ("grig((012)*, 2)", 3),
+    ("matrix_h()", 4),
+    ("grig((012)*, 4)", 6),
+    ("gj((012)*, {1,3}, 6)", 5),
+    ("product(grig((012)*, 3), matrix_h())", 4),
+]
+
+
+@pytest.mark.parametrize("expr, n", GRAPH_CASES)
+def test_within_is_the_smaller_ball(expr, n):
+    g = parse_group_expr(expr)
+    b = bfs_ball(g, n)
+    for r in range(n + 1):
+        assert np.array_equal(b.within(r), bfs_ball(g, r).adjacency)
+
+
+@pytest.mark.parametrize("expr, n", GRAPH_CASES)
+def test_edges_and_neighbors_match_the_adjacency(expr, n):
+    b = bfs_ball(parse_group_expr(expr), n)
+    # the per-vertex derivation neighbors() once had, kept as the reference
+    rows = b.adjacency.tolist()
+    assert b.neighbors() == [
+        tuple(sorted({row[u] for row in rows} - {u, OUTSIDE})) for u in range(b.size)
+    ]
+    # each in-ball non-loop edge is seen once from each end.  A symbol whose
+    # inverse does not map back to it (cycle(2): s and S both invert to s)
+    # adds no edges: its parallel edges are left to the symbol it maps to.
+    paired = [s for s, si in enumerate(b.inverse) if b.inverse[si] == s]
+    directed = sum(
+        v not in (OUTSIDE, u) for s in paired for u, v in enumerate(rows[s])
+    )
+    edges = b.edges()
+    assert 2 * len(edges) == directed
+    assert all(any(row[u] == v for row in rows) for u, v in edges)
 
 
 @pytest.mark.parametrize(
@@ -282,10 +325,10 @@ def test_cogrowth_bigint_path_matches_numpy_path():
     assert exact == reference_return_counts(g, ball, 32)
     assert exact[:31] == fast
     assert exact[32] == math.comb(32, 16) ** 2  # returns on Z^2
-    assert {c.dtype for c in walk_counts(g, ball, 32)} == {np.dtype(np.int64)}
+    assert {c.dtype for c in walk_counts(ball, 32)} == {np.dtype(np.int64)}
 
     ball = bfs_ball(g, 20)
-    dtypes = [c.dtype for c in walk_counts(g, ball, 40)]
+    dtypes = [c.dtype for c in walk_counts(ball, 40)]
     assert dtypes[32] == np.int64 and dtypes[40] == object
     assert dtypes == sorted(dtypes, key=lambda d: d == object)  # widened once
     wide = cogrowth(g, 40, ball=ball).values
@@ -451,6 +494,7 @@ def reference_ball_candidates(g, n_max):
 def reference_greedy_candidates(g, n_max):
     """Greedy growth that multiplies every candidate set out again."""
     ball = bfs_ball(g, max(2, min(n_max, 12)))
+    index = {x: i for i, x in enumerate(ball.vertices)}
     gens = g.generators()
     X = {g.identity()}
     yield list(X)
@@ -459,12 +503,12 @@ def reference_greedy_candidates(g, n_max):
         for x in X:
             for s in range(g.k):
                 y = g.mul(x, gens[s])
-                if y not in X and y in ball.index:
+                if y not in X and y in index:
                     boundary.add(y)
         if not boundary:
             return
         best = None
-        for y in sorted(boundary, key=lambda e: ball.index[e]):
+        for y in sorted(boundary, key=lambda e: index[e]):
             r = boundary_ratio(g, X | {y})
             if best is None or r < best[0]:
                 best = (r, y)
@@ -502,10 +546,21 @@ def test_cheeger_adjacency_counts_match_multiplied_sets(expr, n_ball, n_greedy):
     )
 
 
-def test_edge_list_and_dot():
+def test_cheeger_greedy_reads_only_the_radius_n_max_ball():
+    # after t steps the greedy set lies in B_t, so n_max = 1 needs only B_1
+    gj = parse_group_expr("gj((012)*, {1}, 1)")
+    assert cheeger_upper(gj, "greedy", 1) == [1, Fraction(3, 4)]
+    for expr in ("free(2)", "gamma_free()", "grid(2)", "cycle(6)", "grig((012)*, 4)"):
+        g = parse_group_expr(expr)
+        for n in (0, 1, 2):
+            assert cheeger_upper(g, "greedy", n) == reference_cheeger(
+                reference_greedy_candidates, g, n
+            )
+
+
+def test_dot_draws_every_labelled_edge():
     b = bfs_ball(GammaFree(), 1)
-    edges = b.edge_list()
-    assert len(edges) == 4 * b.size
     dot = b.to_dot()
     assert dot.startswith("digraph ball")
-    assert dot.count("->") == len(edges)
+    assert dot.count("->") == 4 * b.size
+    assert dot.count("-> outside") == int(np.count_nonzero(b.adjacency == OUTSIDE))

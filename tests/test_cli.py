@@ -210,6 +210,8 @@ def test_estimate_parse_error_exit_two(capsys):
         ["estimate", "free(2)", "rho", "--n", "5"],
         ["estimate", "grid(2)", "pc-bond", "--R", "0"],
         ["estimate", "gamma_free()", "entropy", "--n", "600"],
+        ["estimate", "grid(2)", "speed", "--samples", "0"],
+        ["estimate", "grid(2)", "speed", "--samples", "-3"],
         ["estimate", "gj((012)*, {1,3}, 5)", "pc-bond"],  # R 32 > query radius 5
         ["estimate", "gj((012)*, {1,3}, 5)", "growth"],  # radius 8 > 5
         ["estimate", "gj((012)*, {1,3}, 5)", "rho"],  # n 12 needs radius 6 > 5

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from griglab import cayley, estimators
+from griglab import cayley
 from griglab.cayley import bfs_ball, cheeger_upper, cogrowth
 from griglab.cli import parse_group_expr
 from griglab.estimators import (
@@ -176,6 +176,12 @@ def test_speed_finite_group_slow():
     assert rep.estimate < 0.15
 
 
+def test_speed_mc_needs_a_sample():
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            speed(GammaFree(), 6, samples=samples, method="mc")
+
+
 def test_speed_without_oracle_is_exact_on_the_ball():
     g = grig(FIRST_OMEGA, 4)
     rep = speed(g, 8)
@@ -289,7 +295,7 @@ def reference_pstars(g, mode, R, trials, seed):
     if not boundary:
         return np.array([])
     V = ball.size
-    edges = estimators._undirected_edges(g, ball)
+    edges = ball.edges()
     neighbors = ball.neighbors()
     out = []
     for t in range(trials):
@@ -338,6 +344,29 @@ def test_invasion_matches_sort_and_union_find(expr, R, mode):
         got = percolation_pstars(g, mode, R, 25, seed)
         assert np.array_equal(got, reference_pstars(g, mode, R, 25, seed))
 
+
+# percolation draws one uniform per edges() entry (bond) or vertex (site), so
+# these lists pin the edge order and the random stream across versions
+PINNED_PSTARS = [
+    ("grid(2)", "bond", 6, 8, [
+        0.4612002667617283, 0.507077272525767, 0.4657954161580178,
+        0.3204462748395699, 0.4523999460497795, 0.4240734472277604]),
+    ("grid(2)", "site", 6, 8, [
+        0.9956763359513338, 0.6343819505396351, 0.6058445478575856,
+        0.5696480352831346, 0.6576688070239939, 0.4837303578594021]),
+    ("cycle(2)", "bond", 1, 0, [
+        0.011546754286331562, 0.8133540609793564, 0.8144335776159864,
+        0.47515916035519756, 0.4291563450602872, 0.58758297503101]),
+    ("gamma_free()", "bond", 3, 0, [
+        0.30465221566830103, 0.5546945352002267, 0.4396808049627232,
+        0.47515916035519756, 0.43459881495776, 0.5728438367844632]),
+]
+
+
+@pytest.mark.parametrize("expr, mode, R, seed, want", PINNED_PSTARS)
+def test_percolation_stream_is_pinned(expr, mode, R, seed, want):
+    got = percolation_pstars(parse_group_expr(expr), mode, R, len(want), seed)
+    assert got.tolist() == want
 
 
 def test_percolation_site_dominated_by_bond():
