@@ -79,9 +79,8 @@ class CayleyBall:
 
         Ordered by symbol (the lower index of each inverse pair), then by u
         ascending: percolation draws one uniform per edge in this order.
-        Self-loops are dropped.  Parallel edges of symbols that ``inverse``
-        pairs up stay distinct; a symbol mapped below itself but not back
-        (cycle(2)'s S, as s and S both invert to s) adds none.
+        Self-loops are dropped.  Each inverse pair of symbols, and each
+        involution, adds its own edges, so parallel edges stay distinct.
         """
         u = np.arange(self.size)
         out = []

@@ -209,7 +209,7 @@ def suite_matrix_relations() -> list:
     return [_check(name, ok) for name, ok in rep.items()]
 
 
-def suite_contraction(m: int, omega: OmegaWord) -> list:
+def suite_contraction(m: int = 2, omega: OmegaWord = FIRST_OMEGA) -> list:
     n = 2**m - 1
     M = truncation_level(n, omega)
     F = iterate_functor(omega, m, MatrixHGroup())
@@ -224,7 +224,7 @@ def suite_contraction(m: int, omega: OmegaWord) -> list:
     ]
 
 
-def suite_eta(k: int, omega: OmegaWord) -> list:
+def suite_eta(k: int = 1, omega: OmegaWord = FIRST_OMEGA) -> list:
     w = eta_word(omega, k)
     H = MatrixHGroup()
     deeper = iterate_functor(omega, k + 1, H)
@@ -249,7 +249,7 @@ def suite_eta(k: int, omega: OmegaWord) -> list:
     return checks
 
 
-def suite_product_compat(omega: OmegaWord) -> list:
+def suite_product_compat(omega: OmegaWord = FIRST_OMEGA) -> list:
     checks = []
     H1, H2 = MatrixHGroup(), grig(omega, 1)
     both = product([H1, H2])
@@ -267,29 +267,33 @@ def _omega(args) -> OmegaWord:
     return FIRST_OMEGA if args.omega is None else parse_omega(args.omega)
 
 
-# suite -> the flags it reads, "all" reading every one; an unset --m or
-# --k runs at its default here
-_SUITE_READS = {
-    "matrix-relations": (),
-    "contraction": ("m", "omega"),
-    "eta": ("k", "omega"),
-    "product-compat": ("omega",),
-    "all": ("m", "k", "omega"),
+# suite -> (suite function, flag dest -> keyword), called like _PARAMETERS'
+# estimators: by module-global name, with only the flags that are set.
+# "all" runs every row in this order and reads every flag.
+_SUITES = {
+    "matrix-relations": ("suite_matrix_relations", {}),
+    "contraction": ("suite_contraction", {"m": "m", "omega": "omega"}),
+    "eta": ("suite_eta", {"k": "k", "omega": "omega"}),
+    "product-compat": ("suite_product_compat", {"omega": "omega"}),
 }
-_DEFAULT_M, _DEFAULT_K = 2, 1
+# the flags that some suite reads, in the order a usage error names them
+_SUITE_FLAGS = ("m", "k", "omega")
+# what an unset flag runs at, read once from the suite signatures for --help
+_SUITE_DEFAULTS = {
+    d: inspect.signature(globals()[name]).parameters[kw].default
+    for name, reads in _SUITES.values()
+    for d, kw in reads.items()
+}
 
 
 def run_verify(args) -> tuple:
-    omega = _omega(args)
+    given = {d: getattr(args, d) for d in _SUITE_FLAGS if getattr(args, d) is not None}
+    if "omega" in given:
+        given["omega"] = parse_omega(given["omega"])
     checks = []
-    if args.suite in ("matrix-relations", "all"):
-        checks += suite_matrix_relations()
-    if args.suite in ("contraction", "all"):
-        checks += suite_contraction(_DEFAULT_M if args.m is None else args.m, omega)
-    if args.suite in ("eta", "all"):
-        checks += suite_eta(_DEFAULT_K if args.k is None else args.k, omega)
-    if args.suite in ("product-compat", "all"):
-        checks += suite_product_compat(omega)
+    for suite in _SUITES if args.suite == "all" else [args.suite]:
+        name, reads = _SUITES[suite]
+        checks += globals()[name](**{kw: given[d] for d, kw in reads.items() if d in given})
     ok = all(c["ok"] for c in checks)
     blob = {"schema": VERIFY_SCHEMA, "suite": args.suite, "ok": ok, "checks": checks}
     return ok, blob
@@ -307,14 +311,14 @@ _PARAMETERS = {
     "pc-site": ("percolation", {"mode": "site"}, _PERCOLATION),
     "pc-bond": ("percolation", {"mode": "bond"}, _PERCOLATION),
     "entropy": ("entropy", {}, {"n": "n_max"}),
-    "speed": ("speed", {}, {"n": "n", "samples": "samples", "seed": "seed"}),
+    "speed": ("speed", {}, {"n": "n"}),
     "mu": ("connective_constant", {}, {"n": "n_max"}),
     "cheeger": ("cheeger_report", {}, {"n": "n_max", "candidates": "candidates"}),
     "growth": ("growth_report", {}, {"n": "n_max"}),
     "eta-witness": (None, {}, {"omega": "omega"}),  # sweep only: an exact search
 }
 # the flags that some parameter reads, in the order a usage error names them
-_PARAMETER_FLAGS = ("n", "R", "trials", "samples", "candidates", "seed", "omega")
+_PARAMETER_FLAGS = ("n", "R", "trials", "candidates", "seed", "omega")
 
 
 @functools.cache  # every parser build reads six of these for the --n help
@@ -492,17 +496,13 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help=f"series length (default: {shown})")
         p.add_argument("--R", type=int, help="percolation ball radius")
         p.add_argument("--trials", type=int)
-        p.add_argument("--samples", type=int, help="monte carlo speed walks")
         p.add_argument("--candidates", choices=list(STRATEGIES))
         p.add_argument("--seed", type=int, help="random stream key")
 
     v = sub.add_parser("verify", help="run an exact invariant suite")
-    v.add_argument(
-        "suite",
-        choices=["matrix-relations", "contraction", "eta", "product-compat", "all"],
-    )
-    v.add_argument("--m", type=int, help=f"contraction depth (default {_DEFAULT_M})")
-    v.add_argument("--k", type=int, help=f"separating word index (default {_DEFAULT_K})")
+    v.add_argument("suite", choices=[*_SUITES, "all"])
+    v.add_argument("--m", type=int, help=f"contraction depth (default {_SUITE_DEFAULTS['m']})")
+    v.add_argument("--k", type=int, help=f"separating word index (default {_SUITE_DEFAULTS['k']})")
     omega(v)
     common(v)
 
@@ -549,7 +549,8 @@ def main(argv=None) -> int:
         args = build_parser(conf).parse_args(argv)
     # a flag given in argv or the config is exactly one that is not None
     if args.command == "verify":
-        name, reads, flags = args.suite, _SUITE_READS[args.suite], _SUITE_READS["all"]
+        name, flags = args.suite, _SUITE_FLAGS
+        reads = flags if name == "all" else _SUITES[name][1]
     else:
         name, flags = args.parameter, _PARAMETER_FLAGS
         _, _, reads = _PARAMETERS[name]

@@ -249,29 +249,18 @@ def entropy(
 
 # ------------------------------------------------------------------------ speed
 
-def speed(
-    g: MarkedGroup,
-    n: int = 16,
-    samples: int = 1000,
-    seed: int = 0,
-    method: str = "auto",
-) -> EstimateReport:
-    """Mean displacement rate E|walk at n| / n.
+def speed(g: MarkedGroup, n: int = 16, method: str = "auto") -> EstimateReport:
+    """Mean displacement rate E|walk at n| / n, exact.
 
-    method "radial" (free groups, exact), "ball" (exact via the walk
-    distribution; needs the radius-n ball), "mc" (sampled; needs the
-    word-length oracle g.distance; per-sample counter RNG streams so
-    results are reproducible).  "auto" takes mc only where g.distance is
-    known: without it a walk's length needs the ball, which is exact.
+    method "radial" (free groups: the distance-counts recursion, no ball)
+    or "ball" (any group: the mean of the walk distribution on the
+    radius-n ball).  "auto" takes radial for a free group, else ball.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    has_oracle = g.distance(g.identity()) is not None
     if method == "auto":
-        method = "radial" if isinstance(g, FreeGroup) else ("mc" if has_oracle else "ball")
+        method = "radial" if isinstance(g, FreeGroup) else "ball"
     k = g.k
-    ci = None
-    notes = []
     if method == "radial":
         if not isinstance(g, FreeGroup):
             raise ValueError("radial speed needs a free group")
@@ -283,46 +272,21 @@ def speed(
         rates = [m / t for t, m in zip(range(1, n + 1), means)]
         estimate = rates[-1]
         series = {"n": list(range(1, n + 1)), "mean_distance": means, "rate": rates}
-        notes.append("exact finite-time means from the distance recursion")
+        note = "exact finite-time means from the distance recursion"
     elif method == "ball":
-        dist = walk_distribution(g, n)
-        mean = dist.mean_distance()
+        mean = walk_distribution(g, n).mean_distance()
         estimate = float(mean) / n
         series = {"n": [n], "mean_distance": [float(mean)], "rate": [estimate]}
-        notes.append("exact finite-time mean from the full walk distribution")
-    elif method == "mc":
-        if not has_oracle:
-            raise ValueError(f"monte carlo speed needs a word-length oracle; {g.label} has none")
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
-        gens = g.generators()
-        acc = []
-        for i in range(samples):
-            rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-            x = g.identity()
-            for s in rng.integers(0, k, size=n):
-                x = g.mul(x, gens[int(s)])
-            acc.append(g.distance(x))
-        mean = sum(acc) / samples
-        sd = math.sqrt(sum((a - mean) ** 2 for a in acc) / max(samples - 1, 1))
-        half = 1.96 * sd / math.sqrt(samples)
-        estimate = mean / n
-        ci = (estimate - half / n, estimate + half / n)
-        series = {"n": [n], "mean_distance": [mean], "rate": [estimate]}
-        notes.append(f"monte carlo over {samples} walks")
+        note = "exact finite-time mean from the full walk distribution"
     else:
         raise ValueError(f"unknown speed method: {method}")
-    parameters = {"n": n, "method": method}
-    if method == "mc":
-        parameters.update(samples=samples, seed=seed)
     return EstimateReport(
         parameter="speed",
         group=g.label,
         estimate=estimate,
-        ci=ci,
-        parameters=parameters,
+        parameters={"n": n, "method": method},
         series=series,
-        notes=notes,
+        notes=[note],
     )
 
 

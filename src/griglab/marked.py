@@ -48,8 +48,12 @@ class MarkedGroup:
         raise NotImplementedError
 
     def inverse_symbol_index(self, i: int) -> int:
-        """Index of the symbol whose image inverts generator i."""
+        """Index of the symbol whose image inverts generator i: i itself
+        when that generator is an involution, so the map is a permutation
+        even where two symbols name one involution (cycle(2)'s s and S)."""
         gi_inv = self.inv(self.generator(i))
+        if gi_inv == self.generator(i):
+            return i
         for j in range(self.k):
             if self.generator(j) == gi_inv:
                 return j
@@ -83,10 +87,6 @@ class MarkedGroup:
     def is_trivial_word(self, w) -> bool:
         return self.evaluate(w) == self.identity()
 
-    def distance(self, x) -> Union[int, None]:
-        """Word-metric distance from the identity, when cheaply known."""
-        return None
-
     def describe_element(self, x) -> str:
         return repr(x)
 
@@ -113,9 +113,6 @@ class TrivialGroup(MarkedGroup):
 
     def inv(self, x):
         return "e"
-
-    def distance(self, x):
-        return 0
 
 
 class GammaFree(MarkedGroup):
@@ -149,9 +146,6 @@ class GammaFree(MarkedGroup):
             return words.reduce(w)
         idx = self.parse(w)
         return words.reduce(tuple(self.symbols[i] for i in idx))
-
-    def distance(self, x):
-        return len(x)
 
     def describe_element(self, x):
         return words.word_str(x)
@@ -217,9 +211,6 @@ class FreeGroup(MarkedGroup):
     def inv(self, x):
         return tuple(-t for t in reversed(x))
 
-    def distance(self, x):
-        return len(x)
-
 
 class CyclicGroup(MarkedGroup):
     """Z/n marked by a generator and its inverse (two symbols)."""
@@ -243,9 +234,6 @@ class CyclicGroup(MarkedGroup):
 
     def inv(self, x):
         return (-x) % self.n
-
-    def distance(self, x):
-        return min(x, self.n - x)
 
 
 class GridGroup(MarkedGroup):
@@ -273,9 +261,6 @@ class GridGroup(MarkedGroup):
 
     def inv(self, x):
         return tuple(-p for p in x)
-
-    def distance(self, x):
-        return sum(abs(p) for p in x)
 
 
 class ProductGroup(MarkedGroup):

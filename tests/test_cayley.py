@@ -212,13 +212,11 @@ def test_edges_and_neighbors_match_the_adjacency(expr, n):
     assert b.neighbors() == [
         tuple(sorted({row[u] for row in rows} - {u, OUTSIDE})) for u in range(b.size)
     ]
-    # each in-ball non-loop edge is seen once from each end.  A symbol whose
-    # inverse does not map back to it (cycle(2): s and S both invert to s)
-    # adds no edges: its parallel edges are left to the symbol it maps to.
-    paired = [s for s, si in enumerate(b.inverse) if b.inverse[si] == s]
-    directed = sum(
-        v not in (OUTSIDE, u) for s in paired for u, v in enumerate(rows[s])
-    )
+    # inverse is an involutive permutation, so each in-ball non-loop edge
+    # is seen once from each end
+    assert sorted(b.inverse) == list(range(b.group.k))
+    assert all(b.inverse[si] == s for s, si in enumerate(b.inverse))
+    directed = sum(v not in (OUTSIDE, u) for row in rows for u, v in enumerate(row))
     edges = b.edges()
     assert 2 * len(edges) == directed
     assert all(any(row[u] == v for row in rows) for u, v in edges)

@@ -1,8 +1,10 @@
 """Expression language, command dispatch, exit codes, emission formats."""
 
 import inspect
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from griglab.cayley import BallBudgetError
 from griglab.cli import ExprError, main, parse_group_expr, to_csv
 from griglab.estimators import EstimateReport
 from griglab.marked import ProductGroup
+from griglab.words import parse_omega
 
 
 def test_parse_simple_constructors():
@@ -83,7 +86,7 @@ def test_verify_suites_exit_zero(capsys):
 
 def test_verify_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(
-        cli, "suite_eta", lambda k, om: [{"name": "forced", "ok": False, "detail": ""}]
+        cli, "suite_eta", lambda **kw: [{"name": "forced", "ok": False, "detail": ""}]
     )
     assert main(["verify", "eta"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -116,16 +119,25 @@ def test_verify_unread_flags_exit_two(argv, named, monkeypatch, capsys, tmp_path
 
 
 def test_verify_suites_read_their_flags_with_defaults(monkeypatch):
+    # an unset flag is not passed on, so the suite's default is the only one
+    assert inspect.signature(cli.suite_contraction).parameters["m"].default == 2
+    assert inspect.signature(cli.suite_eta).parameters["k"].default == 1
     seen = []
-    monkeypatch.setattr(cli, "suite_matrix_relations", lambda: [])
-    monkeypatch.setattr(cli, "suite_contraction", lambda m, om: seen.append(("m", m)) or [])
-    monkeypatch.setattr(cli, "suite_eta", lambda k, om: seen.append(("k", k)) or [])
-    monkeypatch.setattr(cli, "suite_product_compat", lambda om: [])
+    for suite in ("suite_matrix_relations", "suite_contraction", "suite_eta",
+                  "suite_product_compat"):
+        monkeypatch.setattr(cli, suite, lambda s=suite, **kw: seen.append((s[6:], kw)) or [])
     assert main(["verify", "all"]) == 0
+    assert seen == [("matrix_relations", {}), ("contraction", {}), ("eta", {}),
+                    ("product_compat", {})]
+    seen.clear()
     assert main(["verify", "all", "--m", "4", "--k", "3", "--omega", "(021)*"]) == 0
+    om = parse_omega("(021)*")
+    assert seen == [("matrix_relations", {}), ("contraction", {"m": 4, "omega": om}),
+                    ("eta", {"k": 3, "omega": om}), ("product_compat", {"omega": om})]
+    seen.clear()
     assert main(["verify", "contraction", "--m", "5"]) == 0
     assert main(["verify", "eta", "--k", "0"]) == 0
-    assert seen == [("m", 2), ("k", 1), ("m", 4), ("k", 3), ("m", 5), ("k", 0)]
+    assert seen == [("contraction", {"m": 5}), ("eta", {"k": 0})]
 
 
 def test_verify_unknown_suite_usage_error():
@@ -182,7 +194,7 @@ def _reject_constant(name):
         ["grid(2)", "pc-site", "--R", "4", "--trials", "20"],
         ["grid(2)", "pc-bond", "--R", "4", "--trials", "20"],
         ["gamma_free()", "entropy", "--n", "4"],
-        ["gamma_free()", "speed", "--n", "4", "--samples", "20"],
+        ["gamma_free()", "speed", "--n", "4"],
         ["grig((012)*, 4)", "speed", "--n", "8"],
         ["grid(2)", "mu", "--n", "4"],
         ["grid(2)", "cheeger", "--n", "3"],
@@ -210,8 +222,8 @@ def test_estimate_parse_error_exit_two(capsys):
         ["estimate", "free(2)", "rho", "--n", "5"],
         ["estimate", "grid(2)", "pc-bond", "--R", "0"],
         ["estimate", "gamma_free()", "entropy", "--n", "600"],
-        ["estimate", "grid(2)", "speed", "--samples", "0"],
-        ["estimate", "grid(2)", "speed", "--samples", "-3"],
+        ["estimate", "grid(2)", "speed", "--n", "0"],
+        ["estimate", "grid(2)", "speed", "--n", "-3"],
         ["estimate", "gj((012)*, {1,3}, 5)", "pc-bond"],  # R 32 > query radius 5
         ["estimate", "gj((012)*, {1,3}, 5)", "growth"],  # radius 8 > 5
         ["estimate", "gj((012)*, {1,3}, 5)", "rho"],  # n 12 needs radius 6 > 5
@@ -252,6 +264,7 @@ def test_sweep_seed_is_null_for_the_exact_eta_witness(tmp_path):
         (["rho", "free(2)", "--n", "4"], None),
         (["pc-site", "grid(2)", "--R", "3", "--trials", "5", "--seed", "7"], 7),
         (["pc-site", "grid(2)", "--R", "3", "--trials", "5"], 0),
+        (["speed", "grid(2)", "--n", "4"], None),
     ):
         jp = tmp_path / "s.json"
         assert main(["sweep", *argv, "--json", str(jp)]) == 0
@@ -264,7 +277,7 @@ def test_sweep_seed_is_null_for_the_exact_eta_witness(tmp_path):
         (["--seed", "7"], "--seed"),
         (["--n", "4", "--R", "3"], "--n, --R"),
         (["--tri", "5"], "--trials"),  # abbreviated
-        (["--samples", "9", "--candidates", "boxes"], "--samples, --candidates"),
+        (["--R", "9", "--candidates", "boxes"], "--R, --candidates"),
         (["--seed", "0"], "--seed"),  # a default value given is still given
     ],
 )
@@ -281,16 +294,17 @@ def test_sweep_eta_witness_rejects_the_estimate_flags(given, named, tmp_path, ca
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["grid(2)", "pc-bond", "--R", "4", "--trials", "5", "--n", "99", "--samples",
-          "3", "--candidates", "greedy"], "--n, --samples, --candidates"),
+        (["grid(2)", "pc-bond", "--R", "4", "--trials", "5", "--n", "99",
+          "--candidates", "greedy"], "--n, --candidates"),
         (["free(2)", "rho", "--R", "4", "--trials", "5"], "--R, --trials"),
         (["free(2)", "entropy", "--seed", "0"], "--seed"),  # given, though the default
-        (["grid(2)", "mu", "--samples", "9"], "--samples"),
+        (["grid(2)", "mu", "--trials", "9"], "--trials"),
         (["free(2)", "growth", "--candidates", "boxes"], "--candidates"),
         (["grid(2)", "cheeger", "--seed", "1"], "--seed"),
         (["free(2)", "speed", "--trials", "5", "--candidates", "balls"],
          "--trials, --candidates"),
         (["grid(2)", "pc-site", "--n", "4"], "--n"),
+        (["grid(2)", "speed", "--seed", "0"], "--seed"),  # every speed is exact
     ],
 )
 def test_estimate_rejects_the_flags_its_parameter_does_not_read(argv, named, capsys):
@@ -302,20 +316,20 @@ def test_estimate_rejects_the_flags_its_parameter_does_not_read(argv, named, cap
 
 def test_unread_flags_from_the_config_are_named(tmp_path, capsys):
     conf = tmp_path / "lab.conf"
-    conf.write_text("trials=17\nsamples=3\n")
+    conf.write_text("trials=17\nseed=3\n")
     assert main(["estimate", "free(2)", "growth", "--n", "2", "--config", str(conf)]) == 2
-    assert "growth does not read --trials, --samples" in capsys.readouterr().err
-    # one flag from argv, one from the config; speed reads neither
+    assert "growth does not read --trials, --seed" in capsys.readouterr().err
+    # one flag from argv, two from the config; speed reads none
     argv = ["estimate", "free(2)", "speed", "--n", "2", "--R", "3", "--config", str(conf)]
     assert main(argv) == 2
-    assert "speed does not read --R, --trials" in capsys.readouterr().err
+    assert "speed does not read --R, --trials, --seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["free(2)", "cheeger", "--n", "2", "--candidates", "greedy"],
-        ["free(2)", "speed", "--n", "2", "--samples", "5", "--seed", "3"],
+        ["free(2)", "speed", "--n", "2"],
         ["grid(2)", "pc-bond", "--R", "3", "--trials", "5", "--seed", "3"],
         ["grid(2)", "pc-bond", "--R", "3", "--trials", "5", "--threads", "2"],
     ],
@@ -453,13 +467,35 @@ def test_module_entry_point():
 # ------------------------------------------------------ flags and their defaults
 
 _OUTPUT = {"--json", "--csv", "--config"}
-_ESTIMATE = {"--n", "--R", "--trials", "--samples", "--candidates", "--seed"}
+_ESTIMATE = {"--n", "--R", "--trials", "--candidates", "--seed"}
 # each subcommand takes exactly the flags it reads; a new one is a deliberate change
 FLAGS = {
     "verify": {"--m", "--k", "--omega"} | _OUTPUT,
     "estimate": _ESTIMATE | {"--threads"} | _OUTPUT,
     "sweep": _ESTIMATE | {"--omega"} | _OUTPUT,
 }
+
+
+def _readme_table(header: str) -> dict:
+    """Name -> the flags it reads, from the README table under ``header``."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    rows = itertools.takewhile(lambda ln: ln.startswith("|"), lines[lines.index(header) + 2:])
+    out = {}
+    for row in rows:
+        names, reads = row.strip("|").split("|")
+        for name in re.findall(r"`([\w-]+)`", names):
+            out[name] = set(re.findall(r"`(--\w+)`", reads))
+    return out
+
+
+def test_readme_reads_tables_match_the_cli():
+    # a flag dropped from a parameter or suite cannot stay documented
+    assert _readme_table("| parameter | reads |") == {
+        p: {f"--{d}" for d in reads} for p, (_, _, reads) in cli._PARAMETERS.items()
+    }
+    suites = {s: {f"--{d}" for d in reads} for s, (_, reads) in cli._SUITES.items()}
+    suites["all"] = {f"--{d}" for d in cli._SUITE_FLAGS}
+    assert _readme_table("| suite | reads |") == suites
 
 
 def _subparsers() -> dict:
@@ -493,7 +529,7 @@ def test_cli_defaults_are_the_signature_defaults():
         ("grid(2)", "mu", {"n_max": 10}),
         ("free(2)", "cheeger", {"n_max": 6, "candidates": "balls"}),
         ("free(2)", "growth", {"n_max": 8}),
-        ("gamma_free()", "speed", {"n": 16, "samples": 1000, "seed": 0}),
+        ("gamma_free()", "speed", {"n": 16, "method": "ball"}),
         ("grid(2)", "pc-site", {"radius": 32, "trials": 500, "seed": 0}),
         ("grid(2)", "pc-bond", {"radius": 32, "trials": 500, "seed": 0}),
     ],
@@ -513,9 +549,8 @@ def test_flagless_estimate_reports_the_pinned_defaults(group, parameter, pinned,
          "percolation", {"mode": "site", "radius": 5, "trials": 7, "seed": 2}),
         (["grid(2)", "pc-bond", "--tri", "7"], "percolation", {"mode": "bond", "trials": 7}),
         (["free(2)", "entropy", "--n", "3"], "entropy", {"n_max": 3}),
-        (["free(2)", "speed", "--n", "3", "--samples", "4", "--seed", "5"],
-         "speed", {"n": 3, "samples": 4, "seed": 5}),
-        (["free(2)", "speed", "--seed", "0"], "speed", {"seed": 0}),
+        (["free(2)", "speed", "--n", "3"], "speed", {"n": 3}),
+        (["free(2)", "speed"], "speed", {}),
         (["grid(2)", "mu", "--n", "3"], "connective_constant", {"n_max": 3}),
         (["free(2)", "cheeger", "--n", "3", "--candidates", "greedy"],
          "cheeger_report", {"n_max": 3, "candidates": "greedy"}),
@@ -542,6 +577,7 @@ def test_estimate_passes_exactly_the_given_flags(argv, name, kwargs, monkeypatch
         (["verify", "matrix-relations"], "seed"),
         (["verify", "matrix-relations"], "threads"),
         (["sweep", "growth", "free(2)", "--n", "2"], "threads"),
+        (["estimate", "grid(2)", "speed"], "samples"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_exit_two(argv, flag, tmp_path, capsys):

@@ -91,14 +91,6 @@ def test_string_words():
     assert z.evaluate("xxyX") == (1, 1)
 
 
-def test_distances():
-    assert M.FreeGroup(2).distance((1, 2, 1)) == 3
-    assert M.CyclicGroup(6).distance(5) == 1
-    assert M.GridGroup(2).distance((3, -2)) == 5
-    g = M.GammaFree()
-    assert g.distance(g.evaluate("aba")) == 3
-
-
 def test_cycle_group_small():
     c = M.CyclicGroup(4)
     assert c.evaluate("sss") == 3
