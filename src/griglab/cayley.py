@@ -194,6 +194,13 @@ def ensure_ball(g: MarkedGroup, radius: int, ball: CayleyBall | None = None) -> 
     return ball
 
 
+def running_bound(values: Iterable, direction: str) -> list:
+    """Each prefix's best certified bound on a monotone parameter: the
+    running max of lower bounds ("lower") or running min of upper ones
+    ("upper")."""
+    return list(itertools.accumulate(values, {"lower": max, "upper": min}[direction]))
+
+
 @dataclass
 class CountSeries:
     kind: str  # cogrowth | growth | saw
@@ -326,16 +333,19 @@ def _box_ratios(g, n_max):
 
 
 def _greedy_ratios(g, n_max):
-    # grow from the identity, always absorbing the in-ball neighbour that
-    # minimizes the resulting ratio (the first index on a tie); bounded by
-    # n_max added vertices, so the set never leaves the radius-n_max ball
-    ball = bfs_ball(g, min(n_max, 12))
+    # grow from the identity, always absorbing the neighbour that minimizes
+    # the resulting ratio (the first index on a tie).  After t steps the set
+    # lies in B_t, so the ball grows one layer whenever the set reaches its
+    # last sphere; BFS order is prefix-stable, so indices never change
+    ball = bfs_ball(g, 0)
     rows = ball.adjacency.tolist()
-    neigh = ball.neighbors()
     X = {0}
     yield Fraction(_boundary(rows, X), g.k)
     for _ in range(n_max):
-        frontier = sorted(set().union(*(neigh[x] for x in X)) - X)
+        if max(X) >= ball.layer_offsets[-2]:
+            ball = bfs_ball(g, ball.radius + 1)
+            rows = ball.adjacency.tolist()
+        frontier = sorted({row[x] for row in rows for x in X} - X - {OUTSIDE})
         if not frontier:
             return
         X.add(min(frontier, key=lambda y: _boundary(rows, X | {y})))
@@ -353,14 +363,12 @@ def cheeger_upper(
 
     Evaluates the exact boundary ratio over a family of candidate sets
     and returns the running minimum, so every prefix is a valid certified
-    upper-bound sequence.  "balls" and "greedy" count boundary edges on
-    one bfs_ball's adjacency; "boxes" multiplies out via boundary_ratio.
+    upper-bound sequence.  "balls" counts boundary edges on one bfs_ball's
+    adjacency, "greedy" on a ball grown with its set; "boxes" multiplies
+    out via boundary_ratio.
     """
     if candidates not in STRATEGIES:
         raise ValueError(f"unknown strategy {candidates!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out = []
-    for r in STRATEGIES[candidates](g, n_max):
-        out.append(r if not out or r < out[-1] else out[-1])
-    return out
+    return running_bound(STRATEGIES[candidates](g, n_max), "upper")

@@ -13,7 +13,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cayley import CayleyBall, cheeger_upper, cogrowth, ensure_ball, growth, saw_count, walk_counts
+from .cayley import (
+    CayleyBall,
+    cheeger_upper,
+    cogrowth,
+    ensure_ball,
+    growth,
+    running_bound,
+    saw_count,
+    walk_counts,
+)
 from .marked import FreeGroup, MarkedGroup
 
 SCHEMA = "griglab/estimate/1"
@@ -113,21 +122,36 @@ class WalkDistribution:
         return self.n * math.log(self.group.k) - acc / float(total)
 
 
+def _walk_laws(g: MarkedGroup, n: int, ball: CayleyBall | None):
+    """Yield the exact walk distributions at t = 0..n, all on one ball of
+    radius >= n.  The float range is checked before any ball is built."""
+    if n * math.log(g.k) > 700:
+        raise ValueError("k^n exceeds float range; use a radial method")
+    ball = ensure_ball(g, n, ball)
+    for t, counts in enumerate(walk_counts(ball, n)):
+        yield WalkDistribution(g, t, ball, counts.tolist())
+
+
 def walk_distribution(
     g: MarkedGroup, n: int, ball: CayleyBall | None = None
 ) -> WalkDistribution:
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_float_range(g, n)
-    ball = ensure_ball(g, n, ball)
-    for counts in walk_counts(ball, n):
+    for law in _walk_laws(g, n, ball):
         pass  # keep the last step
-    return WalkDistribution(g, n, ball, counts.tolist())
+    return law
 
 
-def _check_float_range(g: MarkedGroup, n: int):
-    if n * math.log(g.k) > 700:
-        raise ValueError("k^n exceeds float range; use a radial method")
+def _walk_method(g: MarkedGroup, method: str, parameter: str) -> str:
+    """Resolve method "auto" to "radial" on a free group and "ball"
+    otherwise; "radial" needs a free group."""
+    if method == "auto":
+        return "radial" if isinstance(g, FreeGroup) else "ball"
+    if method not in ("radial", "ball"):
+        raise ValueError(f"unknown {parameter} method: {method}")
+    if method == "radial" and not isinstance(g, FreeGroup):
+        raise ValueError(f"radial {parameter} needs a free group")
+    return method
 
 
 # --------------------------------------------------------------- spectral radius
@@ -149,11 +173,8 @@ def spectral_radius(
     k = g.k
     evens = list(range(2, n_max + 1, 2))
     roots = [series.values[n] ** (1.0 / n) / k for n in evens]
-    certified_seq = []
-    best = 0.0
-    for r in roots:
-        best = max(best, r)
-        certified_seq.append(best)
+    certified_seq = running_bound(roots, "lower")
+    best = certified_seq[-1]
     notes = ["certified lower bounds use exact integer return counts"]
     c_hi, c_lo = series.values[n_max], series.values[n_max - 2]
     if c_lo > 0 and c_hi > 0:
@@ -198,15 +219,12 @@ def entropy(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if method == "auto":
-        method = "radial" if isinstance(g, FreeGroup) else "ball"
+    method = _walk_method(g, method, "entropy")
     k = g.k
-    hs = []
     if method == "radial":
-        if not isinstance(g, FreeGroup):
-            raise ValueError("radial entropy needs a free group")
         rows = free_distance_counts(g.rank, n_max)
         logk = math.log(k)
+        hs = []
         for t in range(1, n_max + 1):
             total = k**t
             terms = []
@@ -216,26 +234,15 @@ def entropy(
                 p = float(Fraction(m, total))
                 terms.append(p * (math.log(m) - math.log(free_sphere_size(g.rank, d))))
             hs.append(t * logk - math.fsum(terms))
-    elif method == "ball":
-        _check_float_range(g, n_max)
-        ball = ensure_ball(g, n_max, ball)
-        steps = walk_counts(ball, n_max)
-        next(steps)  # t = 0
-        for t, counts in enumerate(steps, start=1):
-            hs.append(WalkDistribution(g, t, ball, counts.tolist()).entropy())
     else:
-        raise ValueError(f"unknown entropy method: {method}")
+        hs = [law.entropy() for law in _walk_laws(g, n_max, ball)][1:]
     rates = [h / t for t, h in zip(range(1, n_max + 1), hs)]
-    best = math.inf
-    certified_seq = []
-    for r in rates:
-        best = min(best, r)
-        certified_seq.append(best)
+    certified_seq = running_bound(rates, "upper")
     return EstimateReport(
         parameter="entropy",
         group=g.label,
         estimate=rates[-1],
-        certified={"value": best, "direction": "upper"},
+        certified={"value": certified_seq[-1], "direction": "upper"},
         parameters={"n_max": n_max, "method": method, "k": k},
         series={
             "n": list(range(1, n_max + 1)),
@@ -258,12 +265,9 @@ def speed(g: MarkedGroup, n: int = 16, method: str = "auto") -> EstimateReport:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if method == "auto":
-        method = "radial" if isinstance(g, FreeGroup) else "ball"
+    method = _walk_method(g, method, "speed")
     k = g.k
     if method == "radial":
-        if not isinstance(g, FreeGroup):
-            raise ValueError("radial speed needs a free group")
         rows = free_distance_counts(g.rank, n)
         means = []
         for t in range(1, n + 1):
@@ -273,13 +277,11 @@ def speed(g: MarkedGroup, n: int = 16, method: str = "auto") -> EstimateReport:
         estimate = rates[-1]
         series = {"n": list(range(1, n + 1)), "mean_distance": means, "rate": rates}
         note = "exact finite-time means from the distance recursion"
-    elif method == "ball":
+    else:
         mean = walk_distribution(g, n).mean_distance()
         estimate = float(mean) / n
         series = {"n": [n], "mean_distance": [float(mean)], "rate": [estimate]}
         note = "exact finite-time mean from the full walk distribution"
-    else:
-        raise ValueError(f"unknown speed method: {method}")
     return EstimateReport(
         parameter="speed",
         group=g.label,
@@ -436,13 +438,10 @@ def connective_constant(g: MarkedGroup, n_max: int = 10) -> EstimateReport:
     series = saw_count(g, n_max)
     v = series.values
     ns = list(range(1, n_max + 1))
-    bounds = [v[n] ** (1.0 / n) if v[n] > 0 else 0.0 for n in ns]
-    best = math.inf
-    certified_seq = []
-    for b in bounds:
-        if b > 0:
-            best = min(best, b)
-        certified_seq.append(best if best < math.inf else 0.0)
+    # a zero count bounds nothing: it reads as inf, and a sequence still
+    # without a bound shows 0.0
+    bounds = [v[n] ** (1.0 / n) if v[n] > 0 else math.inf for n in ns]
+    certified_seq = [b if b < math.inf else 0.0 for b in running_bound(bounds, "upper")]
     notes = []
     if v[n_max] > 0 and v[n_max - 1] > 0:
         estimate = v[n_max] / v[n_max - 1]

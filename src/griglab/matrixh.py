@@ -1,7 +1,8 @@
 """Exact projective 2x2 matrices over the Gaussian dyadic rationals.
 
 A GaussianDyadic is (re + im*i) / 2^exp with integer re, im and exp >= 0,
-kept normalized so that exp is minimal.  A ProjectiveMat stores its four
+kept normalized so that exp is minimal; it is a value type for entries and
+printing, with no arithmetic of its own.  A ProjectiveMat stores its four
 entries as one integer tuple over a shared, minimal power of two, so a
 product is eight integer sums of products and one canonicalisation; the
 entries come back as GaussianDyadic views.  Matrices are taken up to sign
@@ -46,26 +47,6 @@ class GaussianDyadic:
         object.__setattr__(self, "re_num", re)
         object.__setattr__(self, "im_num", im)
         object.__setattr__(self, "exp", e)
-
-    def __add__(self, other: "GaussianDyadic") -> "GaussianDyadic":
-        e = max(self.exp, other.exp)
-        s1 = 1 << (e - self.exp)
-        s2 = 1 << (e - other.exp)
-        return GaussianDyadic(
-            self.re_num * s1 + other.re_num * s2,
-            self.im_num * s1 + other.im_num * s2,
-            e,
-        )
-
-    def __neg__(self) -> "GaussianDyadic":
-        return GaussianDyadic(-self.re_num, -self.im_num, self.exp)
-
-    def __sub__(self, other: "GaussianDyadic") -> "GaussianDyadic":
-        return self + (-other)
-
-    def __mul__(self, other: "GaussianDyadic") -> "GaussianDyadic":
-        a, b, c, d = self.re_num, self.im_num, other.re_num, other.im_num
-        return GaussianDyadic(a * c - b * d, a * d + b * c, self.exp + other.exp)
 
     def __repr__(self) -> str:
         if self.exp:

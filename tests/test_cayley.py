@@ -556,6 +556,23 @@ def test_cheeger_greedy_reads_only_the_radius_n_max_ball():
             )
 
 
+def test_cheeger_greedy_grows_only_the_ball_its_set_reaches(monkeypatch):
+    radii = []
+    build = cayley.bfs_ball
+
+    def recorded(g, n):
+        radii.append(n)
+        return build(g, n)
+
+    monkeypatch.setattr(cayley, "bfs_ball", recorded)
+    assert len(cheeger_upper(FreeGroup(2), "greedy", 12)) == 13
+    assert max(radii) <= 3  # a 13-vertex set, not the 1M-vertex B_12
+    # n 20 exceeds the query radius 6, but the set stays inside it
+    gj = parse_group_expr("gj((012)*, {1,3}, 6)")
+    vals = cheeger_upper(gj, "greedy", 20)
+    assert vals[:7] == cheeger_upper(gj, "greedy", 6)
+
+
 def test_dot_draws_every_labelled_edge():
     b = bfs_ball(GammaFree(), 1)
     dot = b.to_dot()

@@ -214,9 +214,9 @@ def test_ball_estimators_refuse_a_ball_of_another_group():
     assert spectral_radius(free, 8).series["return_count"] == [4, 28, 232, 2092]
 
 
-def test_ball_estimators_multiply_only_inside_bfs_ball():
-    """Cheeger balls/greedy and ball speed read one bfs_ball and
-    multiply nothing beyond it."""
+def test_ball_estimators_multiply_only_inside_bfs_ball(monkeypatch):
+    """Cheeger balls and ball speed read one bfs_ball, greedy Cheeger only
+    the balls it grows, and none multiplies anything beyond them."""
     g = grig(FIRST_OMEGA, 5)
     calls = [0]
     mul = g.mul
@@ -234,10 +234,20 @@ def test_ball_estimators_multiply_only_inside_bfs_ball():
 
     for run, radius in [
         (lambda: cheeger_upper(g, "balls", 6), 6),
-        (lambda: cheeger_upper(g, "greedy", 20), 12),
         (lambda: speed(g, 8), 8),
     ]:
         assert muls(run) == muls(lambda: bfs_ball(g, radius))
+
+    radii = []
+
+    def recorded(group, n):
+        radii.append(n)
+        return bfs_ball(group, n)
+
+    monkeypatch.setattr(cayley, "bfs_ball", recorded)
+    greedy = muls(lambda: cheeger_upper(g, "greedy", 20))
+    monkeypatch.undo()
+    assert radii and greedy <= sum(muls(lambda: bfs_ball(g, r)) for r in radii)
 
 
 # ------------------------------------------------------------------- percolation

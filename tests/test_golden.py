@@ -1,0 +1,48 @@
+"""Byte-identical CLI output on a fixed set of commands.
+
+Each command runs in-process with ``--json -`` and its whole stdout is
+compared by sha256 with a pinned hash.  A versioned change to one of these
+outputs re-pins its hash and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from griglab.cli import main
+
+GOLDEN = [
+    (["estimate", "free(2)", "rho", "--n", "12"],
+     "2bacdfcac7ae0cb0cf58ed5a0b1434a7139c0bdd3e3e81ca64c7e7a143eadb72"),
+    (["estimate", "gamma_free()", "entropy", "--n", "8"],
+     "ec72b9f5a9597398eda38ba3a3fdb567cdac81c0cfcd930f8172bb078fcaeada"),
+    (["estimate", "free(2)", "entropy", "--n", "20"],
+     "c7447c72f49b86afe7ee183223aeae9e5c2ec6af1b3d06157f865f5f8abb79e4"),
+    (["estimate", "grid(2)", "speed", "--n", "12"],
+     "0fcf7497ee20aa281d274c373084d4b297704a989467137f619bd4028245d05c"),
+    (["estimate", "free(2)", "speed", "--n", "20"],
+     "9d054a1d43dd4dcf4038b736fec0e3f329f9750ceb200855e517774192f1de73"),
+    (["estimate", "grid(2)", "mu", "--n", "8"],
+     "571ae7f3ab24c625f56b68274f0182d7fc0a0a3c9c2e2f36100f8c8f9c162ea5"),
+    (["estimate", "grid(2)", "pc-bond", "--R", "8", "--trials", "50", "--seed", "3"],
+     "d97dc45f875722416929f591862c4f20fef5b95e76e935041e5d6c3817566eb9"),
+    (["estimate", "grid(2)", "pc-site", "--R", "8", "--trials", "50", "--seed", "3"],
+     "6240dd63825556cd47cec38409488b92521d6aa1f328eb521815d6e1dba16ef1"),
+    (["estimate", "gamma_free()", "cheeger", "--candidates", "greedy", "--n", "20"],
+     "8fc9a5354d7413de565c68142649ff064ce64e89f25f07de8c7881a3af03c23a"),
+    (["estimate", "grid(2)", "cheeger", "--candidates", "boxes", "--n", "8"],
+     "620e0d4f1865712ed7b6a3cc1ccefcfac8e5e0fdefa0d76e0a9cdc3a864cc268"),
+    (["estimate", "gj((012)*, {1,3}, 6)", "growth", "--n", "6"],
+     "51bddd55d4a719355a88fc7a77088541593c0fe19f447d3c758d0120540efee9"),
+    (["verify", "eta", "--k", "2"],
+     "ccaf91860fa99d974714c009fe2aed3f6172c655380f3c6cf39849e3ef4470d7"),
+    (["sweep", "eta-witness", "{}", "{1}", "{2}"],
+     "64f684169890ff69e7e940bf6910f0d3445570abcd77619969aa88968a485aa3"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_stdout_is_byte_identical(argv, digest, capsys):
+    assert main(argv + ["--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
