@@ -294,32 +294,51 @@ def speed(g: MarkedGroup, n: int = 16, method: str = "auto") -> EstimateReport:
 
 # ------------------------------------------------------------------- percolation
 
-def _invasion_pstar(links, on_sphere, u, start) -> float:
+def _invasion_pstar(links, sphere_start, u, start) -> float:
     """Minimax weight of a path from vertex 0 to the sphere.
 
-    Invasion from the root (a Prim search): always open the cheapest
-    link on the cluster's frontier; links[v] lists (uniform index,
-    neighbour) pairs, on_sphere holds the sphere's vertices and start is
-    the root's own weight.  The largest
-    weight opened by the time a sphere vertex is reached is the minimax
-    value.  The sphere is nonempty and the ball connected, so the heap
-    never runs dry first.
+    links[v] lists (uniform index, neighbour) pairs, u holds the weights,
+    start is the root's own weight, and the vertices >= sphere_start are
+    the sphere.  Invasion at a water level: worst is the largest weight
+    opened so far.  A frontier link of weight <= worst cannot raise it,
+    so its end joins the cluster at once through a plain stack; only
+    links above worst enter the heap.  When the stack runs dry, the
+    cluster is the root's component below worst, it holds no sphere
+    vertex, and every link leaving it is in the heap, so every path to
+    the sphere crosses a link at or above the least unseen heap key.
+    Raising worst to that key and flooding again keeps worst a lower
+    bound on the minimax value; the cluster joins the root to each of
+    its vertices by links <= worst, so worst is the minimax value once a
+    sphere vertex is reached.  A vertex returns as it leaves the stack,
+    before its links are read, so no vertex past the sphere is reached.
+    The sphere is nonempty and the ball connected, so the heap never
+    runs dry first.
     """
     seen = bytearray(len(links))
-    heap = [(start, 0)]
+    seen[0] = 1
     worst = start
+    stack = [0]
+    push, pop = stack.append, stack.pop
+    heap = []
     while True:
-        key, v = heapq.heappop(heap)
-        if seen[v]:
-            continue
+        while stack:
+            v = pop()
+            if v >= sphere_start:
+                return worst
+            for i, w in links[v]:
+                if not seen[w]:
+                    x = u[i]
+                    if x <= worst:
+                        seen[w] = 1
+                        push(w)
+                    else:
+                        heapq.heappush(heap, (x, w))
+        # keys are pushed above worst, so they leave in nondecreasing order
+        worst, v = heapq.heappop(heap)
+        while seen[v]:
+            worst, v = heapq.heappop(heap)
         seen[v] = 1
-        if key > worst:
-            worst = key
-        if v in on_sphere:
-            return worst
-        for i, w in links[v]:
-            if not seen[w]:
-                heapq.heappush(heap, (u[i], w))
+        push(v)
 
 
 def percolation_pstars(
@@ -333,9 +352,12 @@ def percolation_pstars(
     """Per-trial bottleneck values: trial t connects root to the radius-R
     sphere at occupation p exactly when pstars[t] < p.  Each p* is the
     minimax path weight from the root to the sphere (over edges in bond
-    mode, over sites, root included, in site mode), found by invasion
-    from the root.  Trial t only depends on (seed, t), never on the
-    trial count."""
+    mode, over sites, root included, in site mode), found by water-level
+    invasion from the root (see _invasion_pstar).  Trial t draws one
+    uniform per edge of bfs_ball(g, R).edges() (bond) or per vertex of
+    the radius-R ball (site) from a Philox stream keyed by (seed, t), so
+    it depends on neither the trial count nor the radius of a passed ball.
+    """
     if mode not in ("site", "bond"):
         raise ValueError("mode must be 'site' or 'bond'")
     if radius < 1:
@@ -343,23 +365,27 @@ def percolation_pstars(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ball = ensure_ball(g, radius, ball)
-    on_sphere = ball.sphere_indices(radius)
-    if not on_sphere:
+    if not ball.sphere_indices(radius):
         return np.array([])  # ball closed before R: no sphere to reach
+    size = ball.ball_size(radius)
     if mode == "bond":
-        edges = ball.edges()
-        links = [[] for _ in range(ball.size)]
+        # BFS order is prefix-stable, so the edges inside the radius-R ball
+        # keep the order of bfs_ball(g, R).edges()
+        edges = [(a, b) for a, b in ball.edges() if a < size and b < size]
+        links = [[] for _ in range(size)]
         for e, (a, b) in enumerate(edges):
             links[a].append((e, b))
             links[b].append((e, a))
         n = len(edges)
     else:
-        links = [[(w, w) for w in nbrs] for nbrs in ball.neighbors()]
-        n = ball.size
+        links = [[(w, w) for w in nbrs] for nbrs in ball.neighbors()[:size]]
+        n = size
+    sphere_start = ball.layer_offsets[radius]
     pstars = []
     for t in range(trials):
-        u = np.random.Generator(np.random.Philox(key=[seed, t])).random(n).tolist()
-        pstars.append(_invasion_pstar(links, on_sphere, u, u[0] if mode == "site" else 0.0))
+        # a memoryview makes a float only for each uniform the invasion reads
+        u = memoryview(np.random.Generator(np.random.Philox(key=[seed, t])).random(n))
+        pstars.append(_invasion_pstar(links, sphere_start, u, u[0] if mode == "site" else 0.0))
     return np.array(pstars)
 
 

@@ -13,6 +13,7 @@ from griglab.cayley import bfs_ball, cheeger_upper, cogrowth
 from griglab.cli import parse_group_expr
 from griglab.estimators import (
     EstimateReport,
+    _invasion_pstar,
     cheeger_report,
     connective_constant,
     entropy,
@@ -339,6 +340,8 @@ def reference_pstars(g, mode, R, trials, seed):
     [
         ("grid(1)", 8),
         ("grid(2)", 6),
+        ("grid(2)", 16),  # the flood crosses many layers at once
+        ("grid(3)", 5),
         ("free(2)", 4),
         ("gamma_free()", 5),
         ("cycle(2)", 1),  # parallel generator edges; the sphere at R = 1
@@ -353,6 +356,48 @@ def test_invasion_matches_sort_and_union_find(expr, R, mode):
     for seed in (0, 7):
         got = percolation_pstars(g, mode, R, 25, seed)
         assert np.array_equal(got, reference_pstars(g, mode, R, 25, seed))
+
+
+@pytest.mark.parametrize("mode", ["bond", "site"])
+@pytest.mark.parametrize("expr, R", [("grid(2)", 4), ("free(2)", 4), ("cycle(2)", 1)])
+def test_percolation_ignores_the_radius_of_a_passed_ball(expr, R, mode):
+    # a larger ball has edges past R among its own; they must not shift the
+    # uniform indices of the edges inside the radius-R ball
+    g = parse_group_expr(expr)
+    want = percolation_pstars(g, mode, R, 12, 3)
+    got = percolation_pstars(g, mode, R, 12, 3, ball=bfs_ball(g, R + 2))
+    assert want.size and np.array_equal(got, want)
+
+
+def _links(n, weighted_edges):
+    """Link table of an n-vertex graph: one uniform per (a, b, weight) edge."""
+    links = [[] for _ in range(n)]
+    for e, (a, b, _) in enumerate(weighted_edges):
+        links[a].append((e, b))
+        links[b].append((e, a))
+    return links, [x for _, _, x in weighted_edges]
+
+
+def test_invasion_water_level_on_hand_built_tables():
+    # ties with worst join at once and leave the answer at the tied level
+    links, u = _links(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.7)])
+    assert _invasion_pstar(links, 3, u, 0.0) == 0.5
+    # a sphere vertex beside the root; its own links (here to a vertex past
+    # the table) are never read
+    links, u = _links(3, [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)])
+    links[2].append((len(u), 99))
+    assert _invasion_pstar(links, 2, u, 0.0) == 0.2
+    assert _invasion_pstar(links, 1, u, 0.0) == 0.1
+    # site mode: a root weight above every link weight is the answer
+    links, u = _links(3, [(0, 1, 0.4), (1, 2, 0.6)])
+    assert _invasion_pstar(links, 2, u, 0.9) == 0.9
+    # a long flood below the level never lowers or raises it, and the
+    # cheaper exit found late beats the dearer one found first
+    chain = [(v, v + 1, 0.5 - v / 100) for v in range(1, 40)]
+    links, u = _links(42, [(0, 1, 0.6), (1, 41, 0.8)] + chain + [(40, 41, 0.7)])
+    assert _invasion_pstar(links, 41, u, 0.0) == 0.7
+    links, u = _links(42, [(0, 1, 0.6), (1, 41, 0.8)] + chain + [(40, 41, 0.3)])
+    assert _invasion_pstar(links, 41, u, 0.0) == 0.6
 
 
 # percolation draws one uniform per edges() entry (bond) or vertex (site), so

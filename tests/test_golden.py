@@ -28,6 +28,10 @@ GOLDEN = [
      "d97dc45f875722416929f591862c4f20fef5b95e76e935041e5d6c3817566eb9"),
     (["estimate", "grid(2)", "pc-site", "--R", "8", "--trials", "50", "--seed", "3"],
      "6240dd63825556cd47cec38409488b92521d6aa1f328eb521815d6e1dba16ef1"),
+    (["estimate", "gamma_free()", "pc-site", "--R", "6", "--trials", "40", "--seed", "2"],
+     "0aa783c553a9c1d00a1bc4db2872596bfbd1ee3a61c846844f8a655ffad983a0"),
+    (["estimate", "cycle(2)", "pc-bond", "--R", "1", "--trials", "20", "--seed", "1"],
+     "9f015ccadb11c687be8e60c72d398405e50f9ef78a2f6b6af5ff6b4003a84c81"),
     (["estimate", "gamma_free()", "cheeger", "--candidates", "greedy", "--n", "20"],
      "8fc9a5354d7413de565c68142649ff064ce64e89f25f07de8c7881a3af03c23a"),
     (["estimate", "grid(2)", "cheeger", "--candidates", "boxes", "--n", "8"],
