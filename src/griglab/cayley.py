@@ -19,7 +19,7 @@ import numpy as np
 from .marked import GridGroup, MarkedGroup
 
 OUTSIDE = -1
-UNKNOWN = -2  # a cell not yet filled; none survives bfs_ball
+UNKNOWN = -2  # a cell not yet filled; only a ball's last sphere keeps some
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 
@@ -43,14 +43,41 @@ class CayleyBall:
     radius: int
     vertices: list
     dist: np.ndarray
-    adjacency: np.ndarray  # (k, V) int64: adjacency[s, u] is u * s's index, or OUTSIDE
+    # (k, V) int64: cells[s, u] is u * s's index or OUTSIDE.  Until the ball
+    # is closed, a last-sphere cell whose product leads back to sphere
+    # radius - 1 is filled and every other one is UNKNOWN
+    cells: np.ndarray
     inverse: tuple  # inverse[s] is the symbol index of s^-1
     layer_offsets: list  # vertices[layer_offsets[r]:layer_offsets[r+1]] is sphere r
     group: MarkedGroup
+    closed: bool = False
 
     @property
     def size(self) -> int:
         return len(self.vertices)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Complete (k, V) adjacency: adjacency[s, u] is u * s's index, or
+        OUTSIDE.
+
+        The first read closes the ball: it multiplies out the UNKNOWN cells
+        of the last sphere in place, with the pass loop of bfs_ball.  Those
+        products lead to the last sphere or out of the ball, so an index of
+        the last sphere alone places them.
+        """
+        if not self.closed:
+            last = self.sphere_indices(self.radius)
+            block = self.cells[:, last.start:]
+            flat = array("q", block.T.tobytes())  # row-major from vertex last.start
+            index = {self.vertices[u]: u for u in last}
+            _multiply_rows(
+                self.group, flat, last.start, last, self.vertices, index,
+                self.inverse, lambda y: OUTSIDE,
+            )
+            block[:] = np.frombuffer(flat, dtype=np.int64).reshape(-1, self.group.k).T
+            self.closed = True
+        return self.cells
 
     def layer_sizes(self) -> list:
         return [
@@ -69,9 +96,10 @@ class CayleyBall:
 
         BFS order is prefix-stable, so this equals bfs_ball(group, r).adjacency:
         the first ball_size(r) columns, every target past them read as OUTSIDE.
+        Only r = radius needs the last sphere's rows, so only it closes the ball.
         """
         size = self.ball_size(r)
-        sub = self.adjacency[:, :size]
+        sub = (self.cells if r < self.radius else self.adjacency)[:, :size]
         return np.where(sub < size, sub, OUTSIDE)
 
     def edges(self) -> list:
@@ -116,15 +144,45 @@ class CayleyBall:
         return "\n".join(lines)
 
 
+def _multiply_rows(g, cells, base, rows, vertices, index, inverse, place) -> None:
+    """The pass loop of bfs_ball: multiply out the UNKNOWN cells in the rows
+    of the vertices ``rows``, where cells[(u - base) * k + s] is u * s.
+
+    A product found in ``index`` fills its cell and the inverse cell of its
+    target, so that edge is never multiplied from the other end; any other
+    product y gets ``place(y)``: the index of a new vertex, or OUTSIDE.
+    """
+    k = g.k
+    gens = g.generators()
+    for u in rows:
+        x = vertices[u]
+        row = (u - base) * k
+        for s in range(k):
+            if cells[row + s] != UNKNOWN:
+                continue  # filled from the inverse edge v * s^-1 = u
+            y = g.mul(x, gens[s])
+            j = index.get(y)
+            if j is None:
+                j = place(y)
+                if j == OUTSIDE:
+                    cells[row + s] = OUTSIDE
+                    continue
+            cells[row + s] = j
+            cells[(j - base) * k + inverse[s]] = u
+
+
 def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
-    """Complete radius-n ball with adjacency for every ball vertex.
+    """Radius-n ball, left open: every row of B_{n-1} is complete.
 
     One group product per edge inside the ball: when u * s lands on a
     ball vertex v, v's cell for the inverse symbol is filled with u, and a
     filled cell is never multiplied out again.  So the marking must be
-    symmetric (ValueError otherwise).  Refuses a radius past
-    ``g.faithful_radius``: that ball would describe the truncation, not the
-    group it stands in for.  Raises BallBudgetError past
+    symmetric, with an inverse symbol map that is its own inverse
+    (ValueError otherwise).  Pass r fills the rows of sphere r - 1 and finds
+    sphere r; the last sphere's rows then hold only the edges back to
+    sphere n - 1, and reading ``adjacency`` closes them.  Refuses a radius
+    past ``g.faithful_radius``: that ball would describe the truncation, not
+    the group it stands in for.  Raises BallBudgetError past
     DEFAULT_VERTEX_BUDGET vertices.
     """
     if n < 0:
@@ -136,7 +194,8 @@ def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
         )
     k = g.k
     inverse = tuple(g.inverse_symbol_index(s) for s in range(k))
-    gens = g.generators()
+    if any(inverse[t] != s for s, t in enumerate(inverse)):
+        raise ValueError(f"inverse symbols of {g.label} are not paired")
     e = g.identity()
     vertices = [e]
     index = {e: 0}
@@ -144,37 +203,25 @@ def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
     unknown_row = array("q", [UNKNOWN]) * k
     cells = array("q", unknown_row)  # row-major: cells[u * k + s] = u * s
     budget = DEFAULT_VERTEX_BUDGET
-    # pass r fills the rows of sphere r - 1 and finds sphere r; pass n + 1
-    # finds nothing and marks the products that leave the ball OUTSIDE
-    for layer in range(1, n + 2):
-        for u in range(offsets[layer - 1], offsets[layer]):
-            x = vertices[u]
-            row = u * k
-            for s in range(k):
-                if cells[row + s] != UNKNOWN:
-                    continue  # filled from the inverse edge v * s^-1 = u
-                y = g.mul(x, gens[s])
-                j = index.get(y)
-                if j is None:
-                    if layer > n:
-                        cells[row + s] = OUTSIDE
-                        continue
-                    if len(vertices) >= budget:
-                        raise BallBudgetError(layer - 1, budget)
-                    j = len(vertices)
-                    index[y] = j
-                    vertices.append(y)
-                    cells.extend(unknown_row)
-                cells[row + s] = j
-                cells[j * k + inverse[s]] = u
-        if layer <= n:
-            offsets.append(len(vertices))
+
+    def place(y):
+        if len(vertices) >= budget:
+            raise BallBudgetError(len(offsets) - 2, budget)
+        j = index[y] = len(vertices)
+        vertices.append(y)
+        cells.extend(unknown_row)
+        return j
+
+    for _ in range(n):
+        sphere = range(offsets[-2], offsets[-1])
+        _multiply_rows(g, cells, 0, sphere, vertices, index, inverse, place)
+        offsets.append(len(vertices))
     rows = np.frombuffer(cells, dtype=np.int64).reshape(-1, k)
     return CayleyBall(
         radius=n,
         vertices=vertices,
         dist=np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(offsets)),
-        adjacency=rows.T.copy(),
+        cells=rows.T.copy(),
         inverse=inverse,
         layer_offsets=offsets,
         group=g,
@@ -214,13 +261,23 @@ def walk_counts(ball: CayleyBall, n_max: int) -> Iterator[np.ndarray]:
     """Yield c_t for t = 0..n_max: c_t[v] counts the length-t symbol words
     from the identity that evaluate to ball vertex v without leaving the ball.
 
+    c_t[v] is the group's count for t <= radius, and c_t[0] for t <= 2 *
+    radius.  The dynamic program reads the ball's cells and never closes it:
+    a walk of length t <= radius enters the last sphere only on its last
+    step, and a closed walk of length <= 2 * radius reaches it only at its
+    midpoint, from where it must step straight back to sphere radius - 1.
+    The cells still UNKNOWN lead within the last sphere or out of the ball,
+    so neither kind of walk reads them, and inside those ranges the counts
+    are the same whether or not the ball was closed.
+
     Counts start as int64 and become Python ints in an object array before
     the first step t -> t+1 with max(c_t) * k >= 2^63: a new count sums k old
     ones, so below that bound int64 is exact.  Each step is a fresh array.
     """
     V, k = ball.size, ball.group.k
-    # predecessors of v through s are v * s^{-1}; OUTSIDE reads the zero cell V
-    preds = np.where(ball.adjacency >= 0, ball.adjacency, V)[list(ball.inverse)]
+    # predecessors of v through s are v * s^{-1}; OUTSIDE and UNKNOWN read
+    # the zero cell V
+    preds = np.where(ball.cells >= 0, ball.cells, V)[list(ball.inverse)]
     cur = np.zeros(V + 1, dtype=np.int64)
     cur[0] = 1
     yield cur[:V]

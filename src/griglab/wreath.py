@@ -294,7 +294,8 @@ def ball_agreement_radius(g1: MarkedGroup, g2: MarkedGroup, n_max: int) -> int:
     radius-r balls agree exactly when their sub-ball adjacencies
     ``within(r)`` are equal; that holds whatever the order of the
     generators.  Both radius-n_max balls are always built, even for a pair
-    that differs at radius 0.
+    that differs at radius 0, but their last spheres are closed only when
+    the balls agree through radius n_max - 1.
     """
     if g1.symbols != g2.symbols:
         raise ValueError("groups must share a marking to compare balls")

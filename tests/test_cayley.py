@@ -23,6 +23,7 @@ from griglab.cayley import (
     walk_counts,
 )
 from griglab.cli import parse_group_expr
+from griglab.estimators import entropy
 from griglab.marked import (
     CyclicGroup,
     FreeGroup,
@@ -222,6 +223,14 @@ def test_edges_and_neighbors_match_the_adjacency(expr, n):
     assert all(any(row[u] == v for row in rows) for u, v in edges)
 
 
+def counted_products(monkeypatch, g):
+    """A list that gains one entry per g.mul call from now on."""
+    calls = []
+    mul = g.mul
+    monkeypatch.setattr(g, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    return calls
+
+
 @pytest.mark.parametrize(
     "g, n, products",
     [
@@ -231,11 +240,61 @@ def test_edges_and_neighbors_match_the_adjacency(expr, n):
     ],
 )
 def test_ball_costs_one_product_per_edge(monkeypatch, g, n, products):
-    calls = []
-    mul = g.mul
-    monkeypatch.setattr(g, "mul", lambda x, y: calls.append(1) or mul(x, y))
-    bfs_ball(g, n)
+    calls = counted_products(monkeypatch, g)
+    bfs_ball(g, n).adjacency
     assert len(calls) == products
+
+
+@pytest.mark.parametrize(
+    "g, n, products",
+    [
+        # the products that fill the rows of B_2, and with them the inward
+        # cells of sphere 3; closing adds the other 108 and 27
+        (FreeGroup(2), 3, 52),
+        (parse_group_expr("matrix_h()"), 3, 28),
+    ],
+)
+def test_open_ball_multiplies_only_the_rows_inside(monkeypatch, g, n, products):
+    calls = counted_products(monkeypatch, g)
+    ball = bfs_ball(g, n)
+    assert len(calls) == products and not ball.closed
+    assert (ball.cells == UNKNOWN).any()
+
+
+# the last sphere of each has cells that stay on it, which only closing
+# finds; free(2) is bipartite, the control whose closing finds none
+LEAN_CASES = [
+    ("cycle(5)", 2),
+    ("gamma_free()", 4),
+    ("matrix_h()", 5),
+    ("grig((012)*, 5)", 5),
+    ("gj((012)*, {1,3}, 6)", 6),
+    ("free(2)", 4),
+]
+
+
+@pytest.mark.parametrize("expr, r", LEAN_CASES)
+def test_open_ball_reads_like_a_closed_one(monkeypatch, expr, r):
+    g = parse_group_expr(expr)
+
+    def reads(ball):
+        return (
+            cogrowth(g, 2 * r, ball=ball).values,
+            entropy(g, r, method="ball", ball=ball).series["H"],
+            growth(g, r, ball=ball).values,
+            [ball.within(q).tolist() for q in range(r)],
+        )
+
+    calls = counted_products(monkeypatch, g)
+    lean = bfs_ball(g, r)
+    built = len(calls)
+    got = reads(lean)
+    assert len(calls) == built and not lean.closed
+    closed = bfs_ball(g, r)
+    start = closed.sphere_indices(r).start
+    stays = bool((closed.adjacency[:, start:] >= start).any())
+    assert stays == (expr != "free(2)")
+    assert reads(closed) == got
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5, 17, 50, 53, 54, 160])
@@ -272,6 +331,22 @@ class _Successor(MarkedGroup):
 def test_ball_needs_a_symmetric_marking():
     with pytest.raises(ValueError, match="not symmetric"):
         bfs_ball(_Successor(), 2)
+
+
+class _DoubledSuccessor(_Successor):
+    """Z marked by +1 twice and -1: "S" inverts "s" and "t" but only "s"
+    inverts "S", so on radius n discovery never fills the cell of -n for
+    "t", which leads back inward, and closing could not place it."""
+
+    symbols = ("s", "t", "S")
+
+    def generator(self, i):
+        return -1 if i == 2 else 1
+
+
+def test_ball_needs_paired_inverse_symbols():
+    with pytest.raises(ValueError, match="not paired"):
+        bfs_ball(_DoubledSuccessor(), 2)
 
 
 def test_cogrowth_free_frozen():
