@@ -102,17 +102,20 @@ class CayleyBall:
         sub = (self.cells if r < self.radius else self.adjacency)[:, :size]
         return np.where(sub < size, sub, OUTSIDE)
 
-    def edges(self) -> list:
-        """Each undirected in-ball edge once, as (u, v) pairs.
+    def edges(self, r: int | None = None) -> list:
+        """Each undirected edge of the radius-r sub-ball (default: the whole
+        ball) once, as (u, v) pairs; read through within(r), so r < radius
+        leaves the ball open.
 
         Ordered by symbol (the lower index of each inverse pair), then by u
         ascending: percolation draws one uniform per edge in this order.
         Self-loops are dropped.  Each inverse pair of symbols, and each
         involution, adds its own edges, so parallel edges stay distinct.
         """
-        u = np.arange(self.size)
+        adj = self.within(self.radius if r is None else r)
+        u = np.arange(adj.shape[1])
         out = []
-        for s, col in enumerate(self.adjacency):
+        for s, col in enumerate(adj):
             si = self.inverse[s]
             if si < s:
                 continue  # partner symbol already emitted these
@@ -121,11 +124,13 @@ class CayleyBall:
             out.extend(zip(u[keep].tolist(), col[keep].tolist()))
         return out
 
-    def neighbors(self) -> list:
-        """Sorted distinct neighbours of each vertex, the other ends of its
-        edges(); parallel generator edges give one neighbour."""
-        sets = [set() for _ in range(self.size)]
-        for u, v in self.edges():
+    def neighbors(self, r: int | None = None) -> list:
+        """Sorted distinct neighbours of each vertex of the radius-r sub-ball,
+        the other ends of its edges(r); parallel generator edges give one
+        neighbour."""
+        r = self.radius if r is None else r
+        sets = [set() for _ in range(self.ball_size(r))]
+        for u, v in self.edges(r):
             sets[u].add(v)
             sets[v].add(u)
         return [tuple(sorted(n)) for n in sets]

@@ -13,14 +13,13 @@ carry runtime as null, the wall-clock number goes to stderr.
 """
 
 import argparse
-import functools
 import inspect
 import json
 import re
 import sys
 import time
 
-from . import __version__, estimators
+from . import __version__
 from .cayley import STRATEGIES, BallBudgetError
 from .estimators import (
     cheeger_report,
@@ -42,7 +41,7 @@ from .marked import (
     product,
 )
 from .matrixh import generator_matrices, relation_report
-from .words import FIRST_OMEGA, OmegaWord, eta_word, parse_omega
+from .words import FIRST_OMEGA, OMEGA, OmegaWord, eta_word, parse_omega
 from .wreath import (
     apply_functor,
     ball_agreement_radius,
@@ -66,8 +65,6 @@ class ExprError(ValueError):
 
 _NAME = re.compile(r"[a-z_]+")
 _INT = re.compile(r"\d+")
-_OMEGA_PAREN = re.compile(r"\((\d+)\)\*")
-_OMEGA_BAR = re.compile(r"(\d*)\|(\d+)")
 
 
 class _Parser:
@@ -103,14 +100,11 @@ class _Parser:
             self.fail("expected an integer")
         return int(m.group())
 
-    def parse_omega(self) -> OmegaWord:
-        m = self.match(_OMEGA_PAREN)
-        if m:
-            return OmegaWord("", m.group(1))
-        m = self.match(_OMEGA_BAR)
-        if m:
-            return OmegaWord(m.group(1), m.group(2))
-        self.fail("expected an omega word like (012)* or pre|period")
+    def parse_omega_word(self) -> OmegaWord:
+        m = self.match(OMEGA)
+        if not m:
+            self.fail("expected an omega word like (012)*, pre|period or 012")
+        return parse_omega(m.group())
 
     def parse_set(self) -> tuple:
         self.take("{")
@@ -158,18 +152,18 @@ class _Parser:
         if name == "matrix_h":
             return MatrixHGroup()
         if name == "grig":
-            om = self.parse_omega()
+            om = self.parse_omega_word()
             self.take(",")
             return grig(om, self.parse_int())
         if name == "functor":
-            om = self.parse_omega()
+            om = self.parse_omega_word()
             self.take(",")
             k = self.parse_int()
             self.take(",")
             base = self.parse_expr()
             return iterate_functor(om, k, base)
         if name == "gj":
-            om = self.parse_omega()
+            om = self.parse_omega_word()
             self.take(",")
             J = self.parse_set()
             self.take(",")
@@ -210,6 +204,8 @@ def suite_matrix_relations() -> list:
 
 
 def suite_contraction(m: int = 2, omega: OmegaWord = FIRST_OMEGA) -> list:
+    if m < 1:  # F^0(H) is H itself, which no plain truncation matches
+        raise ValueError("m must be >= 1")
     n = 2**m - 1
     M = truncation_level(n, omega)
     F = iterate_functor(omega, m, MatrixHGroup())
@@ -263,85 +259,9 @@ def suite_product_compat(omega: OmegaWord = FIRST_OMEGA) -> list:
     return checks
 
 
-def _omega(args) -> OmegaWord:
-    return FIRST_OMEGA if args.omega is None else parse_omega(args.omega)
-
-
-# suite -> (suite function, flag dest -> keyword), called like _PARAMETERS'
-# estimators: by module-global name, with only the flags that are set.
-# "all" runs every row in this order and reads every flag.
-_SUITES = {
-    "matrix-relations": ("suite_matrix_relations", {}),
-    "contraction": ("suite_contraction", {"m": "m", "omega": "omega"}),
-    "eta": ("suite_eta", {"k": "k", "omega": "omega"}),
-    "product-compat": ("suite_product_compat", {"omega": "omega"}),
-}
-# the flags that some suite reads, in the order a usage error names them
-_SUITE_FLAGS = ("m", "k", "omega")
-# what an unset flag runs at, read once from the suite signatures for --help
-_SUITE_DEFAULTS = {
-    d: inspect.signature(globals()[name]).parameters[kw].default
-    for name, reads in _SUITES.values()
-    for d, kw in reads.items()
-}
-
-
-def run_verify(args) -> tuple:
-    given = {d: getattr(args, d) for d in _SUITE_FLAGS if getattr(args, d) is not None}
-    if "omega" in given:
-        given["omega"] = parse_omega(given["omega"])
-    checks = []
-    for suite in _SUITES if args.suite == "all" else [args.suite]:
-        name, reads = _SUITES[suite]
-        checks += globals()[name](**{kw: given[d] for d, kw in reads.items() if d in given})
-    ok = all(c["ok"] for c in checks)
-    blob = {"schema": VERIFY_SCHEMA, "suite": args.suite, "ok": ok, "checks": checks}
-    return ok, blob
-
-
-# ------------------------------------------------------------- estimate command
-
-# parameter -> (estimator, fixed arguments, flag dest -> estimator keyword).
-# The estimator is named, not held: it is looked up when it runs, so a
-# patched module global is the one called.  A flag left unset is not
-# passed, so the estimator's signature default is the only default.
-_PERCOLATION = {"R": "radius", "trials": "trials", "seed": "seed"}
-_PARAMETERS = {
-    "rho": ("spectral_radius", {}, {"n": "n_max"}),
-    "pc-site": ("percolation", {"mode": "site"}, _PERCOLATION),
-    "pc-bond": ("percolation", {"mode": "bond"}, _PERCOLATION),
-    "entropy": ("entropy", {}, {"n": "n_max"}),
-    "speed": ("speed", {}, {"n": "n"}),
-    "mu": ("connective_constant", {}, {"n": "n_max"}),
-    "cheeger": ("cheeger_report", {}, {"n": "n_max", "candidates": "candidates"}),
-    "growth": ("growth_report", {}, {"n": "n_max"}),
-    "eta-witness": (None, {}, {"omega": "omega"}),  # sweep only: an exact search
-}
-# the flags that some parameter reads, in the order a usage error names them
-_PARAMETER_FLAGS = ("n", "R", "trials", "candidates", "seed", "omega")
-
-
-@functools.cache  # every parser build reads six of these for the --n help
-def _signature_default(parameter: str, dest: str):
-    """What the estimator of ``parameter`` uses when flag ``dest`` is unset,
-    read in its home module, so a stand-in patched in here may differ."""
-    name, _, reads = _PARAMETERS[parameter]
-    return inspect.signature(getattr(estimators, name)).parameters[reads[dest]].default
-
-
-def run_estimate(args) -> dict:
-    g = parse_group_expr(args.group)
-    name, fixed, reads = _PARAMETERS[args.parameter]
-    given = {kw: getattr(args, d) for d, kw in reads.items() if getattr(args, d) is not None}
-    t0 = time.perf_counter()
-    rep = globals()[name](g, **fixed, **given)
-    print(f"runtime: {round(time.perf_counter() - t0, 6)} s", file=sys.stderr)
-    return rep.to_json()
-
-
 # ---------------------------------------------------------------- sweep command
 
-def _witness_matrix(specs: list, omega: OmegaWord) -> list:
+def _witness_matrix(specs: list, omega: OmegaWord = FIRST_OMEGA) -> list:
     """Rows for every ordered proper-subset pair of the listed J sets."""
     rows = []
     for J in specs:
@@ -359,11 +279,75 @@ def _witness_matrix(specs: list, omega: OmegaWord) -> list:
     return rows
 
 
+# ------------------------------------------------------------ the command table
+
+# command -> name -> (function, fixed arguments, flag dest -> keyword).  The
+# function is named, not held: it is looked up when it runs, so a patched
+# module global is the one called.  A flag left unset is not passed, so the
+# function's signature default is the only default.  "verify all" runs every
+# suite row in this order and reads the union of their flags.
+_PERCOLATION = {"R": "radius", "trials": "trials", "seed": "seed"}
+_ESTIMATES = {
+    "rho": ("spectral_radius", {}, {"n": "n_max"}),
+    "pc-site": ("percolation", {"mode": "site"}, _PERCOLATION),
+    "pc-bond": ("percolation", {"mode": "bond"}, _PERCOLATION),
+    "entropy": ("entropy", {}, {"n": "n_max"}),
+    "speed": ("speed", {}, {"n": "n"}),
+    "mu": ("connective_constant", {}, {"n": "n_max"}),
+    "cheeger": ("cheeger_report", {}, {"n": "n_max", "candidates": "candidates"}),
+    "growth": ("growth_report", {}, {"n": "n_max"}),
+}
+_COMMANDS = {
+    "verify": {
+        "matrix-relations": ("suite_matrix_relations", {}, {}),
+        "contraction": ("suite_contraction", {}, {"m": "m", "omega": "omega"}),
+        "eta": ("suite_eta", {}, {"k": "k", "omega": "omega"}),
+        "product-compat": ("suite_product_compat", {}, {"omega": "omega"}),
+    },
+    "estimate": _ESTIMATES,
+    # eta-witness is an exact search, so it reads no seed
+    "sweep": {**_ESTIMATES, "eta-witness": ("_witness_matrix", {}, {"omega": "omega"})},
+}
+# every flag some row reads, in the order a usage error names them
+_FLAGS = ("n", "R", "trials", "candidates", "seed", "m", "k", "omega")
+# (name, flag dest) -> what an unset flag runs at, read once from the signatures
+_DEFAULTS = {
+    (name, d): inspect.signature(globals()[fn]).parameters[kw].default
+    for rows in _COMMANDS.values()
+    for name, (fn, _, reads) in rows.items()
+    for d, kw in reads.items()
+}
+
+
+def _call(row, *args, flags):
+    """Run a table row's function on ``args`` and the row's flags that are set."""
+    fn, fixed, reads = row
+    given = {kw: getattr(flags, d) for d, kw in reads.items() if getattr(flags, d) is not None}
+    return globals()[fn](*args, **fixed, **given)
+
+
+def run_verify(args) -> dict:
+    rows = _COMMANDS["verify"]
+    checks = []
+    for suite in rows if args.suite == "all" else [args.suite]:
+        checks += _call(rows[suite], flags=args)
+    ok = all(c["ok"] for c in checks)
+    return {"schema": VERIFY_SCHEMA, "suite": args.suite, "ok": ok, "checks": checks}
+
+
+def run_estimate(args) -> dict:
+    g = parse_group_expr(args.group)
+    t0 = time.perf_counter()
+    rep = _call(_COMMANDS["estimate"][args.parameter], g, flags=args)
+    print(f"runtime: {round(time.perf_counter() - t0, 6)} s", file=sys.stderr)
+    return rep.to_json()
+
+
 def run_sweep(args) -> dict:
     rows = []
     if args.parameter == "eta-witness":
         sets = [_parse_whole(text, _Parser.parse_set) for text in args.groups]
-        rows = _witness_matrix(sets, _omega(args))
+        rows = _call(_COMMANDS["sweep"]["eta-witness"], sets, flags=args)
     else:
         for text in args.groups:
             row = {"group": text}
@@ -381,11 +365,8 @@ def run_sweep(args) -> dict:
             except (ExprError, ValueError) as exc:
                 row["error"] = str(exc)  # record and continue
             rows.append(row)
-    seed = args.seed
-    if "seed" not in _PARAMETERS[args.parameter][2]:
-        seed = None  # no random stream shaped the rows
-    elif seed is None:
-        seed = _signature_default(args.parameter, "seed")
+    # the seed the rows used: null where the parameter reads none
+    seed = _DEFAULTS.get((args.parameter, "seed")) if args.seed is None else args.seed
     return {"schema": SWEEP_SCHEMA, "parameter": args.parameter, "seed": seed, "rows": rows}
 
 
@@ -432,20 +413,32 @@ def to_csv(blob: dict) -> str:
 
 
 def _emit(blob: dict, args):
-    text_json = json.dumps(blob, indent=2, sort_keys=True) + "\n"
-    if args.json:
-        if args.json == "-":
-            sys.stdout.write(text_json)
-        else:
-            with open(args.json, "w") as f:
-                f.write(text_json)
-    if args.csv:
-        text = to_csv(blob)
-        if args.csv == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.csv, "w") as f:
-                f.write(text)
+    for path, render in (
+        (args.json, lambda: json.dumps(blob, indent=2, sort_keys=True) + "\n"),
+        (args.csv, lambda: to_csv(blob)),
+    ):
+        if path == "-":
+            sys.stdout.write(render())
+        elif path:
+            with open(path, "w") as f:
+                f.write(render())
+
+
+def _summary(command: str, blob: dict):
+    """The human-readable lines of a report."""
+    if command == "verify":
+        for c in blob["checks"]:
+            mark = "ok " if c["ok"] else "FAIL"
+            yield f"[{mark}] {c['name']}" + (f" ({c['detail']})" if c["detail"] else "")
+    elif command == "estimate":
+        cert = blob.get("certified")
+        extra = f"  certified {cert['direction']} bound {cert['value']:.6f}" if cert else ""
+        est = blob["estimate"]
+        shown = "n/a" if est is None else f"{est:.6f}"
+        yield f"{blob['parameter']} on {blob['group']}: {shown}{extra}"
+    else:
+        for row in blob["rows"]:
+            yield json.dumps(row, sort_keys=True)
 
 
 # ------------------------------------------------------------------ config file
@@ -488,11 +481,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--omega", help=f"defining word for functor towers (default {FIRST_OMEGA})")
 
     def estimate_options(p):
-        shown = ", ".join(
-            f"{name} {_signature_default(name, 'n')}"
-            for name, (_, _, reads) in _PARAMETERS.items()
-            if "n" in reads
-        )
+        shown = ", ".join(f"{name} {v}" for (name, d), v in _DEFAULTS.items() if d == "n")
         p.add_argument("--n", type=int, help=f"series length (default: {shown})")
         p.add_argument("--R", type=int, help="percolation ball radius")
         p.add_argument("--trials", type=int)
@@ -500,15 +489,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="random stream key")
 
     v = sub.add_parser("verify", help="run an exact invariant suite")
-    v.add_argument("suite", choices=[*_SUITES, "all"])
-    v.add_argument("--m", type=int, help=f"contraction depth (default {_SUITE_DEFAULTS['m']})")
-    v.add_argument("--k", type=int, help=f"separating word index (default {_SUITE_DEFAULTS['k']})")
+    v.add_argument("suite", choices=[*_COMMANDS["verify"], "all"])
+    m, k = _DEFAULTS["contraction", "m"], _DEFAULTS["eta", "k"]
+    v.add_argument("--m", type=int, help=f"contraction depth (default {m})")
+    v.add_argument("--k", type=int, help=f"separating word index (default {k})")
     omega(v)
     common(v)
 
     e = sub.add_parser("estimate", help="estimate one parameter on one group")
     e.add_argument("group", help="group expression, e.g. 'grig((012)*, 4)'")
-    e.add_argument("parameter", choices=[p for p, (name, _, _) in _PARAMETERS.items() if name])
+    e.add_argument("parameter", choices=list(_COMMANDS["estimate"]))
     estimate_options(e)
     e.add_argument(
         "--threads", type=int, default=0,
@@ -517,7 +507,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common(e)
 
     s = sub.add_parser("sweep", help="one report row per family member")
-    s.add_argument("parameter", choices=list(_PARAMETERS))
+    s.add_argument("parameter", choices=list(_COMMANDS["sweep"]))
     s.add_argument("groups", nargs="*", help="group expressions (J sets for eta-witness)")
     estimate_options(s)
     omega(s)
@@ -548,50 +538,22 @@ def main(argv=None) -> int:
         # the config only moves defaults, so argparse lets any flag win
         args = build_parser(conf).parse_args(argv)
     # a flag given in argv or the config is exactly one that is not None
-    if args.command == "verify":
-        name, flags = args.suite, _SUITE_FLAGS
-        reads = flags if name == "all" else _SUITES[name][1]
-    else:
-        name, flags = args.parameter, _PARAMETER_FLAGS
-        _, _, reads = _PARAMETERS[name]
-    unread = [
-        f"--{d}" for d in flags if d not in reads and getattr(args, d, None) is not None
-    ]
+    rows = _COMMANDS[args.command]
+    name = args.suite if args.command == "verify" else args.parameter
+    reads = set().union(*(r[2] for r in rows.values())) if name == "all" else rows[name][2]
+    unread = [f"--{d}" for d in _FLAGS if d not in reads and getattr(args, d, None) is not None]
     if unread:
         print(f"usage error: {name} does not read {', '.join(unread)}", file=sys.stderr)
         return 2
     try:
-        if args.command == "verify":
-            ok, blob = run_verify(args)
-            _emit(blob, args)
-            for c in blob["checks"]:
-                mark = "ok " if c["ok"] else "FAIL"
-                line = f"[{mark}] {c['name']}"
-                if c["detail"]:
-                    line += f" ({c['detail']})"
+        if getattr(args, "omega", None) is not None:
+            args.omega = parse_omega(args.omega)
+        blob = globals()[f"run_{args.command}"](args)
+        _emit(blob, args)
+        if "-" not in (args.json, args.csv):  # else stdout carries the report alone
+            for line in _summary(args.command, blob):
                 print(line)
-            return 0 if ok else 1
-        if args.command == "estimate":
-            blob = run_estimate(args)
-            _emit(blob, args)
-            if not (args.json == "-" or args.csv == "-"):
-                cert = blob.get("certified")
-                extra = (
-                    f"  certified {cert['direction']} bound {cert['value']:.6f}"
-                    if cert
-                    else ""
-                )
-                est = blob["estimate"]
-                shown = "n/a" if est is None else f"{est:.6f}"
-                print(f"{blob['parameter']} on {blob['group']}: {shown}{extra}")
-            return 0
-        if args.command == "sweep":
-            blob = run_sweep(args)
-            _emit(blob, args)
-            if not (args.json == "-" or args.csv == "-"):
-                for row in blob["rows"]:
-                    print(json.dumps(row, sort_keys=True))
-            return 0
+        return 0 if blob.get("ok", True) else 1  # only verify reports carry ok
     except ExprError as exc:
         print(f"expression error {exc}", file=sys.stderr)
         return 2
@@ -608,7 +570,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print("resource limit: out of memory", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -367,19 +367,18 @@ def percolation_pstars(
     ball = ensure_ball(g, radius, ball)
     if not ball.sphere_indices(radius):
         return np.array([])  # ball closed before R: no sphere to reach
-    size = ball.ball_size(radius)
     if mode == "bond":
-        # BFS order is prefix-stable, so the edges inside the radius-R ball
-        # keep the order of bfs_ball(g, R).edges()
-        edges = [(a, b) for a, b in ball.edges() if a < size and b < size]
-        links = [[] for _ in range(size)]
+        # BFS order is prefix-stable, so the edges of the radius-R sub-ball
+        # keep the order of bfs_ball(g, R).edges(), and a larger ball stays open
+        edges = ball.edges(radius)
+        links = [[] for _ in range(ball.ball_size(radius))]
         for e, (a, b) in enumerate(edges):
             links[a].append((e, b))
             links[b].append((e, a))
         n = len(edges)
     else:
-        links = [[(w, w) for w in nbrs] for nbrs in ball.neighbors()[:size]]
-        n = size
+        links = [[(w, w) for w in nbrs] for nbrs in ball.neighbors(radius)]
+        n = len(links)
     sphere_start = ball.layer_offsets[radius]
     pstars = []
     for t in range(trials):

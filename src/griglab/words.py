@@ -201,22 +201,17 @@ class OmegaWord:
         return f"({self.period})*"
 
 
-_OMEGA_STAR = re.compile(r"^\((?P<per>[012]+)\)\*$")
-_OMEGA_BAR = re.compile(r"^(?P<pre>[012]*)\|(?P<per>[012]+)$")
+# one omega word: "(012)*", "01|2" (pre|period) or a bare period "012";
+# the expression parser matches this token inside a constructor call
+OMEGA = re.compile(r"\((?P<star>[012]+)\)\*|(?P<pre>[012]*)\|(?P<per>[012]+)|(?P<bare>[012]+)")
 
 
 def parse_omega(text: str) -> OmegaWord:
     """Accepts "(012)*", "01|2", or a bare period like "012"."""
-    text = text.strip()
-    m = _OMEGA_STAR.match(text)
-    if m:
-        return OmegaWord("", m.group("per"))
-    m = _OMEGA_BAR.match(text)
-    if m:
-        return OmegaWord(m.group("pre"), m.group("per"))
-    if text and all(ch in "012" for ch in text):
-        return OmegaWord("", text)
-    raise ValueError(f"cannot parse omega word from {text!r}")
+    m = OMEGA.fullmatch(text.strip())
+    if not m:
+        raise ValueError(f"cannot parse omega word from {text!r}")
+    return OmegaWord(m["pre"] or "", m["star"] or m["per"] or m["bare"])
 
 
 FIRST_OMEGA = OmegaWord("", "012")

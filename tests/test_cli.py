@@ -51,6 +51,26 @@ def test_parse_omega_forms():
     assert a.omega_prefix == b.omega_prefix
 
 
+@pytest.mark.parametrize("form", ["(012)*", "21|0", "|012", "012"])
+def test_expressions_and_omega_flag_accept_the_same_forms(form, monkeypatch):
+    om = parse_omega(form)
+    assert parse_group_expr(f"grig({form}, 2)").label == f"grig({om}, 2)"
+    seen = []
+    monkeypatch.setattr(cli, "suite_product_compat", lambda **kw: seen.append(kw) or [])
+    assert main(["verify", "product-compat", "--omega", form]) == 0
+    assert seen == [{"omega": om}]
+
+
+@pytest.mark.parametrize("form", ["(013)*", "abc"])
+def test_expressions_and_omega_flag_reject_the_same_forms(form, capsys):
+    with pytest.raises(ValueError):
+        parse_omega(form)
+    with pytest.raises(ExprError):
+        parse_group_expr(f"grig({form}, 2)")
+    assert main(["verify", "product-compat", "--omega", form]) == 2
+    assert "cannot parse omega word" in capsys.readouterr().err
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ExprError) as ei:
         parse_group_expr("free(x)")
@@ -138,6 +158,24 @@ def test_verify_suites_read_their_flags_with_defaults(monkeypatch):
     assert main(["verify", "contraction", "--m", "5"]) == 0
     assert main(["verify", "eta", "--k", "0"]) == 0
     assert seen == [("contraction", {"m": 5}), ("eta", {"k": 0})]
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_verify_contraction_needs_m_at_least_one(m, capsys):
+    # F^0(H) is the matrix group itself, which no plain truncation matches
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        cli.suite_contraction(int(m))
+    assert main(["verify", "contraction", "--m", m]) == 2
+    assert "usage error: m must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, parse", [("--json", json.loads), ("--csv", str.splitlines)])
+def test_verify_to_stdout_prints_the_report_alone(flag, parse, capsys):
+    assert main(["verify", "matrix-relations", flag, "-"]) == 0
+    out = capsys.readouterr().out
+    assert "[ok ]" not in out
+    report = parse(out)
+    assert report["ok"] if flag == "--json" else report[0] == "name,ok,detail"
 
 
 def test_verify_unknown_suite_usage_error():
@@ -490,11 +528,13 @@ def _readme_table(header: str) -> dict:
 
 def test_readme_reads_tables_match_the_cli():
     # a flag dropped from a parameter or suite cannot stay documented
-    assert _readme_table("| parameter | reads |") == {
-        p: {f"--{d}" for d in reads} for p, (_, _, reads) in cli._PARAMETERS.items()
-    }
-    suites = {s: {f"--{d}" for d in reads} for s, (_, reads) in cli._SUITES.items()}
-    suites["all"] = {f"--{d}" for d in cli._SUITE_FLAGS}
+    def flags(command):
+        rows = cli._COMMANDS[command].items()
+        return {name: {f"--{d}" for d in reads} for name, (_, _, reads) in rows}
+
+    assert _readme_table("| parameter | reads |") == flags("sweep")
+    suites = flags("verify")
+    suites["all"] = set().union(*suites.values())
     assert _readme_table("| suite | reads |") == suites
 
 
@@ -519,6 +559,23 @@ def test_cli_defaults_are_the_signature_defaults():
         assert all(d[flag[2:]] is None for flag in _ESTIMATE), name
     for name in ("verify", "sweep"):
         assert {a.dest: a.default for a in subs[name]._actions}["omega"] is None
+
+
+def test_help_shows_the_signature_defaults():
+    subs = _subparsers()
+    helps = {(name, a.dest): a.help for name, p in subs.items() for a in p._actions}
+    n_default = {
+        p: inspect.signature(getattr(estimators, fn)).parameters[kw].default
+        for p, fn, kw in [("rho", "spectral_radius", "n_max"), ("entropy", "entropy", "n_max"),
+                          ("speed", "speed", "n"), ("mu", "connective_constant", "n_max"),
+                          ("cheeger", "cheeger_report", "n_max"),
+                          ("growth", "growth_report", "n_max")]
+    }
+    shown = ", ".join(f"{p} {v}" for p, v in n_default.items())
+    assert shown == "rho 12, entropy 16, speed 16, mu 10, cheeger 6, growth 8"
+    assert helps["estimate", "n"] == helps["sweep", "n"] == f"series length (default: {shown})"
+    assert helps["verify", "m"] == "contraction depth (default 2)"
+    assert helps["verify", "k"] == "separating word index (default 1)"
 
 
 @pytest.mark.parametrize(

@@ -358,13 +358,20 @@ def test_invasion_matches_sort_and_union_find(expr, R, mode):
 
 @pytest.mark.parametrize("mode", ["bond", "site"])
 @pytest.mark.parametrize("expr, R", [("grid(2)", 4), ("free(2)", 4), ("cycle(2)", 1)])
-def test_percolation_ignores_the_radius_of_a_passed_ball(expr, R, mode):
+def test_percolation_ignores_the_radius_of_a_passed_ball(expr, R, mode, monkeypatch):
     # a larger ball has edges past R among its own; they must not shift the
-    # uniform indices of the edges inside the radius-R ball
+    # uniform indices of the edges inside the radius-R ball.  Its radius-R
+    # rows are complete, so it is read without a product and stays open
     g = parse_group_expr(expr)
     want = percolation_pstars(g, mode, R, 12, 3)
-    got = percolation_pstars(g, mode, R, 12, 3, ball=bfs_ball(g, R + 2))
+    calls = []
+    mul = g.mul
+    monkeypatch.setattr(g, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    ball = bfs_ball(g, R + 2)
+    built = len(calls)
+    got = percolation_pstars(g, mode, R, 12, 3, ball=ball)
     assert want.size and np.array_equal(got, want)
+    assert len(calls) == built and not ball.closed
 
 
 def _links(n, weighted_edges):

@@ -39,7 +39,7 @@ GOLDEN = [
     (["estimate", "gj((012)*, {1,3}, 6)", "growth", "--n", "6"],
      "51bddd55d4a719355a88fc7a77088541593c0fe19f447d3c758d0120540efee9"),
     (["verify", "eta", "--k", "2"],
-     "ccaf91860fa99d974714c009fe2aed3f6172c655380f3c6cf39849e3ef4470d7"),
+     "e5295726065071a46867d49132980fd2c1147cb93ef9e383223e331b6d4f8f19"),
     (["sweep", "eta-witness", "{}", "{1}", "{2}"],
      "64f684169890ff69e7e940bf6910f0d3445570abcd77619969aa88968a485aa3"),
 ]
