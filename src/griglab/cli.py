@@ -537,6 +537,9 @@ def main(argv=None) -> int:
             return 2
         # the config only moves defaults, so argparse lets any flag win
         args = build_parser(conf).parse_args(argv)
+    if args.json == args.csv == "-":
+        print("usage error: --json - and --csv - would both write stdout", file=sys.stderr)
+        return 2
     # a flag given in argv or the config is exactly one that is not None
     rows = _COMMANDS[args.command]
     name = args.suite if args.command == "verify" else args.parameter

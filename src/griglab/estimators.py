@@ -10,6 +10,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -77,11 +78,6 @@ def free_distance_counts(rank: int, n_max: int) -> list:
     return rows
 
 
-def free_sphere_size(rank: int, d: int) -> int:
-    k = 2 * rank
-    return 1 if d == 0 else k * (k - 1) ** (d - 1)
-
-
 def tree_return_counts(rank: int, n_max: int) -> list:
     """Exact closed-walk counts on the 2*rank-regular tree (independent
     of the ball construction; cross-check oracle for the cogrowth DP)."""
@@ -93,43 +89,64 @@ def tree_return_counts(rank: int, n_max: int) -> list:
 
 @dataclass
 class WalkDistribution:
-    """Exact distribution of the simple random walk at time n.
-
-    counts[v] is the number of length-n symbol words evaluating to ball
-    vertex v; the total is k^n, so probabilities are exact Fractions.
+    """Exact law of the simple random walk at time n, by classes of points
+    it reaches equally often: counts[i] length-n symbol words end at each
+    point of class i, at distance distances[i]; the class has sizes[i]
+    points (None: each class is one vertex of ball).  The total is k^n,
+    so probabilities are exact Fractions.
     """
 
     group: MarkedGroup
     n: int
-    ball: CayleyBall
     counts: list
+    distances: list
+    sizes: list | None = None
+    ball: CayleyBall | None = None
 
     @property
     def total(self) -> int:
         return self.group.k ** self.n
 
-    def prob(self, v: int) -> Fraction:
-        return Fraction(self.counts[v], self.total)
+    def prob(self, i: int) -> Fraction:
+        return Fraction(self.counts[i], self.total)
 
     def mean_distance(self) -> Fraction:
-        num = sum(c * int(self.ball.dist[v]) for v, c in enumerate(self.counts))
-        return Fraction(num, self.total)
+        weights = self.counts if self.sizes is None else map(mul, self.sizes, self.counts)
+        return Fraction(sum(w * d for w, d in zip(weights, self.distances)), self.total)
 
     def entropy(self) -> float:
-        """H = n log k - (1/k^n) sum c log c, compensated summation."""
-        total = self.total
-        acc = math.fsum(c * math.log(c) for c in self.counts if c > 1)
-        return self.n * math.log(self.group.k) - acc / float(total)
+        """H = n log k - (1/k^n) sum size * c log c, compensated summation.
+        Past k^n = 2^1010 the same low bits leave each weight size * c and
+        k^n, so both fit a float; a ball (k^n <= e^700) keeps every bit."""
+        log, total = math.log, self.total
+        shift = max(0, total.bit_length() - 1010)
+        if self.sizes is None:
+            acc = math.fsum(c * log(c) for c in self.counts if c > 1)
+        else:
+            pairs = zip(self.sizes, self.counts)
+            acc = math.fsum((s * c >> shift) * log(c) for s, c in pairs if c > 1)
+        return self.n * log(self.group.k) - acc / float(total >> shift)
 
 
-def _walk_laws(g: MarkedGroup, n: int, ball: CayleyBall | None):
-    """Yield the exact walk distributions at t = 0..n, all on one ball of
-    radius >= n.  The float range is checked before any ball is built."""
-    if n * math.log(g.k) > 700:
-        raise ValueError("k^n exceeds float range; use a radial method")
+def _walk_laws(g: MarkedGroup, n: int, ball: CayleyBall | None, method: str):
+    """Yield the exact walk laws at t = 0..n.  "radial": one class per
+    sphere of a free group's tree, from the distance recursion, where the
+    law is uniform on each sphere; "ball": one class per vertex of one
+    ball of radius >= n, whose float range is checked before it is built."""
+    k = g.k
+    if method == "radial":
+        sizes = [1] + [k * (k - 1) ** (d - 1) for d in range(1, n + 1)]
+        for t, row in enumerate(free_distance_counts(g.rank, n)):
+            counts = [m // s for m, s in zip(row, sizes)]
+            yield WalkDistribution(g, t, counts, range(t + 1), sizes[: t + 1])
+        return
+    if n * math.log(k) > 700:
+        hint = "; use method radial" if isinstance(g, FreeGroup) else ""
+        raise ValueError(f"k^n = {k}^{n} exceeds e^700, the float range of the ball method{hint}")
     ball = ensure_ball(g, n, ball)
+    dist = ball.dist.tolist()
     for t, counts in enumerate(walk_counts(ball, n)):
-        yield WalkDistribution(g, t, ball, counts.tolist())
+        yield WalkDistribution(g, t, counts.tolist(), dist, ball=ball)
 
 
 def walk_distribution(
@@ -137,7 +154,7 @@ def walk_distribution(
 ) -> WalkDistribution:
     if n < 0:
         raise ValueError("n must be >= 0")
-    for law in _walk_laws(g, n, ball):
+    for law in _walk_laws(g, n, ball, "ball"):
         pass  # keep the last step
     return law
 
@@ -220,22 +237,7 @@ def entropy(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     method = _walk_method(g, method, "entropy")
-    k = g.k
-    if method == "radial":
-        rows = free_distance_counts(g.rank, n_max)
-        logk = math.log(k)
-        hs = []
-        for t in range(1, n_max + 1):
-            total = k**t
-            terms = []
-            for d, m in enumerate(rows[t]):
-                if m == 0:
-                    continue
-                p = float(Fraction(m, total))
-                terms.append(p * (math.log(m) - math.log(free_sphere_size(g.rank, d))))
-            hs.append(t * logk - math.fsum(terms))
-    else:
-        hs = [law.entropy() for law in _walk_laws(g, n_max, ball)][1:]
+    hs = [law.entropy() for law in _walk_laws(g, n_max, ball, method)][1:]
     rates = [h / t for t, h in zip(range(1, n_max + 1), hs)]
     certified_seq = running_bound(rates, "upper")
     return EstimateReport(
@@ -243,7 +245,7 @@ def entropy(
         group=g.label,
         estimate=rates[-1],
         certified={"value": certified_seq[-1], "direction": "upper"},
-        parameters={"n_max": n_max, "method": method, "k": k},
+        parameters={"n_max": n_max, "method": method, "k": g.k},
         series={
             "n": list(range(1, n_max + 1)),
             "H": hs,
@@ -256,39 +258,29 @@ def entropy(
 
 # ------------------------------------------------------------------------ speed
 
-def speed(g: MarkedGroup, n: int = 16, method: str = "auto") -> EstimateReport:
-    """Mean displacement rate E|walk at n| / n, exact.
+_LAW_SOURCES = {"radial": "the distance recursion", "ball": "the walk distributions on the ball"}
 
-    method "radial" (free groups: the distance-counts recursion, no ball)
-    or "ball" (any group: the mean of the walk distribution on the
-    radius-n ball).  "auto" takes radial for a free group, else ball.
+
+def speed(g: MarkedGroup, n: int = 16, method: str = "auto") -> EstimateReport:
+    """Mean displacement rate E|walk at t| / t for t = 1..n, exact.
+
+    The means are those of the walk laws: method "radial" (free groups:
+    the distance recursion, no ball) or "ball" (any group: the walk
+    distributions on the radius-n ball).  "auto" takes radial for a free
+    group, else ball.  The estimate is the rate at t = n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     method = _walk_method(g, method, "speed")
-    k = g.k
-    if method == "radial":
-        rows = free_distance_counts(g.rank, n)
-        means = []
-        for t in range(1, n + 1):
-            num = sum(d * m for d, m in enumerate(rows[t]))
-            means.append(float(Fraction(num, k**t)))
-        rates = [m / t for t, m in zip(range(1, n + 1), means)]
-        estimate = rates[-1]
-        series = {"n": list(range(1, n + 1)), "mean_distance": means, "rate": rates}
-        note = "exact finite-time means from the distance recursion"
-    else:
-        mean = walk_distribution(g, n).mean_distance()
-        estimate = float(mean) / n
-        series = {"n": [n], "mean_distance": [float(mean)], "rate": [estimate]}
-        note = "exact finite-time mean from the full walk distribution"
+    means = [float(law.mean_distance()) for law in _walk_laws(g, n, None, method)][1:]
+    rates = [m / t for t, m in zip(range(1, n + 1), means)]
     return EstimateReport(
         parameter="speed",
         group=g.label,
-        estimate=estimate,
+        estimate=rates[-1],
         parameters={"n": n, "method": method},
-        series=series,
-        notes=[note],
+        series={"n": list(range(1, n + 1)), "mean_distance": means, "rate": rates},
+        notes=[f"exact finite-time means from {_LAW_SOURCES[method]}"],
     )
 
 

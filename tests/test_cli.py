@@ -178,6 +178,19 @@ def test_verify_to_stdout_prints_the_report_alone(flag, parse, capsys):
     assert report["ok"] if flag == "--json" else report[0] == "name,ok,detail"
 
 
+def test_json_and_csv_both_to_stdout_exit_two(monkeypatch, tmp_path, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "spectral_radius", lambda *a, **k: ran.append(a))
+    argv = ["estimate", "free(2)", "rho", "--csv", "-"]
+    assert main(argv + ["--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage error: --json - and --csv -" in err
+    conf = tmp_path / "c.conf"
+    conf.write_text("json=-\n")
+    assert main(argv + ["--config", str(conf)]) == 2
+    assert ran == []
+
+
 def test_verify_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as ei:
         main(["verify", "bogus"])

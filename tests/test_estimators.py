@@ -14,6 +14,7 @@ from griglab.cli import parse_group_expr
 from griglab.estimators import (
     EstimateReport,
     _invasion_pstar,
+    _walk_laws,
     cheeger_report,
     connective_constant,
     entropy,
@@ -105,6 +106,35 @@ def test_entropy_radial_equals_ball_dp():
         assert a == pytest.approx(b, abs=1e-10)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3], ids=lambda r: f"free({r})")
+def test_radial_laws_equal_the_ball_laws(rank):
+    """The recursion's sphere classes and the ball DP's vertices are two
+    independent count sources for one walk law."""
+    g = FreeGroup(rank)
+    radial = list(_walk_laws(g, 8, None, "radial"))
+    ball = list(_walk_laws(g, 8, None, "ball"))
+    assert len(radial) == len(ball) == 9
+    for r, b in zip(radial, ball):
+        assert r.mean_distance() == b.mean_distance()
+        assert r.entropy() == pytest.approx(b.entropy(), abs=1e-12)
+    for method in ("radial", "ball"):
+        assert speed(g, 8, method=method).series["mean_distance"] == [
+            float(law.mean_distance()) for law in radial[1:]
+        ]
+        hs = entropy(g, 8, method=method).series["H"]
+        assert hs == pytest.approx([law.entropy() for law in radial[1:]], abs=1e-12)
+
+
+def test_radial_entropy_and_speed_past_float_range():
+    # 4^600 > 2^1024: the radial laws drop the same low bits from the
+    # weights and from k^n; the pinned values come from the per-term
+    # Fraction sum that the radial entropy used before
+    assert entropy(FreeGroup(2), 600, method="radial").estimate == pytest.approx(
+        0.5574547445946986, abs=1e-15
+    )
+    assert speed(FreeGroup(2), 600, method="radial").estimate == 0.50125
+
+
 def test_entropy_rates_nonincreasing_free():
     rep = entropy(FreeGroup(2), 40)
     rates = rep.series["rate"]
@@ -138,8 +168,11 @@ def test_ball_entropy_range_check_precedes_ball_build(monkeypatch):
         raise AssertionError("ball built before the range check")
 
     monkeypatch.setattr(cayley, "bfs_ball", no_ball)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"4\^600 exceeds e\^700") as ei:
         entropy(GammaFree(), 600, method="ball")
+    assert "radial" not in str(ei.value)  # radial refuses gamma_free()
+    with pytest.raises(ValueError, match="use method radial"):
+        entropy(FreeGroup(2), 600, method="ball")
 
 
 # ------------------------------------------------------------------------- speed
@@ -173,6 +206,7 @@ def test_speed_ball_is_the_closed_form_on_the_line(n):
     rep = speed(GridGroup(1), n)
     assert rep.parameters["method"] == "ball"
     assert rep.estimate == float(exact) / n
+    assert rep.series["n"] == list(range(1, n + 1))
 
 
 def test_speed_gamma_free_is_pinned():

@@ -17,9 +17,9 @@ GOLDEN = [
     (["estimate", "gamma_free()", "entropy", "--n", "8"],
      "ec72b9f5a9597398eda38ba3a3fdb567cdac81c0cfcd930f8172bb078fcaeada"),
     (["estimate", "free(2)", "entropy", "--n", "20"],
-     "c7447c72f49b86afe7ee183223aeae9e5c2ec6af1b3d06157f865f5f8abb79e4"),
+     "c0e72bef3a80668aa505a8cf0047416aabadad8e19d6a2579785396e9c13d523"),
     (["estimate", "grid(2)", "speed", "--n", "12"],
-     "0fcf7497ee20aa281d274c373084d4b297704a989467137f619bd4028245d05c"),
+     "088c2fc3c6d6c2014f65f4684be4a9c94ec94a5fe83a13db6e26b007fb78582a"),
     (["estimate", "free(2)", "speed", "--n", "20"],
      "9d054a1d43dd4dcf4038b736fec0e3f329f9750ceb200855e517774192f1de73"),
     (["estimate", "grid(2)", "mu", "--n", "8"],
