@@ -343,6 +343,10 @@ def run_estimate(args) -> dict:
     return rep.to_json()
 
 
+def _budget_text(exc: BallBudgetError) -> str:
+    return f"resource limit: ball budget {exc.budget} reached at radius {exc.achieved_radius}"
+
+
 def run_sweep(args) -> dict:
     rows = []
     if args.parameter == "eta-witness":
@@ -364,6 +368,8 @@ def run_sweep(args) -> dict:
                 )
             except (ExprError, ValueError) as exc:
                 row["error"] = str(exc)  # record and continue
+            except BallBudgetError as exc:
+                row["error"] = _budget_text(exc)
             rows.append(row)
     # the seed the rows used: null where the parameter reads none
     seed = _DEFAULTS.get((args.parameter, "seed")) if args.seed is None else args.seed
@@ -455,7 +461,7 @@ def load_config(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            out[key] = int(value) if re.fullmatch(r"-?\d+", value) else value
+            out[key] = value  # argparse converts a string default by the flag's type
     return out
 
 
@@ -564,11 +570,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except BallBudgetError as exc:
-        print(
-            f"resource limit: ball budget {exc.budget} reached at radius "
-            f"{exc.achieved_radius}",
-            file=sys.stderr,
-        )
+        print(_budget_text(exc), file=sys.stderr)
         return 3
     except MemoryError:
         print("resource limit: out of memory", file=sys.stderr)

@@ -57,32 +57,24 @@ class EstimateReport:
 
 # ---------------------------------------------------------------- radial chains
 
-def free_distance_counts(rank: int, n_max: int) -> list:
-    """M_t(d): exact number of length-t generator words of a free group
-    whose product lies at distance d.  Row t sums to (2*rank)^t."""
+def free_point_counts(rank: int, n_max: int):
+    """Yield c_t for t = 0..n_max, keeping one row: c_t[d] is the exact
+    number of length-t generator words of a free group whose product is a
+    given point at distance d.  The distance chain of the k-regular tree,
+    k = 2*rank: c_{t+1}(0) = k c_t(1), c_{t+1}(d) = c_t(d-1) + (k-1) c_t(d+1)."""
     k = 2 * rank
-    rows = [[1]]
-    cur = [1]
+    row = [1]
+    yield row
     for _ in range(n_max):
-        new = [0] * (len(cur) + 1)
-        for d, m in enumerate(cur):
-            if m == 0:
-                continue
-            if d == 0:
-                new[1] += m * k
-            else:
-                new[d + 1] += m * (k - 1)
-                new[d - 1] += m
-        cur = new
-        rows.append(cur)
-    return rows
+        up = row[1:] + [0, 0]  # c_t(d + 1) for d = 0..t + 1
+        row = [k * up[0]] + [a + (k - 1) * b for a, b in zip(row, up[1:])]
+        yield row
 
 
 def tree_return_counts(rank: int, n_max: int) -> list:
     """Exact closed-walk counts on the 2*rank-regular tree (independent
     of the ball construction; cross-check oracle for the cogrowth DP)."""
-    rows = free_distance_counts(rank, n_max)
-    return [row[0] for row in rows]
+    return [row[0] for row in free_point_counts(rank, n_max)]
 
 
 # ------------------------------------------------------------- walk distribution
@@ -91,9 +83,9 @@ def tree_return_counts(rank: int, n_max: int) -> list:
 class WalkDistribution:
     """Exact law of the simple random walk at time n, by classes of points
     it reaches equally often: counts[i] length-n symbol words end at each
-    point of class i, at distance distances[i]; the class has sizes[i]
-    points (None: each class is one vertex of ball).  The total is k^n,
-    so probabilities are exact Fractions.
+    point of class i (a sphere of a free group's tree, or one vertex of
+    ball when sizes is None), at distance distances[i]; the class has
+    sizes[i] points.  The total is k^n, so probabilities are exact Fractions.
     """
 
     group: MarkedGroup
@@ -130,14 +122,16 @@ class WalkDistribution:
 
 def _walk_laws(g: MarkedGroup, n: int, ball: CayleyBall | None, method: str):
     """Yield the exact walk laws at t = 0..n.  "radial": one class per
-    sphere of a free group's tree, from the distance recursion, where the
-    law is uniform on each sphere; "ball": one class per vertex of one
-    ball of radius >= n, whose float range is checked before it is built."""
+    sphere of a free group's tree, on which the law is uniform, counted by
+    free_point_counts; "ball": one class per vertex of one ball of radius
+    >= n, whose float range is checked before it is built.  Either method
+    refuses a ball of another group."""
     k = g.k
+    if ball is not None:
+        ensure_ball(g, 0, ball)  # only refuses a ball of another group
     if method == "radial":
         sizes = [1] + [k * (k - 1) ** (d - 1) for d in range(1, n + 1)]
-        for t, row in enumerate(free_distance_counts(g.rank, n)):
-            counts = [m // s for m, s in zip(row, sizes)]
+        for t, counts in enumerate(free_point_counts(g.rank, n)):
             yield WalkDistribution(g, t, counts, range(t + 1), sizes[: t + 1])
         return
     if n * math.log(k) > 700:

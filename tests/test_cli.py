@@ -61,6 +61,16 @@ def test_expressions_and_omega_flag_accept_the_same_forms(form, monkeypatch):
     assert seen == [{"omega": om}]
 
 
+def test_an_all_digit_omega_in_the_config_runs_like_the_flag(monkeypatch, tmp_path):
+    conf = tmp_path / "lab.conf"
+    conf.write_text("omega=012\n")
+    seen = []
+    monkeypatch.setattr(cli, "suite_product_compat", lambda **kw: seen.append(kw) or [])
+    assert main(["verify", "product-compat", "--config", str(conf)]) == 0
+    assert main(["verify", "product-compat", "--omega", "012"]) == 0
+    assert seen == [{"omega": parse_omega("012")}] * 2
+
+
 @pytest.mark.parametrize("form", ["(013)*", "abc"])
 def test_expressions_and_omega_flag_reject_the_same_forms(form, capsys):
     with pytest.raises(ValueError):
@@ -437,6 +447,23 @@ def test_sweep_row_error_recorded(tmp_path):
     rows = json.loads(jp.read_text())["rows"]
     assert "error" not in rows[0]
     assert "error" in rows[1]
+
+
+def test_sweep_row_over_the_ball_budget_recorded(monkeypatch, tmp_path):
+    def speed(g, **kw):
+        if g.label == "gamma_free()":
+            raise BallBudgetError(25, 1000)
+        return real(g, **kw)
+
+    real = cli.speed
+    monkeypatch.setattr(cli, "speed", speed)
+    jp = tmp_path / "s.json"
+    argv = ["sweep", "speed", "free(2)", "gamma_free()", "free(3)", "--n", "4"]
+    assert main(argv + ["--json", str(jp)]) == 0
+    rows = json.loads(jp.read_text())["rows"]
+    assert [r["group"] for r in rows] == ["free(2)", "gamma_free()", "free(3)"]
+    assert "error" not in rows[0] and "error" not in rows[2]
+    assert rows[1]["error"] == "resource limit: ball budget 1000 reached at radius 25"
 
 
 def test_config_defaults_and_flag_priority(tmp_path):

@@ -1,5 +1,6 @@
 """Estimator benchmarks against exactly known values and each other."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -18,7 +19,7 @@ from griglab.estimators import (
     cheeger_report,
     connective_constant,
     entropy,
-    free_distance_counts,
+    free_point_counts,
     growth_report,
     percolation,
     percolation_pstars,
@@ -44,9 +45,22 @@ def test_tree_oracle_rank_one_is_central_binomial():
 
 
 def test_tree_oracle_rows_sum_to_powers():
-    rows = free_distance_counts(2, 9)
-    for t, row in enumerate(rows):
-        assert sum(row) == 4**t
+    """Each point of sphere d (S_d = k(k-1)^(d-1) of them) is reached by
+    c_t(d) of the k^t words of length t."""
+    for rank in (1, 2, 3, 4):
+        k = 2 * rank
+        rows = list(free_point_counts(rank, 12))
+        assert len(rows) == 13
+        for t, row in enumerate(rows):
+            sizes = [1] + [k * (k - 1) ** (d - 1) for d in range(1, t + 1)]
+            assert len(row) == t + 1
+            assert sum(s * c for s, c in zip(sizes, row)) == k**t
+
+
+def test_free_point_counts_keep_one_row_at_a_time():
+    # a billion steps would never finish if the rows were built up front
+    rows = list(itertools.islice(free_point_counts(2, 10**9), 5))
+    assert rows == [[1], [0, 1], [4, 0, 1], [0, 7, 0, 1], [28, 0, 10, 0, 1]]
 
 
 def test_tree_oracle_matches_ball_dp():
@@ -241,6 +255,8 @@ def test_ball_estimators_refuse_a_ball_of_another_group():
     for call in (
         lambda: spectral_radius(free, 8, ball=grid_ball),
         lambda: entropy(free, 4, method="ball", ball=grid_ball),
+        lambda: entropy(free, 4, ball=grid_ball),
+        lambda: entropy(free, 4, method="radial", ball=grid_ball),
         lambda: walk_distribution(free, 4, ball=grid_ball),
         lambda: percolation_pstars(free, "bond", 4, 5, ball=grid_ball),
     ):

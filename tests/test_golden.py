@@ -22,6 +22,10 @@ GOLDEN = [
      "088c2fc3c6d6c2014f65f4684be4a9c94ec94a5fe83a13db6e26b007fb78582a"),
     (["estimate", "free(2)", "speed", "--n", "20"],
      "9d054a1d43dd4dcf4038b736fec0e3f329f9750ceb200855e517774192f1de73"),
+    (["estimate", "free(2)", "entropy", "--n", "1000"],
+     "8ecd4e72b1ba13ff1c0afb00997cedd2156bcfc50f64fbef0b8f911ac0b75c18"),
+    (["estimate", "free(2)", "speed", "--n", "1000"],
+     "a58b716c80f3237e3e1da35515fd70a8c73b89431bb8f2987e1ed9991fa09eb4"),
     (["estimate", "grid(2)", "mu", "--n", "8"],
      "571ae7f3ab24c625f56b68274f0182d7fc0a0a3c9c2e2f36100f8c8f9c162ea5"),
     (["estimate", "grid(2)", "pc-bond", "--R", "8", "--trials", "50", "--seed", "3"],
