@@ -10,7 +10,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import chain, repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .cayley import (
     saw_count,
     walk_counts,
 )
-from .marked import FreeGroup, MarkedGroup
+from .marked import FreeGroup, GammaFree, MarkedGroup
 
 SCHEMA = "griglab/estimate/1"
 
@@ -57,24 +58,57 @@ class EstimateReport:
 
 # ---------------------------------------------------------------- radial chains
 
-def free_point_counts(rank: int, n_max: int):
-    """Yield c_t for t = 0..n_max, keeping one row: c_t[d] is the exact
-    number of length-t generator words of a free group whose product is a
-    given point at distance d.  The distance chain of the k-regular tree,
-    k = 2*rank: c_{t+1}(0) = k c_t(1), c_{t+1}(d) = c_t(d-1) + (k-1) c_t(d+1)."""
-    k = 2 * rank
-    row = [1]
-    yield row
-    for _ in range(n_max):
-        up = row[1:] + [0, 0]  # c_t(d + 1) for d = 0..t + 1
-        row = [k * up[0]] + [a + (k - 1) * b for a, b in zip(row, up[1:])]
-        yield row
+# Groups whose walk law is uniform on each class (distance d >= 1, type),
+# each mapping k to (root, moves): root[i] counts the identity's neighbours
+# of type i, and moves[i] lists the neighbours of a point of type i as
+# (distance step, type, multiplicity).  Every point past the identity has
+# exactly one neighbour nearer to it.
+_RADIAL_CHAINS = {
+    # the k-regular tree: one type, one step in and k - 1 out
+    FreeGroup: lambda k: ((k,), (((-1, 0, 1), (1, 0, k - 1)),)),
+    # a tree of K4 blocks {x, xb, xc, xd} joined by a-edges: type 0 ends
+    # in a, type 1 in b, c or d, whose other two letters stay in its block
+    GammaFree: lambda k: ((1, 3), (((-1, 1, 1), (1, 1, 3)), ((-1, 0, 1), (1, 0, 1), (0, 1, 2)))),
+}
+
+
+def _radial_chain(g: MarkedGroup):
+    """g's row of the radial-chain table as (root, moves), or None."""
+    chain = _RADIAL_CHAINS.get(type(g))
+    return chain(g.k) if chain else None
+
+
+def radial_point_counts(g: MarkedGroup, n_max: int):
+    """Yield, for t = 0..n_max, one list per type of g's radial chain:
+    rows[i][d] is the exact number of length-t generator words whose
+    product is a given point of type i at distance d >= 1, and rows[i][0]
+    the number returning to the identity.  One row is kept alive:
+    c_{t+1}(i, d) = sum of m * c_t(j, d + step) over the moves of type i,
+    a step to distance 0 reading c_t(0), and c_{t+1}(0) sums the root's
+    multiplicities times c_t(j, 1)."""
+    root, moves = _radial_chain(g)
+    rows = [[1] for _ in root]
+    yield rows
+    for t in range(n_max):
+        padded = [row + [0, 0] for row in rows]  # c_t(j, d) for d = 0..t + 2
+        identity = sum(m * row[1] for m, row in zip(root, padded))
+        new = []
+        for type_moves in moves:
+            acc = None
+            for step, j, m in type_moves:
+                part = padded[j][1 + step : t + 2 + step]  # c_t(j, d + step), d = 1..t + 1
+                if m != 1:
+                    part = map(mul, part, repeat(m))
+                acc = part if acc is None else map(add, acc, part)
+            new.append([identity, *acc])
+        rows = new
+        yield rows
 
 
 def tree_return_counts(rank: int, n_max: int) -> list:
     """Exact closed-walk counts on the 2*rank-regular tree (independent
     of the ball construction; cross-check oracle for the cogrowth DP)."""
-    return [row[0] for row in free_point_counts(rank, n_max)]
+    return [rows[0][0] for rows in radial_point_counts(FreeGroup(rank), n_max)]
 
 
 # ------------------------------------------------------------- walk distribution
@@ -83,8 +117,8 @@ def tree_return_counts(rank: int, n_max: int) -> list:
 class WalkDistribution:
     """Exact law of the simple random walk at time n, by classes of points
     it reaches equally often: counts[i] length-n symbol words end at each
-    point of class i (a sphere of a free group's tree, or one vertex of
-    ball when sizes is None), at distance distances[i]; the class has
+    point of class i (a distance and type of a radial chain, or one vertex
+    of ball when sizes is None), at distance distances[i]; the class has
     sizes[i] points.  The total is k^n, so probabilities are exact Fractions.
     """
 
@@ -120,23 +154,34 @@ class WalkDistribution:
         return self.n * log(self.group.k) - acc / float(total >> shift)
 
 
+def _classes(rows: list, t: int) -> list:
+    """Flatten per-type rows to the identity, then each type at d = 1..t."""
+    return list(chain(rows[0][: t + 1], *(row[1 : t + 1] for row in rows[1:])))
+
+
 def _walk_laws(g: MarkedGroup, n: int, ball: CayleyBall | None, method: str):
-    """Yield the exact walk laws at t = 0..n.  "radial": one class per
-    sphere of a free group's tree, on which the law is uniform, counted by
-    free_point_counts; "ball": one class per vertex of one ball of radius
-    >= n, whose float range is checked before it is built.  Either method
-    refuses a ball of another group."""
-    k = g.k
-    if ball is not None:
-        ensure_ball(g, 0, ball)  # only refuses a ball of another group
+    """Yield the exact walk laws at t = 0..n.  "radial": the identity and
+    one class per (distance, type) of g's radial chain, on which the law is
+    uniform, counted by radial_point_counts; "ball": one class per vertex
+    of one ball of radius >= n, whose float range is checked before it is
+    built."""
     if method == "radial":
-        sizes = [1] + [k * (k - 1) ** (d - 1) for d in range(1, n + 1)]
-        for t, counts in enumerate(free_point_counts(g.rank, n)):
-            yield WalkDistribution(g, t, counts, range(t + 1), sizes[: t + 1])
+        root, moves = _radial_chain(g)
+        # sizes[i][d]: points of type i at distance d, each reached by one step out
+        sizes = [[1, m] for m in root]
+        for d in range(1, n):
+            for i, row in enumerate(sizes):
+                row.append(sum(sizes[j][d] * m for j, type_moves in enumerate(moves)
+                               for step, to, m in type_moves if (step, to) == (1, i)))
+        dist = [range(n + 1)] * len(root)
+        for t, rows in enumerate(radial_point_counts(g, n)):
+            yield WalkDistribution(
+                g, t, _classes(rows, t), _classes(dist, t), _classes(sizes, t)
+            )
         return
-    if n * math.log(k) > 700:
-        hint = "; use method radial" if isinstance(g, FreeGroup) else ""
-        raise ValueError(f"k^n = {k}^{n} exceeds e^700, the float range of the ball method{hint}")
+    if n * math.log(g.k) > 700:
+        hint = "; use method radial" if _radial_chain(g) else ""
+        raise ValueError(f"k^n = {g.k}^{n} exceeds e^700, the float range of the ball method{hint}")
     ball = ensure_ball(g, n, ball)
     dist = ball.dist.tolist()
     for t, counts in enumerate(walk_counts(ball, n)):
@@ -153,22 +198,34 @@ def walk_distribution(
     return law
 
 
-def _walk_method(g: MarkedGroup, method: str, parameter: str) -> str:
-    """Resolve method "auto" to "radial" on a free group and "ball"
-    otherwise; "radial" needs a free group."""
+def _walk_method(g: MarkedGroup, method: str, parameter: str, ball: CayleyBall | None) -> str:
+    """Resolve a walk method: an explicit one wins; "auto" counts on a
+    passed ball, else takes "radial" where g has a radial chain and "ball"
+    elsewhere.  "radial" needs a chain, and either method refuses a ball
+    of another group."""
+    if ball is not None:
+        ensure_ball(g, 0, ball)  # only refuses a ball of another group
     if method == "auto":
-        return "radial" if isinstance(g, FreeGroup) else "ball"
+        return "radial" if ball is None and _radial_chain(g) else "ball"
     if method not in ("radial", "ball"):
         raise ValueError(f"unknown {parameter} method: {method}")
-    if method == "radial" and not isinstance(g, FreeGroup):
-        raise ValueError(f"radial {parameter} needs a free group")
+    if method == "radial" and not _radial_chain(g):
+        raise ValueError(f"radial {parameter} needs a free group or gamma_free()")
     return method
 
 
 # --------------------------------------------------------------- spectral radius
 
+def _root(c: int, n: int) -> float:
+    """c^(1/n), through the logarithm for a count past the float range."""
+    try:
+        return c ** (1.0 / n)
+    except OverflowError:
+        return math.exp(math.log(c) / n)
+
+
 def spectral_radius(
-    g: MarkedGroup, n_max: int = 12, ball: CayleyBall | None = None
+    g: MarkedGroup, n_max: int = 12, ball: CayleyBall | None = None, method: str = "auto"
 ) -> EstimateReport:
     """Random walk spectral radius from exact return counts.
 
@@ -177,17 +234,23 @@ def spectral_radius(
     n^(-3/2) in c(2n) ~ A n^(-3/2) (k rho)^(2n) using the last two even
     terms, clamped into [certified value, 1] (the correction overshoots at
     small n, on amenable groups and on finite truncations).
+    method: "radial" reads the identity column of radial_point_counts,
+    "ball" the cogrowth DP on the radius-n_max/2 ball; "auto" as for
+    entropy.  Both give the same integers.
     """
     if n_max < 4 or n_max % 2 != 0:
         raise ValueError("n_max must be an even integer >= 4")
-    series = cogrowth(g, n_max, ball=ball)
+    if _walk_method(g, method, "rho", ball) == "radial":
+        values = [rows[0][0] for rows in radial_point_counts(g, n_max)]
+    else:
+        values = cogrowth(g, n_max, ball=ball).values
     k = g.k
     evens = list(range(2, n_max + 1, 2))
-    roots = [series.values[n] ** (1.0 / n) / k for n in evens]
+    roots = [_root(values[n], n) / k for n in evens]
     certified_seq = running_bound(roots, "lower")
     best = certified_seq[-1]
     notes = ["certified lower bounds use exact integer return counts"]
-    c_hi, c_lo = series.values[n_max], series.values[n_max - 2]
+    c_hi, c_lo = values[n_max], values[n_max - 2]
     if c_lo > 0 and c_hi > 0:
         m = n_max // 2
         delta = math.log(c_hi) - math.log(c_lo)
@@ -206,7 +269,7 @@ def spectral_radius(
         parameters={"n_max": n_max, "k": k},
         series={
             "n": evens,
-            "return_count": [series.values[n] for n in evens],
+            "return_count": [values[n] for n in evens],
             "certified_lower": certified_seq,
         },
         notes=notes,
@@ -226,11 +289,12 @@ def entropy(
     Exact H(n) for each n; by subadditivity every H(n)/n is an upper
     bound for h, so the certified value is the running minimum.
     method: "ball" (any group, needs the full radius-n ball) or
-    "radial" (free groups only, distance-counts recursion, no ball).
+    "radial" (free groups and gamma_free(): the radial chain, no ball);
+    "auto" counts on a passed ball, else takes radial where it can.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    method = _walk_method(g, method, "entropy")
+    method = _walk_method(g, method, "entropy", ball)
     hs = [law.entropy() for law in _walk_laws(g, n_max, ball, method)][1:]
     rates = [h / t for t, h in zip(range(1, n_max + 1), hs)]
     certified_seq = running_bound(rates, "upper")
@@ -258,14 +322,14 @@ _LAW_SOURCES = {"radial": "the distance recursion", "ball": "the walk distributi
 def speed(g: MarkedGroup, n: int = 16, method: str = "auto") -> EstimateReport:
     """Mean displacement rate E|walk at t| / t for t = 1..n, exact.
 
-    The means are those of the walk laws: method "radial" (free groups:
-    the distance recursion, no ball) or "ball" (any group: the walk
-    distributions on the radius-n ball).  "auto" takes radial for a free
-    group, else ball.  The estimate is the rate at t = n.
+    The means are those of the walk laws: method "radial" (free groups
+    and gamma_free(): the distance recursion, no ball) or "ball" (any
+    group: the walk distributions on the radius-n ball).  "auto" takes
+    radial where it can, else ball.  The estimate is the rate at t = n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    method = _walk_method(g, method, "speed")
+    method = _walk_method(g, method, "speed", None)
     means = [float(law.mean_distance()) for law in _walk_laws(g, n, None, method)][1:]
     rates = [m / t for t, m in zip(range(1, n + 1), means)]
     return EstimateReport(

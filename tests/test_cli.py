@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from griglab import cli, estimators
+from griglab import cayley, cli, estimators
 from griglab.cayley import BallBudgetError
 from griglab.cli import ExprError, main, parse_group_expr, to_csv
 from griglab.estimators import EstimateReport
@@ -282,7 +282,7 @@ def test_estimate_parse_error_exit_two(capsys):
     [
         ["estimate", "free(2)", "rho", "--n", "5"],
         ["estimate", "grid(2)", "pc-bond", "--R", "0"],
-        ["estimate", "gamma_free()", "entropy", "--n", "600"],
+        ["estimate", "matrix_h()", "entropy", "--n", "600"],  # 4^600 > e^700, no chain
         ["estimate", "grid(2)", "speed", "--n", "0"],
         ["estimate", "grid(2)", "speed", "--n", "-3"],
         ["estimate", "gj((012)*, {1,3}, 5)", "pc-bond"],  # R 32 > query radius 5
@@ -296,6 +296,19 @@ def test_estimate_parse_error_exit_two(capsys):
 def test_estimate_invalid_value_exit_two(argv, capsys):
     assert main(argv) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "gamma_free()", "entropy", "--n", "600"],  # radial: no float range
+        ["estimate", "free(2)", "rho", "--n", "2000"],  # return counts past 2^1024
+    ],
+)
+def test_estimate_past_the_ball_range_exits_zero(argv, capsys):
+    assert main(argv + ["--json", "-"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["estimate"] is not None
 
 
 def test_estimate_resource_error_exit_three(monkeypatch, capsys):
@@ -466,6 +479,19 @@ def test_sweep_row_over_the_ball_budget_recorded(monkeypatch, tmp_path):
     assert rows[1]["error"] == "resource limit: ball budget 1000 reached at radius 25"
 
 
+def test_sweep_speed_on_radial_groups_builds_no_ball(monkeypatch, tmp_path):
+    def no_ball(*a, **k):
+        raise AssertionError("ball built for a radial group")
+
+    monkeypatch.setattr(cayley, "bfs_ball", no_ball)
+    jp = tmp_path / "s.json"
+    argv = ["sweep", "speed", "free(2)", "gamma_free()", "--n", "27"]
+    assert main(argv + ["--json", str(jp)]) == 0
+    rows = json.loads(jp.read_text())["rows"]
+    assert [r["group"] for r in rows] == ["free(2)", "gamma_free()"]
+    assert all("error" not in r for r in rows)
+
+
 def test_config_defaults_and_flag_priority(tmp_path):
     conf = tmp_path / "lab.conf"
     conf.write_text("# defaults\ntrials = 17\nseed=9\n")
@@ -626,7 +652,7 @@ def test_help_shows_the_signature_defaults():
         ("grid(2)", "mu", {"n_max": 10}),
         ("free(2)", "cheeger", {"n_max": 6, "candidates": "balls"}),
         ("free(2)", "growth", {"n_max": 8}),
-        ("gamma_free()", "speed", {"n": 16, "method": "ball"}),
+        ("gamma_free()", "speed", {"n": 16, "method": "radial"}),
         ("grid(2)", "pc-site", {"radius": 32, "trials": 500, "seed": 0}),
         ("grid(2)", "pc-bond", {"radius": 32, "trials": 500, "seed": 0}),
     ],

@@ -5,11 +5,12 @@ import json
 import math
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import numpy as np
 import pytest
 
-from griglab import cayley
+from griglab import cayley, estimators
 from griglab.cayley import bfs_ball, cheeger_upper, cogrowth
 from griglab.cli import parse_group_expr
 from griglab.estimators import (
@@ -19,7 +20,7 @@ from griglab.estimators import (
     cheeger_report,
     connective_constant,
     entropy,
-    free_point_counts,
+    radial_point_counts,
     growth_report,
     percolation,
     percolation_pstars,
@@ -49,7 +50,7 @@ def test_tree_oracle_rows_sum_to_powers():
     c_t(d) of the k^t words of length t."""
     for rank in (1, 2, 3, 4):
         k = 2 * rank
-        rows = list(free_point_counts(rank, 12))
+        rows = [row for row, in radial_point_counts(FreeGroup(rank), 12)]
         assert len(rows) == 13
         for t, row in enumerate(rows):
             sizes = [1] + [k * (k - 1) ** (d - 1) for d in range(1, t + 1)]
@@ -57,14 +58,33 @@ def test_tree_oracle_rows_sum_to_powers():
             assert sum(s * c for s, c in zip(sizes, row)) == k**t
 
 
-def test_free_point_counts_keep_one_row_at_a_time():
+def test_radial_point_counts_keep_one_row_at_a_time():
     # a billion steps would never finish if the rows were built up front
-    rows = list(itertools.islice(free_point_counts(2, 10**9), 5))
-    assert rows == [[1], [0, 1], [4, 0, 1], [0, 7, 0, 1], [28, 0, 10, 0, 1]]
+    rows = list(itertools.islice(radial_point_counts(FreeGroup(2), 10**9), 5))
+    assert rows == [[[1]], [[0, 1]], [[4, 0, 1]], [[0, 7, 0, 1]], [[28, 0, 10, 0, 1]]]
 
 
 def test_tree_oracle_matches_ball_dp():
     assert cogrowth(FreeGroup(2), 12).values == tree_return_counts(2, 12)
+
+
+def test_gamma_chain_per_point_counts_equal_the_ball_dp():
+    """A point of gamma_free() is typed by its normal form's last letter:
+    type 0 ends in a, type 1 in b, c or d."""
+    ball = bfs_ball(GammaFree(), 8)
+    dist = ball.dist.tolist()
+    kind = [0 if x[-1:] == ("a",) else 1 for x in ball.vertices]
+    chain = radial_point_counts(GammaFree(), 8)
+    for t, (rows, vec) in enumerate(zip(chain, cayley.walk_counts(ball, 8))):
+        want = [rows[i][d] if d <= t else 0 for i, d in zip(kind, dist)]
+        assert vec.tolist() == want, t
+        assert t < 8 or all(vec.tolist())  # every point is reached by t = 8
+
+
+def test_gamma_chain_return_counts_equal_cogrowth():
+    counts = [rows[0][0] for rows in radial_point_counts(GammaFree(), 32)]
+    assert counts == cogrowth(GammaFree(), 32).values
+    assert counts[:5] == [1, 0, 4, 6, 34]  # b c d is the identity
 
 
 # --------------------------------------------------------------- spectral radius
@@ -95,6 +115,41 @@ def test_rho_free_extrapolation_close_even_at_modest_n():
     rep = spectral_radius(FreeGroup(2), 16)
     assert abs(rep.estimate - ALPHA_4) < 0.05
     assert rep.certified["value"] < ALPHA_4  # lower bound never crosses
+
+
+def test_rho_radial_equals_ball():
+    for g in (FreeGroup(2), GammaFree()):
+        radial = spectral_radius(g, 16, method="radial")
+        assert radial.to_json() == spectral_radius(g, 16, method="ball").to_json()
+    with pytest.raises(ValueError, match="radial rho needs"):
+        spectral_radius(GridGroup(2), 8, method="radial")
+    with pytest.raises(ValueError, match="unknown rho method"):
+        spectral_radius(FreeGroup(2), 8, method="nope")
+
+
+def test_rho_auto_counts_on_a_passed_ball_else_radially(monkeypatch):
+    def no_ball(*a, **k):
+        raise AssertionError("ball built for a radial group")
+
+    g = GammaFree()
+    ball = bfs_ball(g, 8)
+    monkeypatch.setattr(cayley, "bfs_ball", no_ball)
+    rep = spectral_radius(g, 32)
+    assert rep.series["return_count"][:2] == [4, 34]
+
+    def no_chain(*a, **k):
+        raise AssertionError("radial counts read with a ball passed")
+
+    monkeypatch.setattr(estimators, "radial_point_counts", no_chain)
+    small = spectral_radius(g, 16, ball=ball)
+    assert small.series["return_count"] == rep.series["return_count"][:8]
+
+
+def test_rho_past_the_float_range():
+    # c_1000 has over 1024 bits: its root is taken through the logarithm
+    rep = spectral_radius(GammaFree(), 1000)
+    assert 0.9694 <= rep.certified["value"] <= 1
+    assert rep.series["return_count"][-1].bit_length() > 1024
 
 
 def test_rho_rejects_odd_or_tiny():
@@ -139,6 +194,22 @@ def test_radial_laws_equal_the_ball_laws(rank):
         assert hs == pytest.approx([law.entropy() for law in radial[1:]], abs=1e-12)
 
 
+def test_gamma_radial_laws_equal_the_ball_laws():
+    g = GammaFree()
+    radial = list(_walk_laws(g, 16, None, "radial"))
+    ball = list(_walk_laws(g, 16, None, "ball"))
+    assert len(radial) == len(ball) == 17
+    for r, b in zip(radial, ball):
+        assert sum(map(mul, r.sizes, r.counts)) == 4**r.n
+        assert r.mean_distance() == b.mean_distance()
+    for r, b in zip(radial[:13], ball[:13]):
+        assert r.entropy() == pytest.approx(b.entropy(), abs=1e-12)
+    layers = [0] * 17
+    for d, size in zip(radial[-1].distances, radial[-1].sizes):
+        layers[d] += size
+    assert layers == bfs_ball(g, 16).layer_sizes()
+
+
 def test_radial_entropy_and_speed_past_float_range():
     # 4^600 > 2^1024: the radial laws drop the same low bits from the
     # weights and from k^n; the pinned values come from the per-term
@@ -171,8 +242,8 @@ def test_entropy_finite_group_rate_decays():
 
 
 def test_entropy_method_validation():
-    with pytest.raises(ValueError):
-        entropy(GammaFree(), 4, method="radial")
+    with pytest.raises(ValueError, match="radial entropy needs"):
+        entropy(parse_group_expr("matrix_h()"), 4, method="radial")
     with pytest.raises(ValueError):
         entropy(FreeGroup(2), 4, method="nope")
 
@@ -183,10 +254,11 @@ def test_ball_entropy_range_check_precedes_ball_build(monkeypatch):
 
     monkeypatch.setattr(cayley, "bfs_ball", no_ball)
     with pytest.raises(ValueError, match=r"4\^600 exceeds e\^700") as ei:
-        entropy(GammaFree(), 600, method="ball")
-    assert "radial" not in str(ei.value)  # radial refuses gamma_free()
-    with pytest.raises(ValueError, match="use method radial"):
-        entropy(FreeGroup(2), 600, method="ball")
+        entropy(parse_group_expr("matrix_h()"), 600, method="ball")
+    assert "radial" not in str(ei.value)  # radial refuses matrix_h()
+    for g in (FreeGroup(2), GammaFree()):
+        with pytest.raises(ValueError, match="use method radial"):
+            entropy(g, 600, method="ball")
 
 
 # ------------------------------------------------------------------------- speed

@@ -14,8 +14,12 @@ from griglab.cli import main
 GOLDEN = [
     (["estimate", "free(2)", "rho", "--n", "12"],
      "2bacdfcac7ae0cb0cf58ed5a0b1434a7139c0bdd3e3e81ca64c7e7a143eadb72"),
+    (["estimate", "gamma_free()", "rho", "--n", "32"],
+     "e0eadc4add09f4cf3237bb83c6c4455c56d658c655b20efe66adee360417ee25"),
+    (["sweep", "rho", "free(2)", "gamma_free()", "--n", "16"],
+     "7a473c3eec3097a51e6551b616c5242ec82fc6d3086c82f07fc49d6f2fc27494"),
     (["estimate", "gamma_free()", "entropy", "--n", "8"],
-     "ec72b9f5a9597398eda38ba3a3fdb567cdac81c0cfcd930f8172bb078fcaeada"),
+     "bc978d5bafc3d79d0fbaaea70e6d24320ffd6054419571a9909ddfd72f2aa085"),
     (["estimate", "free(2)", "entropy", "--n", "20"],
      "c0e72bef3a80668aa505a8cf0047416aabadad8e19d6a2579785396e9c13d523"),
     (["estimate", "grid(2)", "speed", "--n", "12"],
