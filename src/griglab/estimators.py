@@ -210,7 +210,7 @@ def _walk_method(g: MarkedGroup, method: str, parameter: str, ball: CayleyBall |
     if method not in ("radial", "ball"):
         raise ValueError(f"unknown {parameter} method: {method}")
     if method == "radial" and not _radial_chain(g):
-        raise ValueError(f"radial {parameter} needs a free group or gamma_free()")
+        raise ValueError(f"radial {parameter} needs a group with a radial chain")
     return method
 
 
@@ -225,7 +225,7 @@ def _root(c: int, n: int) -> float:
 
 
 def spectral_radius(
-    g: MarkedGroup, n_max: int = 12, ball: CayleyBall | None = None, method: str = "auto"
+    g: MarkedGroup, n_max: int = 12, ball: CayleyBall | None = None
 ) -> EstimateReport:
     """Random walk spectral radius from exact return counts.
 
@@ -234,13 +234,13 @@ def spectral_radius(
     n^(-3/2) in c(2n) ~ A n^(-3/2) (k rho)^(2n) using the last two even
     terms, clamped into [certified value, 1] (the correction overshoots at
     small n, on amenable groups and on finite truncations).
-    method: "radial" reads the identity column of radial_point_counts,
-    "ball" the cogrowth DP on the radius-n_max/2 ball; "auto" as for
-    entropy.  Both give the same integers.
+    The counts are the identity column of radial_point_counts where g
+    has a radial chain and no ball is passed, else the cogrowth DP on the
+    ball (passed, or of radius n_max/2); both give the same integers.
     """
     if n_max < 4 or n_max % 2 != 0:
         raise ValueError("n_max must be an even integer >= 4")
-    if _walk_method(g, method, "rho", ball) == "radial":
+    if _walk_method(g, "auto", "rho", ball) == "radial":
         values = [rows[0][0] for rows in radial_point_counts(g, n_max)]
     else:
         values = cogrowth(g, n_max, ball=ball).values

@@ -126,7 +126,8 @@ def test_criterion_4_family_separation():
 
 def test_criterion_5_spectral_radius_benchmark():
     t0 = time.time()
-    rep = spectral_radius(FreeGroup(2), 24, method="ball")
+    g = FreeGroup(2)
+    rep = spectral_radius(g, 24, ball=bfs_ball(g, 12))
     target = math.sqrt(3) / 2
     seq = rep.series["certified_lower"]
     ok = rep.certified["value"] >= 0.70

@@ -119,12 +119,8 @@ def test_rho_free_extrapolation_close_even_at_modest_n():
 
 def test_rho_radial_equals_ball():
     for g in (FreeGroup(2), GammaFree()):
-        radial = spectral_radius(g, 16, method="radial")
-        assert radial.to_json() == spectral_radius(g, 16, method="ball").to_json()
-    with pytest.raises(ValueError, match="radial rho needs"):
-        spectral_radius(GridGroup(2), 8, method="radial")
-    with pytest.raises(ValueError, match="unknown rho method"):
-        spectral_radius(FreeGroup(2), 8, method="nope")
+        ball = spectral_radius(g, 16, ball=bfs_ball(g, 8))
+        assert spectral_radius(g, 16).to_json() == ball.to_json()
 
 
 def test_rho_auto_counts_on_a_passed_ball_else_radially(monkeypatch):
@@ -310,7 +306,7 @@ def test_speed_without_oracle_is_exact_on_the_ball():
     rep = speed(g, 8)
     assert rep.parameters["method"] == "ball" and rep.ci is None
     assert rep.estimate == float(walk_distribution(g, 8).mean_distance()) / 8
-    with pytest.raises(ValueError, match="radial speed needs a free group"):
+    with pytest.raises(ValueError, match="radial speed needs"):
         speed(g, 8, method="radial")
 
 
