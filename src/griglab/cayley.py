@@ -43,9 +43,9 @@ class CayleyBall:
     radius: int
     vertices: list
     dist: np.ndarray
-    # (k, V) int64: cells[s, u] is u * s's index or OUTSIDE.  Until the ball
-    # is closed, a last-sphere cell whose product leads back to sphere
-    # radius - 1 is filled and every other one is UNKNOWN
+    # (k, V) int64 view of bfs_ball's row-major buffer: cells[s, u] is u * s's
+    # index or OUTSIDE.  Until the ball is closed, a last-sphere cell whose
+    # product leads back to sphere radius - 1 is filled, every other UNKNOWN
     cells: np.ndarray
     inverse: tuple  # inverse[s] is the symbol index of s^-1
     layer_offsets: list  # vertices[layer_offsets[r]:layer_offsets[r+1]] is sphere r
@@ -61,21 +61,19 @@ class CayleyBall:
         """Complete (k, V) adjacency: adjacency[s, u] is u * s's index, or
         OUTSIDE.
 
-        The first read closes the ball: it multiplies out the UNKNOWN cells
-        of the last sphere in place, with the pass loop of bfs_ball.  Those
-        products lead to the last sphere or out of the ball, so an index of
-        the last sphere alone places them.
+        The first read closes the ball: the pass loop of bfs_ball multiplies
+        out the last sphere's UNKNOWN cells in place, in the buffer under
+        cells.  Those products lead to the last sphere or out of the ball,
+        so an index of the last sphere alone places them.
         """
         if not self.closed:
             last = self.sphere_indices(self.radius)
-            block = self.cells[:, last.start:]
-            flat = array("q", block.T.tobytes())  # row-major from vertex last.start
             index = {self.vertices[u]: u for u in last}
+            flat = memoryview(self.cells.T).cast("B").cast("q")
             _multiply_rows(
-                self.group, flat, last.start, last, self.vertices, index,
-                self.inverse, lambda y: OUTSIDE,
+                self.group, flat, last, self.vertices, index, self.inverse,
+                lambda y: OUTSIDE,
             )
-            block[:] = np.frombuffer(flat, dtype=np.int64).reshape(-1, self.group.k).T
             self.closed = True
         return self.cells
 
@@ -102,18 +100,17 @@ class CayleyBall:
         sub = (self.cells if r < self.radius else self.adjacency)[:, :size]
         return np.where(sub < size, sub, OUTSIDE)
 
-    def edges(self, r: int | None = None) -> list:
-        """Each undirected edge of the radius-r sub-ball (default: the whole
-        ball) once, as (u, v) pairs; read through within(r), so r < radius
-        leaves the ball open.
+    def edges(self) -> list:
+        """Each undirected edge of the ball once, as (u, v) pairs; read
+        through adjacency, so the ball is closed.
 
         Ordered by symbol (the lower index of each inverse pair), then by u
         ascending: percolation draws one uniform per edge in this order.
         Self-loops are dropped.  Each inverse pair of symbols, and each
         involution, adds its own edges, so parallel edges stay distinct.
         """
-        adj = self.within(self.radius if r is None else r)
-        u = np.arange(adj.shape[1])
+        adj = self.adjacency
+        u = np.arange(self.size)
         out = []
         for s, col in enumerate(adj):
             si = self.inverse[s]
@@ -124,13 +121,11 @@ class CayleyBall:
             out.extend(zip(u[keep].tolist(), col[keep].tolist()))
         return out
 
-    def neighbors(self, r: int | None = None) -> list:
-        """Sorted distinct neighbours of each vertex of the radius-r sub-ball,
-        the other ends of its edges(r); parallel generator edges give one
-        neighbour."""
-        r = self.radius if r is None else r
-        sets = [set() for _ in range(self.ball_size(r))]
-        for u, v in self.edges(r):
+    def neighbors(self) -> list:
+        """Sorted distinct neighbours of each vertex, the other ends of its
+        edges(); parallel generator edges give one neighbour."""
+        sets = [set() for _ in range(self.size)]
+        for u, v in self.edges():
             sets[u].add(v)
             sets[v].add(u)
         return [tuple(sorted(n)) for n in sets]
@@ -149,9 +144,9 @@ class CayleyBall:
         return "\n".join(lines)
 
 
-def _multiply_rows(g, cells, base, rows, vertices, index, inverse, place) -> None:
+def _multiply_rows(g, cells, rows, vertices, index, inverse, place) -> None:
     """The pass loop of bfs_ball: multiply out the UNKNOWN cells in the rows
-    of the vertices ``rows``, where cells[(u - base) * k + s] is u * s.
+    of the vertices ``rows``, where cells[u * k + s] is u * s.
 
     A product found in ``index`` fills its cell and the inverse cell of its
     target, so that edge is never multiplied from the other end; any other
@@ -161,7 +156,7 @@ def _multiply_rows(g, cells, base, rows, vertices, index, inverse, place) -> Non
     gens = g.generators()
     for u in rows:
         x = vertices[u]
-        row = (u - base) * k
+        row = u * k
         for s in range(k):
             if cells[row + s] != UNKNOWN:
                 continue  # filled from the inverse edge v * s^-1 = u
@@ -173,7 +168,7 @@ def _multiply_rows(g, cells, base, rows, vertices, index, inverse, place) -> Non
                     cells[row + s] = OUTSIDE
                     continue
             cells[row + s] = j
-            cells[(j - base) * k + inverse[s]] = u
+            cells[j * k + inverse[s]] = u
 
 
 def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
@@ -219,14 +214,14 @@ def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
 
     for _ in range(n):
         sphere = range(offsets[-2], offsets[-1])
-        _multiply_rows(g, cells, 0, sphere, vertices, index, inverse, place)
+        _multiply_rows(g, cells, sphere, vertices, index, inverse, place)
         offsets.append(len(vertices))
-    rows = np.frombuffer(cells, dtype=np.int64).reshape(-1, k)
+    # numpy reads the buffer from here on, so it must never be resized again
     return CayleyBall(
         radius=n,
         vertices=vertices,
         dist=np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(offsets)),
-        cells=rows.T.copy(),
+        cells=np.frombuffer(cells, dtype=np.int64).reshape(-1, k).T,
         inverse=inverse,
         layer_offsets=offsets,
         group=g,

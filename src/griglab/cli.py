@@ -558,7 +558,11 @@ def main(argv=None) -> int:
         if getattr(args, "omega", None) is not None:
             args.omega = parse_omega(args.omega)
         blob = globals()[f"run_{args.command}"](args)
-        _emit(blob, args)
+        try:
+            _emit(blob, args)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
         if "-" not in (args.json, args.csv):  # else stdout carries the report alone
             for line in _summary(args.command, blob):
                 print(line)

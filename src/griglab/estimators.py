@@ -17,6 +17,7 @@ import numpy as np
 
 from .cayley import (
     CayleyBall,
+    bfs_ball,
     cheeger_upper,
     cogrowth,
     ensure_ball,
@@ -188,12 +189,10 @@ def _walk_laws(g: MarkedGroup, n: int, ball: CayleyBall | None, method: str):
         yield WalkDistribution(g, t, counts.tolist(), dist, ball=ball)
 
 
-def walk_distribution(
-    g: MarkedGroup, n: int, ball: CayleyBall | None = None
-) -> WalkDistribution:
+def walk_distribution(g: MarkedGroup, n: int) -> WalkDistribution:
     if n < 0:
         raise ValueError("n must be >= 0")
-    for law in _walk_laws(g, n, ball, "ball"):
+    for law in _walk_laws(g, n, None, "ball"):
         pass  # keep the last step
     return law
 
@@ -319,17 +318,17 @@ def entropy(
 _LAW_SOURCES = {"radial": "the distance recursion", "ball": "the walk distributions on the ball"}
 
 
-def speed(g: MarkedGroup, n: int = 16, method: str = "auto") -> EstimateReport:
+def speed(g: MarkedGroup, n: int = 16) -> EstimateReport:
     """Mean displacement rate E|walk at t| / t for t = 1..n, exact.
 
-    The means are those of the walk laws: method "radial" (free groups
-    and gamma_free(): the distance recursion, no ball) or "ball" (any
-    group: the walk distributions on the radius-n ball).  "auto" takes
-    radial where it can, else ball.  The estimate is the rate at t = n.
+    The means are those of the walk laws, by the auto rule of
+    spectral_radius: "radial" (free groups and gamma_free(): the distance
+    recursion, no ball) where g has a radial chain, else "ball" (the walk
+    distributions on the radius-n ball).  The estimate is the rate at t = n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    method = _walk_method(g, method, "speed", None)
+    method = _walk_method(g, "auto", "speed", None)
     means = [float(law.mean_distance()) for law in _walk_laws(g, n, None, method)][1:]
     rates = [m / t for t, m in zip(range(1, n + 1), means)]
     return EstimateReport(
@@ -392,12 +391,7 @@ def _invasion_pstar(links, sphere_start, u, start) -> float:
 
 
 def percolation_pstars(
-    g: MarkedGroup,
-    mode: str,
-    radius: int,
-    trials: int,
-    seed: int = 0,
-    ball: CayleyBall | None = None,
+    g: MarkedGroup, mode: str, radius: int, trials: int, seed: int = 0
 ) -> np.ndarray:
     """Per-trial bottleneck values: trial t connects root to the radius-R
     sphere at occupation p exactly when pstars[t] < p.  Each p* is the
@@ -405,8 +399,8 @@ def percolation_pstars(
     mode, over sites, root included, in site mode), found by water-level
     invasion from the root (see _invasion_pstar).  Trial t draws one
     uniform per edge of bfs_ball(g, R).edges() (bond) or per vertex of
-    the radius-R ball (site) from a Philox stream keyed by (seed, t), so
-    it depends on neither the trial count nor the radius of a passed ball.
+    that ball (site) from a Philox stream keyed by (seed, t), so it does
+    not depend on the trial count.  The key takes a seed in [0, 2^63).
     """
     if mode not in ("site", "bond"):
         raise ValueError("mode must be 'site' or 'bond'")
@@ -414,20 +408,20 @@ def percolation_pstars(
         raise ValueError("radius must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ball = ensure_ball(g, radius, ball)
+    if not 0 <= seed < 2**63:
+        raise ValueError("seed must be in [0, 2^63)")
+    ball = bfs_ball(g, radius)
     if not ball.sphere_indices(radius):
         return np.array([])  # ball closed before R: no sphere to reach
     if mode == "bond":
-        # BFS order is prefix-stable, so the edges of the radius-R sub-ball
-        # keep the order of bfs_ball(g, R).edges(), and a larger ball stays open
-        edges = ball.edges(radius)
-        links = [[] for _ in range(ball.ball_size(radius))]
+        edges = ball.edges()
+        links = [[] for _ in range(ball.size)]
         for e, (a, b) in enumerate(edges):
             links[a].append((e, b))
             links[b].append((e, a))
         n = len(edges)
     else:
-        links = [[(w, w) for w in nbrs] for nbrs in ball.neighbors(radius)]
+        links = [[(w, w) for w in nbrs] for nbrs in ball.neighbors()]
         n = len(links)
     sphere_start = ball.layer_offsets[radius]
     pstars = []

@@ -311,6 +311,25 @@ def test_estimate_past_the_ball_range_exits_zero(argv, capsys):
     assert blob["estimate"] is not None
 
 
+def test_percolation_seed_outside_the_key_range_exits_two(capsys):
+    argv = ["estimate", "grid(2)", "pc-bond", "--R", "3", "--trials", "5", "--seed"]
+    assert main(argv + [str(2**64)]) == 2
+    assert "usage error: seed must be in [0, 2^63)" in capsys.readouterr().err
+    assert main(argv + [str(2**63 - 1)]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+@pytest.mark.parametrize("argv", [["estimate", "free(2)", "rho", "--n", "8"],
+                                  ["verify", "matrix-relations"]])
+def test_unwritable_output_path_exits_two(argv, flag, tmp_path, capsys):
+    # the work is done, but a report that cannot be written is a usage error
+    path = tmp_path / "missing" / "r.json"
+    assert main(argv + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "output error" in err and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_estimate_resource_error_exit_three(monkeypatch, capsys):
     def boom(*a, **k):
         raise BallBudgetError(3, 1000)
@@ -602,6 +621,23 @@ def test_readme_reads_tables_match_the_cli():
     suites = flags("verify")
     suites["all"] = set().union(*suites.values())
     assert _readme_table("| suite | reads |") == suites
+
+
+def test_readme_ball_list_matches_the_ball_parameters():
+    # every public function with an optional ball refuses a ball of another group
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = text[text.index("* A ball passed to "):]
+    bullet = bullet[: bullet.index("must be a ball of the same group object")]
+    documented = set(re.findall(r"`(\w+)`", bullet))
+    takes_ball = {
+        name
+        for mod in (cayley, estimators)
+        for name, f in vars(mod).items()
+        if inspect.isfunction(f) and f.__module__ == mod.__name__
+        and not name.startswith("_") and name != "ensure_ball"
+        and getattr(inspect.signature(f).parameters.get("ball"), "default", 0) is None
+    }
+    assert documented == takes_ball == {"cogrowth", "growth", "spectral_radius", "entropy"}
 
 
 def _subparsers() -> dict:

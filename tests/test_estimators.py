@@ -182,10 +182,10 @@ def test_radial_laws_equal_the_ball_laws(rank):
     for r, b in zip(radial, ball):
         assert r.mean_distance() == b.mean_distance()
         assert r.entropy() == pytest.approx(b.entropy(), abs=1e-12)
+    assert speed(g, 8).series["mean_distance"] == [
+        float(law.mean_distance()) for law in radial[1:]
+    ]
     for method in ("radial", "ball"):
-        assert speed(g, 8, method=method).series["mean_distance"] == [
-            float(law.mean_distance()) for law in radial[1:]
-        ]
         hs = entropy(g, 8, method=method).series["H"]
         assert hs == pytest.approx([law.entropy() for law in radial[1:]], abs=1e-12)
 
@@ -213,7 +213,7 @@ def test_radial_entropy_and_speed_past_float_range():
     assert entropy(FreeGroup(2), 600, method="radial").estimate == pytest.approx(
         0.5574547445946986, abs=1e-15
     )
-    assert speed(FreeGroup(2), 600, method="radial").estimate == 0.50125
+    assert speed(FreeGroup(2), 600).estimate == 0.50125
 
 
 def test_entropy_rates_nonincreasing_free():
@@ -260,7 +260,7 @@ def test_ball_entropy_range_check_precedes_ball_build(monkeypatch):
 # ------------------------------------------------------------------------- speed
 
 def test_speed_free_exact_small_means():
-    rep = speed(FreeGroup(2), 4, method="radial")
+    rep = speed(FreeGroup(2), 4)
     # hand values: walk on the 4-regular tree, outward bias 3/4
     assert rep.series["mean_distance"][0] == pytest.approx(1.0)
     assert rep.series["mean_distance"][1] == pytest.approx(1.5)
@@ -268,16 +268,17 @@ def test_speed_free_exact_small_means():
 
 
 def test_speed_free_converges_to_half():
-    rep = speed(FreeGroup(2), 50, method="radial")
+    rep = speed(FreeGroup(2), 50)
     assert abs(rep.estimate - 0.5) < 0.02
     rates = rep.series["rate"]
     assert all(x >= y - 1e-12 for x, y in zip(rates, rates[1:]))
 
 
 def test_speed_ball_exact_matches_radial():
-    a = speed(FreeGroup(2), 6, method="ball")
-    b = speed(FreeGroup(2), 6, method="radial")
-    assert a.estimate == pytest.approx(b.estimate, abs=1e-12)
+    a = walk_distribution(FreeGroup(2), 6).mean_distance() / 6
+    b = speed(FreeGroup(2), 6)
+    assert b.parameters["method"] == "radial"
+    assert float(a) == pytest.approx(b.estimate, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -306,8 +307,6 @@ def test_speed_without_oracle_is_exact_on_the_ball():
     rep = speed(g, 8)
     assert rep.parameters["method"] == "ball" and rep.ci is None
     assert rep.estimate == float(walk_distribution(g, 8).mean_distance()) / 8
-    with pytest.raises(ValueError, match="radial speed needs"):
-        speed(g, 8, method="radial")
 
 
 def test_speed_reports_only_the_inputs_that_act():
@@ -325,8 +324,6 @@ def test_ball_estimators_refuse_a_ball_of_another_group():
         lambda: entropy(free, 4, method="ball", ball=grid_ball),
         lambda: entropy(free, 4, ball=grid_ball),
         lambda: entropy(free, 4, method="radial", ball=grid_ball),
-        lambda: walk_distribution(free, 4, ball=grid_ball),
-        lambda: percolation_pstars(free, "bond", 4, 5, ball=grid_ball),
     ):
         with pytest.raises(ValueError, match="ball of grid"):
             call()
@@ -334,9 +331,9 @@ def test_ball_estimators_refuse_a_ball_of_another_group():
 
 
 def test_ball_estimators_multiply_only_inside_bfs_ball(monkeypatch):
-    """Cheeger balls read one closed bfs_ball, ball speed one left open,
-    greedy Cheeger only the closed balls it grows, and none multiplies
-    anything beyond them."""
+    """Cheeger balls and percolation read one closed bfs_ball, ball speed
+    one left open, greedy Cheeger only the closed balls it grows, and none
+    multiplies anything beyond them."""
     g = grig(FIRST_OMEGA, 5)
     calls = [0]
     mul = g.mul
@@ -354,6 +351,10 @@ def test_ball_estimators_multiply_only_inside_bfs_ball(monkeypatch):
 
     assert muls(lambda: cheeger_upper(g, "balls", 6)) == muls(lambda: bfs_ball(g, 6).adjacency)
     assert muls(lambda: speed(g, 8)) == muls(lambda: bfs_ball(g, 8))
+    for mode in ("bond", "site"):
+        assert muls(lambda: percolation_pstars(g, mode, 5, 3)) == muls(
+            lambda: bfs_ball(g, 5).adjacency
+        )
 
     radii = []
 
@@ -474,24 +475,6 @@ def test_invasion_matches_sort_and_union_find(expr, R, mode):
         assert np.array_equal(got, reference_pstars(g, mode, R, 25, seed))
 
 
-@pytest.mark.parametrize("mode", ["bond", "site"])
-@pytest.mark.parametrize("expr, R", [("grid(2)", 4), ("free(2)", 4), ("cycle(2)", 1)])
-def test_percolation_ignores_the_radius_of_a_passed_ball(expr, R, mode, monkeypatch):
-    # a larger ball has edges past R among its own; they must not shift the
-    # uniform indices of the edges inside the radius-R ball.  Its radius-R
-    # rows are complete, so it is read without a product and stays open
-    g = parse_group_expr(expr)
-    want = percolation_pstars(g, mode, R, 12, 3)
-    calls = []
-    mul = g.mul
-    monkeypatch.setattr(g, "mul", lambda x, y: calls.append(1) or mul(x, y))
-    ball = bfs_ball(g, R + 2)
-    built = len(calls)
-    got = percolation_pstars(g, mode, R, 12, 3, ball=ball)
-    assert want.size and np.array_equal(got, want)
-    assert len(calls) == built and not ball.closed
-
-
 def _links(n, weighted_edges):
     """Link table of an n-vertex graph: one uniform per (a, b, weight) edge."""
     links = [[] for _ in range(n)]
@@ -579,6 +562,10 @@ def test_percolation_validation():
         percolation_pstars(GridGroup(2), "bond", 0, 10)
     with pytest.raises(ValueError):
         percolation_pstars(GridGroup(2), "bond", 4, 0)
+    # the Philox key holds a seed in [0, 2^63); past it numpy made a float key
+    for seed in (-1, 2**63):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^63\)"):
+            percolation_pstars(GridGroup(2), "bond", 4, 10, seed)
 
 
 def test_percolation_report_deterministic_json():
@@ -641,7 +628,7 @@ def test_entropy_ball_matches_walk_distribution_per_step():
     for g in (GammaFree(), GridGroup(2)):
         b = bfs_ball(g, 6)
         hs = entropy(g, 6, method="ball", ball=b).series["H"]
-        assert hs == [walk_distribution(g, t, ball=b).entropy() for t in range(1, 7)]
+        assert hs == [walk_distribution(g, t).entropy() for t in range(1, 7)]
 
 
 def test_point_estimates_respect_hard_bounds_over_zoo():
