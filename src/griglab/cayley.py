@@ -38,6 +38,12 @@ class BallBudgetError(RuntimeError):
         )
 
 
+class SettingError(ValueError):
+    """A setting out of its range whatever the group (a length, a radius, a
+    seed), unlike a refusal that names the group, such as a radius past its
+    faithful radius."""
+
+
 @dataclass
 class CayleyBall:
     radius: int
@@ -186,7 +192,7 @@ def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
     DEFAULT_VERTEX_BUDGET vertices.
     """
     if n < 0:
-        raise ValueError("radius must be >= 0")
+        raise SettingError("radius must be >= 0")
     if g.faithful_radius is not None and n > g.faithful_radius:
         raise ValueError(
             f"radius {n} exceeds the query radius {g.faithful_radius} "
@@ -299,7 +305,7 @@ def cogrowth(g: MarkedGroup, n_max: int, ball: CayleyBall | None = None) -> Coun
     radius n/2, so the dynamic program runs on bfs_ball(g, n_max/2).
     """
     if n_max < 0 or n_max % 2 != 0:
-        raise ValueError("n_max must be an even nonnegative integer")
+        raise SettingError("n_max must be an even nonnegative integer")
     ball = ensure_ball(g, n_max // 2, ball)
     values = [int(c[0]) for c in walk_counts(ball, n_max)]
     return CountSeries("cogrowth", values)
@@ -311,41 +317,59 @@ def growth(g: MarkedGroup, n_max: int, ball: CayleyBall | None = None) -> CountS
     return CountSeries("growth", [ball.ball_size(r) for r in range(n_max + 1)])
 
 
+_SAW_CHUNK = 1024  # walks extended together: bounds the frontier's memory
+
+
+def _saw_table(ball: CayleyBall) -> np.ndarray:
+    """(V, k) distinct neighbours of each vertex read off the open cells,
+    each row sorted: a repeated neighbour (parallel edges) and the vertex
+    itself (a self-loop) read -1, and OUTSIDE and UNKNOWN are negative too,
+    so an entry is a neighbour exactly when it is >= 0."""
+    nb = np.sort(ball.cells.T, axis=1)
+    nb[:, 1:][nb[:, 1:] == nb[:, :-1]] = -1
+    nb[nb == np.arange(ball.size)[:, None]] = -1
+    return nb
+
+
+def _saw_children(nb, paths, counts, n_max):
+    """Count the one-step self-avoiding extensions of the walks ``paths``, an
+    (m, d+1) array of vertex ids, into counts[d+1]; then, below n_max, yield
+    those extensions in chunks of _SAW_CHUNK rows."""
+    cand = nb[paths[:, -1]]
+    ok = cand >= 0
+    for col in paths.T:
+        ok &= cand != col[:, None]
+    counts[paths.shape[1]] += int(np.count_nonzero(ok))
+    if paths.shape[1] < n_max:
+        rows, cols = np.nonzero(ok)
+        for i in range(0, rows.size, _SAW_CHUNK):
+            r, c = rows[i:i + _SAW_CHUNK], cols[i:i + _SAW_CHUNK]
+            yield np.column_stack((paths[r], cand[r, c]))
+
+
 def saw_count(g: MarkedGroup, n_max: int) -> CountSeries:
     """Exact self-avoiding walk counts v(0..n_max) from the identity.
 
     Walks are counted as vertex paths: parallel generator edges to the
     same neighbor contribute one walk (so v(1) is the number of distinct
-    nontrivial generator images).
+    nontrivial generator images).  A frontier search on the open
+    bfs_ball(g, n_max), which it never closes: a walk of length < n_max ends
+    in B_{n_max-1}, whose rows are complete.  Each chunk of walks of one
+    length is extended by one step at once and its extensions are searched
+    depth-first, chunk by chunk, so memory stays bounded; the walks of
+    length n_max are counted, never built.
     """
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    ball = bfs_ball(g, n_max)
-    neigh = ball.neighbors()
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
-    visited = {0}
-    # depth-first over self-avoiding paths; each level keeps its neighbour
-    # iterator, and a walk one step short of n_max counts its last steps
-    # (the unvisited neighbours of its end) without descending
-    path = [0]
-    todo = [iter(neigh[0])] if n_max else []
+        raise SettingError("n_max must be >= 0")
+    nb = _saw_table(bfs_ball(g, n_max))
+    counts = [1] + [0] * n_max
+    todo = [_saw_children(nb, np.zeros((1, 1), np.int64), counts, n_max)] if n_max else []
     while todo:
-        for v in todo[-1]:
-            if v not in visited:
-                break
+        for paths in todo[-1]:
+            todo.append(_saw_children(nb, paths, counts, n_max))
+            break
         else:  # level exhausted: backtrack
             todo.pop()
-            visited.discard(path.pop())
-            continue
-        depth = len(path)
-        counts[depth] += 1
-        if depth == n_max - 1:
-            counts[n_max] += len(neigh[v]) - len(visited.intersection(neigh[v]))
-        elif depth < n_max:
-            visited.add(v)
-            path.append(v)
-            todo.append(iter(neigh[v]))
     return CountSeries("saw", counts)
 
 
@@ -384,7 +408,7 @@ def _box_ratios(g, n_max):
     if not isinstance(g, GridGroup):
         raise ValueError("boxes strategy needs a grid group")
     if n_max < 1:
-        raise ValueError("boxes strategy needs n_max >= 1")
+        raise SettingError("boxes strategy needs n_max >= 1")
     for s in range(1, n_max + 1):
         yield boundary_ratio(g, itertools.product(range(s), repeat=g.dim))
 
@@ -425,7 +449,7 @@ def cheeger_upper(
     out via boundary_ratio.
     """
     if candidates not in STRATEGIES:
-        raise ValueError(f"unknown strategy {candidates!r}")
+        raise SettingError(f"unknown strategy {candidates!r}")
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise SettingError("n_max must be >= 0")
     return running_bound(STRATEGIES[candidates](g, n_max), "upper")

@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import __version__
-from .cayley import STRATEGIES, BallBudgetError
+from .cayley import STRATEGIES, BallBudgetError, SettingError
 from .estimators import (
     cheeger_report,
     connective_constant,
@@ -366,6 +366,8 @@ def run_sweep(args) -> dict:
                         "certified": (blob["certified"] or {}).get("value"),
                     }
                 )
+            except SettingError:
+                raise  # a flag no group takes: a usage error, not a row's
             except (ExprError, ValueError) as exc:
                 row["error"] = str(exc)  # record and continue
             except BallBudgetError as exc:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cayley import (
     CayleyBall,
+    SettingError,
     bfs_ball,
     cheeger_upper,
     cogrowth,
@@ -191,7 +192,7 @@ def _walk_laws(g: MarkedGroup, n: int, ball: CayleyBall | None, method: str):
 
 def walk_distribution(g: MarkedGroup, n: int) -> WalkDistribution:
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise SettingError("n must be >= 0")
     for law in _walk_laws(g, n, None, "ball"):
         pass  # keep the last step
     return law
@@ -207,7 +208,7 @@ def _walk_method(g: MarkedGroup, method: str, parameter: str, ball: CayleyBall |
     if method == "auto":
         return "radial" if ball is None and _radial_chain(g) else "ball"
     if method not in ("radial", "ball"):
-        raise ValueError(f"unknown {parameter} method: {method}")
+        raise SettingError(f"unknown {parameter} method: {method}")
     if method == "radial" and not _radial_chain(g):
         raise ValueError(f"radial {parameter} needs a group with a radial chain")
     return method
@@ -238,7 +239,7 @@ def spectral_radius(
     ball (passed, or of radius n_max/2); both give the same integers.
     """
     if n_max < 4 or n_max % 2 != 0:
-        raise ValueError("n_max must be an even integer >= 4")
+        raise SettingError("n_max must be an even integer >= 4")
     if _walk_method(g, "auto", "rho", ball) == "radial":
         values = [rows[0][0] for rows in radial_point_counts(g, n_max)]
     else:
@@ -292,7 +293,7 @@ def entropy(
     "auto" counts on a passed ball, else takes radial where it can.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise SettingError("n_max must be >= 1")
     method = _walk_method(g, method, "entropy", ball)
     hs = [law.entropy() for law in _walk_laws(g, n_max, ball, method)][1:]
     rates = [h / t for t, h in zip(range(1, n_max + 1), hs)]
@@ -327,7 +328,7 @@ def speed(g: MarkedGroup, n: int = 16) -> EstimateReport:
     distributions on the radius-n ball).  The estimate is the rate at t = n.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise SettingError("n must be >= 1")
     method = _walk_method(g, "auto", "speed", None)
     means = [float(law.mean_distance()) for law in _walk_laws(g, n, None, method)][1:]
     rates = [m / t for t, m in zip(range(1, n + 1), means)]
@@ -403,13 +404,13 @@ def percolation_pstars(
     not depend on the trial count.  The key takes a seed in [0, 2^63).
     """
     if mode not in ("site", "bond"):
-        raise ValueError("mode must be 'site' or 'bond'")
+        raise SettingError("mode must be 'site' or 'bond'")
     if radius < 1:
-        raise ValueError("radius must be >= 1")
+        raise SettingError("radius must be >= 1")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise SettingError("trials must be >= 1")
     if not 0 <= seed < 2**63:
-        raise ValueError("seed must be in [0, 2^63)")
+        raise SettingError("seed must be in [0, 2^63)")
     ball = bfs_ball(g, radius)
     if not ball.sphere_indices(radius):
         return np.array([])  # ball closed before R: no sphere to reach
@@ -503,7 +504,7 @@ def connective_constant(g: MarkedGroup, n_max: int = 10) -> EstimateReport:
     limit (submultiplicativity), running minimum is certified; the
     point estimate is the last ratio v(n)/v(n-1)."""
     if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+        raise SettingError("n_max must be >= 2")
     series = saw_count(g, n_max)
     v = series.values
     ns = list(range(1, n_max + 1))

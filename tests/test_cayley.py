@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -496,11 +497,29 @@ def reference_saw_count(g, n_max):
         ("grid(3)", 6),
         ("cycle(6)", 8),
         ("grig((012)*, 6)", 10),
+        # parallel edges and duplicate symbols: one walk per neighbour
+        ("cycle(2)", 4),
+        ("grig((012)*, 2)", 6),
+        ("matrix_h()", 10),
+        ("gj((012)*, {1,3}, 8)", 8),
     ],
 )
 def test_saw_count_matches_the_full_search(expr, n_max):
     g = parse_group_expr(expr)
     assert saw_count(g, n_max).values == reference_saw_count(g, n_max)
+
+
+def test_saw_frontier_is_bounded_and_exact_deeper():
+    # OEIS A001411 through n = 13; an unchunked frontier peaks near 95 MiB
+    tracemalloc.start()
+    try:
+        v = saw_count(GridGroup(2), 13).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == [1, 4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100,
+                 120292, 324932, 881500]
+    assert peak < 8 * 2**20
 
 
 def test_saw_first_term_counts_distinct_neighbors():

@@ -481,6 +481,35 @@ def test_sweep_row_error_recorded(tmp_path):
     assert "error" in rows[1]
 
 
+@pytest.mark.parametrize(
+    "parameter, flags, message",
+    [
+        ("pc-bond", ["--R", "3", "--trials", "5", "--seed", str(2**64)],
+         "seed must be in [0, 2^63)"),
+        ("mu", ["--n", "1"], "n_max must be >= 2"),
+    ],
+)
+def test_sweep_refuses_a_flag_every_row_refuses(parameter, flags, message, capsys):
+    # the same usage error as estimate, and no rows
+    usage = f"usage error: {message}\n"
+    assert main(["estimate", "grid(2)", parameter, *flags]) == 2
+    assert capsys.readouterr().err.endswith(usage)
+    assert main(["sweep", parameter, "grid(2)", "free(2)", *flags, "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(usage)
+
+
+def test_sweep_row_past_its_faithful_radius_recorded(tmp_path):
+    jp = tmp_path / "s.json"
+    argv = ["sweep", "mu", "gj((012)*, {1,3}, 4)", "grid(2)", "--n", "6", "--json", str(jp)]
+    assert main(argv) == 0
+    rows = json.loads(jp.read_text())["rows"]
+    assert rows[0]["error"] == (
+        "radius 6 exceeds the query radius 4 to which gj((012)*, {1,3}, 4) is faithful"
+    )
+    assert "error" not in rows[1]
+
+
 def test_sweep_row_over_the_ball_budget_recorded(monkeypatch, tmp_path):
     def speed(g, **kw):
         if g.label == "gamma_free()":

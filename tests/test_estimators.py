@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from griglab import cayley, estimators
-from griglab.cayley import bfs_ball, cheeger_upper, cogrowth
+from griglab.cayley import bfs_ball, cheeger_upper, cogrowth, saw_count
 from griglab.cli import parse_group_expr
 from griglab.estimators import (
     EstimateReport,
@@ -332,8 +332,8 @@ def test_ball_estimators_refuse_a_ball_of_another_group():
 
 def test_ball_estimators_multiply_only_inside_bfs_ball(monkeypatch):
     """Cheeger balls and percolation read one closed bfs_ball, ball speed
-    one left open, greedy Cheeger only the closed balls it grows, and none
-    multiplies anything beyond them."""
+    and SAW counts one left open, greedy Cheeger only the closed balls it
+    grows, and none multiplies anything beyond them."""
     g = grig(FIRST_OMEGA, 5)
     calls = [0]
     mul = g.mul
@@ -351,6 +351,7 @@ def test_ball_estimators_multiply_only_inside_bfs_ball(monkeypatch):
 
     assert muls(lambda: cheeger_upper(g, "balls", 6)) == muls(lambda: bfs_ball(g, 6).adjacency)
     assert muls(lambda: speed(g, 8)) == muls(lambda: bfs_ball(g, 8))
+    assert muls(lambda: saw_count(g, 6)) == muls(lambda: bfs_ball(g, 6))
     for mode in ("bond", "site"):
         assert muls(lambda: percolation_pstars(g, mode, 5, 3)) == muls(
             lambda: bfs_ball(g, 5).adjacency
