@@ -47,7 +47,6 @@ class SettingError(ValueError):
 @dataclass
 class CayleyBall:
     radius: int
-    vertices: list
     dist: np.ndarray
     # (k, V) int64 view of bfs_ball's row-major buffer: cells[s, u] is u * s's
     # index or OUTSIDE.  Until the ball is closed, a last-sphere cell whose
@@ -56,30 +55,53 @@ class CayleyBall:
     inverse: tuple  # inverse[s] is the symbol index of s^-1
     layer_offsets: list  # vertices[layer_offsets[r]:layer_offsets[r+1]] is sphere r
     group: MarkedGroup
+    # a keyed ball's int64 element keys, in vertex order; None when the
+    # object loop built the ball and filled _vertices
+    keys: np.ndarray | None = None
+    _vertices: list | None = None
     closed: bool = False
 
     @property
+    def vertices(self) -> list:
+        """The elements in vertex order; a keyed ball decodes its keys on the
+        first read."""
+        if self._vertices is None:
+            self._vertices = [self.group.key_element(x) for x in self.keys.tolist()]
+        return self._vertices
+
+    @property
     def size(self) -> int:
-        return len(self.vertices)
+        return self.layer_offsets[-1]
 
     @property
     def adjacency(self) -> np.ndarray:
         """Complete (k, V) adjacency: adjacency[s, u] is u * s's index, or
         OUTSIDE.
 
-        The first read closes the ball: the pass loop of bfs_ball multiplies
-        out the last sphere's UNKNOWN cells in place, in the buffer under
-        cells.  Those products lead to the last sphere or out of the ball,
-        so an index of the last sphere alone places them.
+        The first read closes the ball, in place, in the buffer under cells:
+        it multiplies out the last sphere's UNKNOWN cells, by the pass loop of
+        bfs_ball or, on a keyed ball, by key_step a symbol at a time.  Those
+        products lead to the last sphere or out of the ball, so an index of
+        the last sphere alone places them.
         """
         if not self.closed:
             last = self.sphere_indices(self.radius)
-            index = {self.vertices[u]: u for u in last}
-            flat = memoryview(self.cells.T).cast("B").cast("q")
-            _multiply_rows(
-                self.group, flat, last, self.vertices, index, self.inverse,
-                lambda y: OUTSIDE,
-            )
+            if self.keys is not None:
+                rows, keys = self.cells.T[last.start:], self.keys[last.start:]
+                order = np.argsort(keys)
+                ordered = keys[order]
+                for s in range(self.group.k):
+                    u = np.flatnonzero(rows[:, s] == UNKNOWN)
+                    y = self.group.key_step(keys[u], s)
+                    pos = np.searchsorted(ordered, y).clip(max=ordered.size - 1)
+                    rows[u, s] = np.where(ordered[pos] == y, last.start + order[pos], OUTSIDE)
+            else:
+                index = {self.vertices[u]: u for u in last}
+                flat = memoryview(self.cells.T).cast("B").cast("q")
+                _multiply_rows(
+                    self.group, flat, last, self.vertices, index, self.inverse,
+                    lambda y: OUTSIDE,
+                )
             self.closed = True
         return self.cells
 
@@ -177,31 +199,10 @@ def _multiply_rows(g, cells, rows, vertices, index, inverse, place) -> None:
             cells[j * k + inverse[s]] = u
 
 
-def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
-    """Radius-n ball, left open: every row of B_{n-1} is complete.
-
-    One group product per edge inside the ball: when u * s lands on a
-    ball vertex v, v's cell for the inverse symbol is filled with u, and a
-    filled cell is never multiplied out again.  So the marking must be
-    symmetric, with an inverse symbol map that is its own inverse
-    (ValueError otherwise).  Pass r fills the rows of sphere r - 1 and finds
-    sphere r; the last sphere's rows then hold only the edges back to
-    sphere n - 1, and reading ``adjacency`` closes them.  Refuses a radius
-    past ``g.faithful_radius``: that ball would describe the truncation, not
-    the group it stands in for.  Raises BallBudgetError past
-    DEFAULT_VERTEX_BUDGET vertices.
-    """
-    if n < 0:
-        raise SettingError("radius must be >= 0")
-    if g.faithful_radius is not None and n > g.faithful_radius:
-        raise ValueError(
-            f"radius {n} exceeds the query radius {g.faithful_radius} "
-            f"to which {g.label} is faithful"
-        )
+def _object_spheres(g, n, inverse):
+    """The object loop of bfs_ball: element values in a dict, one group
+    product per edge inside the ball.  Returns (cells, offsets, vertices)."""
     k = g.k
-    inverse = tuple(g.inverse_symbol_index(s) for s in range(k))
-    if any(inverse[t] != s for s, t in enumerate(inverse)):
-        raise ValueError(f"inverse symbols of {g.label} are not paired")
     e = g.identity()
     vertices = [e]
     index = {e: 0}
@@ -222,15 +223,111 @@ def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
         sphere = range(offsets[-2], offsets[-1])
         _multiply_rows(g, cells, sphere, vertices, index, inverse, place)
         offsets.append(len(vertices))
+    return cells, offsets, vertices
+
+
+def _keyed_spheres(g, n, inverse):
+    """The keyed loop of bfs_ball: a sphere at a time in numpy over int64
+    element keys.  Returns (cells, offsets, keys).
+
+    Pass r multiplies sphere r by every symbol into an (m, k) array of keys
+    in (u, s) order, and looks the products up among the keys of spheres
+    r - 1 and r.  The products found in neither are sphere r + 1, numbered
+    by first occurrence: the order in which the object loop places them, so
+    cells, offsets and numbering are the object loop's.  The last sphere's
+    rows get only their cells back to sphere n - 1, each read off the row of
+    sphere n - 1 that leads to it (u * s = v is v * s^-1 = u).
+    """
+    k = g.k
+    spheres = [np.zeros(1, np.int64)]  # key 0 is the identity
+    offsets = [0, 1]
+    cells = array("q")
+    for r in range(n):
+        lo, hi = offsets[max(r - 1, 0)], offsets[-1]
+        # [keys of the vertices lo .. hi - 1; products of sphere r]
+        known = hi - lo
+        both = np.empty(known + spheres[-1].size * k, np.int64)
+        np.concatenate(spheres[-2:], out=both[:known])
+        prods = both[known:].reshape(-1, k)
+        for s in range(k):
+            prods[:, s] = g.key_step(spheres[-1], s)
+        # one stable sort: a run of equal keys starts at its known vertex, or
+        # else at the product's first occurrence
+        order = np.argsort(both, kind="stable")
+        ranked = both[order]
+        head = np.empty(both.size, bool)
+        head[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        del ranked
+        first = order[head]
+        new = first >= known
+        fresh = first[new]
+        if hi + fresh.size > DEFAULT_VERTEX_BUDGET:
+            raise BallBudgetError(r, DEFAULT_VERTEX_BUDGET)
+        by_first = np.argsort(fresh)
+        run_ids = lo + first
+        run_ids[np.flatnonzero(new)[by_first]] = np.arange(hi, hi + fresh.size)
+        run = np.cumsum(head)
+        run -= 1
+        ids = np.empty_like(both)
+        ids[order] = run_ids[run]
+        del order, run
+        rows = ids[known:].reshape(-1, k)
+        cells.frombytes(memoryview(rows).cast("B"))
+        spheres.append(both[fresh[by_first]])
+        offsets.append(hi + fresh.size)
+    last = np.full((spheres[-1].size, k), UNKNOWN, np.int64)
+    if n:
+        u, s = np.nonzero(rows >= offsets[n])
+        last[rows[u, s] - offsets[n], np.array(inverse)[s]] = offsets[n - 1] + u
+    cells.frombytes(memoryview(last).cast("B"))
+    return cells, offsets, np.concatenate(spheres)
+
+
+def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
+    """Radius-n ball, left open: every row of B_{n-1} is complete.
+
+    A group with int64 element keys (``key_step``) is built a sphere at a
+    time in numpy, and its ball decodes ``vertices`` only when they are
+    read; any other group by the object loop, with one group product per
+    edge inside the ball: when u * s lands on a ball vertex v, v's cell for
+    the inverse symbol is filled with u, and a filled cell is never
+    multiplied out again.  Both give the same ball.  The marking must be
+    symmetric, with an inverse symbol map that is its own inverse
+    (ValueError otherwise).  Pass r fills the rows of sphere r - 1 and finds
+    sphere r; the last sphere's rows then hold only the edges back to
+    sphere n - 1, and reading ``adjacency`` closes them.  Refuses a radius
+    past ``g.faithful_radius``: that ball would describe the truncation, not
+    the group it stands in for.  Raises BallBudgetError past
+    DEFAULT_VERTEX_BUDGET vertices.
+    """
+    if n < 0:
+        raise SettingError("radius must be >= 0")
+    if g.faithful_radius is not None and n > g.faithful_radius:
+        raise ValueError(
+            f"radius {n} exceeds the query radius {g.faithful_radius} "
+            f"to which {g.label} is faithful"
+        )
+    k = g.k
+    inverse = tuple(g.inverse_symbol_index(s) for s in range(k))
+    if any(inverse[t] != s for s, t in enumerate(inverse)):
+        raise ValueError(f"inverse symbols of {g.label} are not paired")
+    if g.key_step is not None:
+        cells, offsets, keys = _keyed_spheres(g, n, inverse)
+        vertices = None
+    else:
+        cells, offsets, vertices = _object_spheres(g, n, inverse)
+        keys = None
     # numpy reads the buffer from here on, so it must never be resized again
     return CayleyBall(
         radius=n,
-        vertices=vertices,
         dist=np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(offsets)),
         cells=np.frombuffer(cells, dtype=np.int64).reshape(-1, k).T,
         inverse=inverse,
         layer_offsets=offsets,
         group=g,
+        keys=keys,
+        _vertices=vertices,
     )
 
 
@@ -407,8 +504,6 @@ def _box_ratios(g, n_max):
     # axis-aligned boxes for grid groups; elements are integer tuples
     if not isinstance(g, GridGroup):
         raise ValueError("boxes strategy needs a grid group")
-    if n_max < 1:
-        raise SettingError("boxes strategy needs n_max >= 1")
     for s in range(1, n_max + 1):
         yield boundary_ratio(g, itertools.product(range(s), repeat=g.dim))
 
@@ -437,6 +532,16 @@ def _greedy_ratios(g, n_max):
 STRATEGIES = {"balls": _ball_ratios, "boxes": _box_ratios, "greedy": _greedy_ratios}
 
 
+def cheeger_settings(candidates: str, n_max: int) -> None:
+    """cheeger_upper's refusals that hold whatever the group (SettingError)."""
+    if candidates not in STRATEGIES:
+        raise SettingError(f"unknown strategy {candidates!r}")
+    if n_max < 0:
+        raise SettingError("n_max must be >= 0")
+    if candidates == "boxes" and n_max < 1:
+        raise SettingError("boxes strategy needs n_max >= 1")  # the smallest box has side 1
+
+
 def cheeger_upper(
     g: MarkedGroup, candidates: str = "balls", n_max: int = 6
 ) -> list:
@@ -448,8 +553,5 @@ def cheeger_upper(
     adjacency, "greedy" on a ball grown with its set; "boxes" multiplies
     out via boundary_ratio.
     """
-    if candidates not in STRATEGIES:
-        raise SettingError(f"unknown strategy {candidates!r}")
-    if n_max < 0:
-        raise SettingError("n_max must be >= 0")
+    cheeger_settings(candidates, n_max)
     return running_bound(STRATEGIES[candidates](g, n_max), "upper")

@@ -20,8 +20,9 @@ import sys
 import time
 
 from . import __version__
-from .cayley import STRATEGIES, BallBudgetError, SettingError
+from .cayley import STRATEGIES, BallBudgetError
 from .estimators import (
+    SETTING_CHECKS,
     cheeger_report,
     connective_constant,
     entropy,
@@ -326,6 +327,17 @@ def _call(row, *args, flags):
     return globals()[fn](*args, **fixed, **given)
 
 
+def _check_settings(name: str, flags) -> None:
+    """Raise SettingError when the flags hold a value that the estimator row
+    ``name`` refuses whatever the group; unset flags are at their defaults."""
+    fn, fixed, reads = _ESTIMATES[name]
+    settings = {
+        kw: _DEFAULTS[name, d] if getattr(flags, d) is None else getattr(flags, d)
+        for d, kw in reads.items()
+    }
+    SETTING_CHECKS[fn](**fixed, **settings)
+
+
 def run_verify(args) -> dict:
     rows = _COMMANDS["verify"]
     checks = []
@@ -353,6 +365,7 @@ def run_sweep(args) -> dict:
         sets = [_parse_whole(text, _Parser.parse_set) for text in args.groups]
         rows = _call(_COMMANDS["sweep"]["eta-witness"], sets, flags=args)
     else:
+        _check_settings(args.parameter, args)  # a usage error before any row
         for text in args.groups:
             row = {"group": text}
             try:
@@ -366,8 +379,6 @@ def run_sweep(args) -> dict:
                         "certified": (blob["certified"] or {}).get("value"),
                     }
                 )
-            except SettingError:
-                raise  # a flag no group takes: a usage error, not a row's
             except (ExprError, ValueError) as exc:
                 row["error"] = str(exc)  # record and continue
             except BallBudgetError as exc:

@@ -19,6 +19,7 @@ from .cayley import (
     CayleyBall,
     SettingError,
     bfs_ball,
+    cheeger_settings,
     cheeger_upper,
     cogrowth,
     ensure_ball,
@@ -224,6 +225,11 @@ def _root(c: int, n: int) -> float:
         return math.exp(math.log(c) / n)
 
 
+def _rho_settings(n_max):
+    if n_max < 4 or n_max % 2 != 0:
+        raise SettingError("n_max must be an even integer >= 4")
+
+
 def spectral_radius(
     g: MarkedGroup, n_max: int = 12, ball: CayleyBall | None = None
 ) -> EstimateReport:
@@ -238,8 +244,7 @@ def spectral_radius(
     has a radial chain and no ball is passed, else the cogrowth DP on the
     ball (passed, or of radius n_max/2); both give the same integers.
     """
-    if n_max < 4 or n_max % 2 != 0:
-        raise SettingError("n_max must be an even integer >= 4")
+    _rho_settings(n_max)
     if _walk_method(g, "auto", "rho", ball) == "radial":
         values = [rows[0][0] for rows in radial_point_counts(g, n_max)]
     else:
@@ -278,6 +283,11 @@ def spectral_radius(
 
 # ---------------------------------------------------------------------- entropy
 
+def _entropy_settings(n_max):
+    if n_max < 1:
+        raise SettingError("n_max must be >= 1")
+
+
 def entropy(
     g: MarkedGroup,
     n_max: int = 16,
@@ -292,8 +302,7 @@ def entropy(
     "radial" (free groups and gamma_free(): the radial chain, no ball);
     "auto" counts on a passed ball, else takes radial where it can.
     """
-    if n_max < 1:
-        raise SettingError("n_max must be >= 1")
+    _entropy_settings(n_max)
     method = _walk_method(g, method, "entropy", ball)
     hs = [law.entropy() for law in _walk_laws(g, n_max, ball, method)][1:]
     rates = [h / t for t, h in zip(range(1, n_max + 1), hs)]
@@ -319,6 +328,11 @@ def entropy(
 _LAW_SOURCES = {"radial": "the distance recursion", "ball": "the walk distributions on the ball"}
 
 
+def _speed_settings(n):
+    if n < 1:
+        raise SettingError("n must be >= 1")
+
+
 def speed(g: MarkedGroup, n: int = 16) -> EstimateReport:
     """Mean displacement rate E|walk at t| / t for t = 1..n, exact.
 
@@ -327,8 +341,7 @@ def speed(g: MarkedGroup, n: int = 16) -> EstimateReport:
     recursion, no ball) where g has a radial chain, else "ball" (the walk
     distributions on the radius-n ball).  The estimate is the rate at t = n.
     """
-    if n < 1:
-        raise SettingError("n must be >= 1")
+    _speed_settings(n)
     method = _walk_method(g, "auto", "speed", None)
     means = [float(law.mean_distance()) for law in _walk_laws(g, n, None, method)][1:]
     rates = [m / t for t, m in zip(range(1, n + 1), means)]
@@ -391,6 +404,17 @@ def _invasion_pstar(links, sphere_start, u, start) -> float:
         push(v)
 
 
+def _percolation_settings(mode, radius, trials, seed):
+    if mode not in ("site", "bond"):
+        raise SettingError("mode must be 'site' or 'bond'")
+    if radius < 1:
+        raise SettingError("radius must be >= 1")
+    if trials < 1:
+        raise SettingError("trials must be >= 1")
+    if not 0 <= seed < 2**63:
+        raise SettingError("seed must be in [0, 2^63)")
+
+
 def percolation_pstars(
     g: MarkedGroup, mode: str, radius: int, trials: int, seed: int = 0
 ) -> np.ndarray:
@@ -403,14 +427,7 @@ def percolation_pstars(
     that ball (site) from a Philox stream keyed by (seed, t), so it does
     not depend on the trial count.  The key takes a seed in [0, 2^63).
     """
-    if mode not in ("site", "bond"):
-        raise SettingError("mode must be 'site' or 'bond'")
-    if radius < 1:
-        raise SettingError("radius must be >= 1")
-    if trials < 1:
-        raise SettingError("trials must be >= 1")
-    if not 0 <= seed < 2**63:
-        raise SettingError("seed must be in [0, 2^63)")
+    _percolation_settings(mode, radius, trials, seed)
     ball = bfs_ball(g, radius)
     if not ball.sphere_indices(radius):
         return np.array([])  # ball closed before R: no sphere to reach
@@ -476,7 +493,8 @@ def percolation(
     est = float(np.median(pstars))
     brng = np.random.Generator(np.random.Philox(key=[seed, 1 << 32]))
     idx = brng.integers(0, trials, size=(_BOOTSTRAP, trials))
-    medians = np.median(pstars[idx], axis=1)
+    # the gathered resamples are scratch: the median may sort them in place
+    medians = np.median(pstars[idx], axis=1, overwrite_input=True)
     ci = (float(np.quantile(medians, 0.025)), float(np.quantile(medians, 0.975)))
     return EstimateReport(
         parameter=f"pc-{mode}",
@@ -499,12 +517,16 @@ def percolation(
 
 # --------------------------------------------------------- connective constant
 
+def _mu_settings(n_max):
+    if n_max < 2:
+        raise SettingError("n_max must be >= 2")
+
+
 def connective_constant(g: MarkedGroup, n_max: int = 10) -> EstimateReport:
     """Growth rate of self-avoiding walks.  v(n)^(1/n) upper-bounds the
     limit (submultiplicativity), running minimum is certified; the
     point estimate is the last ratio v(n)/v(n-1)."""
-    if n_max < 2:
-        raise SettingError("n_max must be >= 2")
+    _mu_settings(n_max)
     series = saw_count(g, n_max)
     v = series.values
     ns = list(range(1, n_max + 1))
@@ -550,7 +572,13 @@ def cheeger_report(g: MarkedGroup, candidates: str = "balls", n_max: int = 6) ->
     )
 
 
+def _growth_settings(n_max):
+    if n_max < 0:
+        raise SettingError("radius must be >= 0")  # bfs_ball's refusal
+
+
 def growth_report(g: MarkedGroup, n_max: int = 8) -> EstimateReport:
+    _growth_settings(n_max)
     series = growth(g, n_max)
     v = series.values
     return EstimateReport(
@@ -565,3 +593,17 @@ def growth_report(g: MarkedGroup, n_max: int = 8) -> EstimateReport:
         },
         notes=["exact ball sizes; estimate is log b(n)/n at the last n"],
     )
+
+
+# each estimator's refusals of settings that no group accepts (SettingError),
+# by name: the estimator runs them first, and sweep runs them once before any
+# row, on the estimator's keyword settings
+SETTING_CHECKS = {
+    "spectral_radius": _rho_settings,
+    "entropy": _entropy_settings,
+    "speed": _speed_settings,
+    "percolation": _percolation_settings,
+    "connective_constant": _mu_settings,
+    "cheeger_report": cheeger_settings,
+    "growth_report": _growth_settings,
+}

@@ -16,7 +16,27 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from . import matrixh, words
+
+_INT64_MAX = 2**63 - 1
+
+
+def _key_capacity(base: int) -> int:
+    """Letters a base-``base`` int64 key holds: the most L with base^L - 1,
+    the largest L-digit key, still an int64."""
+    letters = 0
+    while base ** (letters + 1) - 1 <= _INT64_MAX:
+        letters += 1
+    return letters
+
+
+def _refuse_full(keys, grows, full: int, label: str) -> None:
+    """OverflowError when a key that gains a letter already holds as many as
+    int64 keys of ``label`` can (it is >= ``full``), rather than wrapping."""
+    if ((keys >= full) & grows).any():
+        raise OverflowError(f"an element key of {label} would pass int64")
 
 
 class MarkedGroup:
@@ -27,6 +47,12 @@ class MarkedGroup:
     # largest radius whose balls match the group the expression names;
     # None when every ball is exact (set by truncated family members)
     faithful_radius: Union[int, None] = None
+    # A group with int64 element keys (key 0 the identity) defines
+    # key_step(keys, s), the keys of each element times generator s for an
+    # int64 array of keys, and key_element(key), the element a key stands
+    # for; bfs_ball then builds its balls a sphere at a time in numpy.
+    key_step = None
+    key_element = None
 
     @property
     def k(self) -> int:
@@ -150,6 +176,26 @@ class GammaFree(MarkedGroup):
     def describe_element(self, x):
         return words.word_str(x)
 
+    # keys: the normal form's letters a, b, c, d as base-5 digits 1-4, the
+    # last letter least significant
+    _key_full = 5 ** (_key_capacity(5) - 1)
+
+    def key_step(self, keys, s):
+        d = s + 1
+        last = keys % 5
+        pop = last == d
+        # two distinct letters of b, c, d make the third, digit 9 - last - d
+        merge = (last >= 2) & ~pop & (d >= 2)
+        _refuse_full(keys, ~(pop | merge), self._key_full, self.label)
+        return np.where(pop, keys // 5, np.where(merge, keys + (9 - d) - 2 * last, keys * 5 + d))
+
+    def key_element(self, key):
+        out = []
+        while key:
+            key, d = divmod(key, 5)
+            out.append(self.symbols[d - 1])
+        return tuple(reversed(out))
+
 
 class MatrixHGroup(MarkedGroup):
     """Exact projective-matrix realization of the four involutions."""
@@ -191,6 +237,9 @@ class FreeGroup(MarkedGroup):
             ch for i in range(rank) for ch in (_FREE_LETTERS[i], _FREE_LETTERS[i].upper())
         )
         self.label = f"free({rank})"
+        base = 2 * rank + 1
+        # keys at least this hold as many letters as an int64 key can
+        self._key_full = _INT64_MAX if rank == 1 else base ** (_key_capacity(base) - 1)
 
     def identity(self):
         return ()
@@ -210,6 +259,28 @@ class FreeGroup(MarkedGroup):
 
     def inv(self, x):
         return tuple(-t for t in reversed(x))
+
+    # keys: free(1) is Z, keyed by the signed exponent; a higher rank keys
+    # the reduced word's symbols s as base-(2 rank + 1) digits s + 1, the last
+    # letter least significant (the inverse of symbol s is symbol s ^ 1)
+    def key_step(self, keys, s):
+        if self.rank == 1:
+            step = 1 if s == 0 else -1
+            _refuse_full(keys * step, True, self._key_full, self.label)
+            return keys + step
+        base = 2 * self.rank + 1
+        pop = keys % base == (s ^ 1) + 1
+        _refuse_full(keys, ~pop, self._key_full, self.label)
+        return np.where(pop, keys // base, keys * base + (s + 1))
+
+    def key_element(self, key):
+        if self.rank == 1:
+            return (1,) * key if key >= 0 else (-1,) * -key
+        out = []
+        while key:
+            key, d = divmod(key, 2 * self.rank + 1)
+            out.append(self.generator(d - 1)[0])
+        return tuple(reversed(out))
 
 
 class CyclicGroup(MarkedGroup):

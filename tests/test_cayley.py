@@ -1,5 +1,6 @@
 """Ball construction, walk counting, SAW counts, isoperimetric search."""
 
+import copy
 import itertools
 import math
 import random
@@ -24,7 +25,7 @@ from griglab.cayley import (
     walk_counts,
 )
 from griglab.cli import parse_group_expr
-from griglab.estimators import entropy
+from griglab.estimators import entropy, spectral_radius
 from griglab.marked import (
     CyclicGroup,
     FreeGroup,
@@ -153,9 +154,13 @@ def reference_bfs_ball(g, n):
 
 
 # grig((012)*, 2) has generators with equal images; cycle(1) has parallel
-# self-loops
+# self-loops; free groups and gamma_free() take the keyed path, free(1) at
+# radius 45 past where a base-3 digit key would pass int64
 BUILDER_CASES = [
+    ("free(1)", 45),
     ("free(2)", 4),
+    ("free(3)", 3),
+    ("free(4)", 3),
     ("gamma_free()", 6),
     ("grid(2)", 5),
     ("cycle(1)", 3),
@@ -182,10 +187,118 @@ def test_ball_matches_the_two_product_builder(expr, n):
     assert b.inverse == tuple(g.inverse_symbol_index(s) for s in range(g.k))
 
 
+KEYED_CASES = [("free(1)", 45), ("free(2)", 6), ("free(3)", 4), ("free(4)", 3), ("gamma_free()", 10)]
+
+
+def object_loop_ball(g, n):
+    """bfs_ball(g, n) built by the object loop, as for a group without keys."""
+    unkeyed = copy.copy(g)
+    unkeyed.key_step = None
+    return bfs_ball(unkeyed, n)
+
+
+@pytest.mark.parametrize("expr, n", KEYED_CASES)
+def test_keyed_ball_is_the_object_loop_ball(monkeypatch, expr, n):
+    g = parse_group_expr(expr)
+    calls = counted_products(monkeypatch, g)
+    keyed = bfs_ball(g, n)
+    open_cells = keyed.cells.tobytes()
+    closed_cells = keyed.adjacency.tobytes()
+    assert calls == [] and keyed.vertices  # no group product, building or closing
+    want = object_loop_ball(g, n)
+    assert keyed.keys is not None and want.keys is None
+    assert open_cells == want.cells.tobytes()
+    assert keyed.layer_offsets == want.layer_offsets
+    assert keyed.dist.tobytes() == want.dist.tobytes()
+    assert closed_cells == want.adjacency.tobytes()
+    assert keyed.cells.base is not None  # still the one buffer, closed in place
+    assert keyed.vertices == want.vertices
+    assert [g.key_element(x) for x in keyed.keys.tolist()] == keyed.vertices
+
+
+@pytest.mark.parametrize("expr, n", [("free(2)", 3), ("gamma_free()", 5)])
+def test_keyed_ball_reads_without_decoding(monkeypatch, expr, n):
+    g = parse_group_expr(expr)
+
+    def decode(key):
+        raise AssertionError("a keyed ball decoded a vertex")
+
+    monkeypatch.setattr(g, "key_element", decode)
+    ball = bfs_ball(g, n)
+    spectral_radius(g, 2 * n, ball=ball)
+    entropy(g, n, method="ball", ball=ball)
+    assert growth(g, n, ball=ball).values[-1] == ball.size
+    assert ball.within(n - 1).shape == (g.k, ball.ball_size(n - 1))
+    assert len(ball.edges()) == len(object_loop_ball(g, n).edges())
+    ball.neighbors()
+    assert ball._vertices is None
+
+
+def stepped_key(g, word):
+    key = np.zeros(1, np.int64)
+    for s in word:
+        key = g.key_step(key, s)
+    return key
+
+
+# int64 keys hold 27 base-5 letters, 22 base-7 and 19 base-9
+@pytest.mark.parametrize(
+    "expr, word, grow, shrink, keep",
+    [
+        ("free(2)", [0] * 27, 2, 1, None),
+        ("free(3)", [0] * 22, 0, 1, None),
+        ("free(4)", [7] * 19, 0, 6, None),
+        ("gamma_free()", [0, 1] * 13 + [0], 1, 0, None),
+        ("gamma_free()", [1, 0] * 13 + [1], 0, 1, 2),  # c merges onto the last b
+    ],
+)
+def test_keys_never_wrap(expr, word, grow, shrink, keep):
+    g = parse_group_expr(expr)
+    full = stepped_key(g, word)
+    assert g.key_element(int(full[0])) == g.evaluate(word)
+    assert len(g.evaluate(word)) == len(word)
+    with pytest.raises(OverflowError):
+        g.key_step(full, grow)
+    assert g.key_element(int(g.key_step(full, shrink)[0])) == g.evaluate(word + [shrink])
+    if keep is not None:
+        assert g.key_element(int(g.key_step(full, keep)[0])) == g.evaluate(word + [keep])
+
+
+def test_free_one_keys_are_signed_exponents():
+    g = FreeGroup(1)
+    keys = np.array([-3, 0, 5], np.int64)
+    assert g.key_step(keys, 0).tolist() == [-2, 1, 6]
+    assert g.key_step(keys, 1).tolist() == [-4, -1, 4]
+    assert [g.key_element(x) for x in (-2, 0, 3)] == [(-1, -1), (), (1, 1, 1)]
+    with pytest.raises(OverflowError):
+        g.key_step(np.array([2**63 - 1], np.int64), 0)
+    with pytest.raises(OverflowError):
+        g.key_step(np.array([-(2**63 - 1)], np.int64), 1)
+
+
+@pytest.mark.parametrize("expr", ["free(2)", "free(3)", "free(4)", "gamma_free()"])
+def test_key_step_is_right_multiplication(expr):
+    g = parse_group_expr(expr)
+    rng = random.Random(5)
+    ball = bfs_ball(g, 4)
+    keys = ball.keys
+    gens = g.generators()
+    for s in range(g.k):
+        got = [g.key_element(x) for x in g.key_step(keys, s).tolist()]
+        assert got == [g.mul(x, gens[s]) for x in ball.vertices]
+    # longer words too, past the ball
+    for _ in range(20):
+        w = [rng.randrange(g.k) for _ in range(rng.randrange(19))]
+        assert g.key_element(int(stepped_key(g, w)[0])) == g.evaluate(w)
+
+
 # cycle(6) closes at radius 3; cycle(2) and grig((012)*, 2) have parallel
 # edges; every generator of gamma_free() is an involution
 GRAPH_CASES = [
+    ("free(1)", 45),
     ("free(2)", 5),
+    ("free(3)", 4),
+    ("free(4)", 3),
     ("gamma_free()", 6),
     ("grid(2)", 6),
     ("cycle(6)", 6),
@@ -241,6 +354,7 @@ def counted_products(monkeypatch, g):
     ],
 )
 def test_ball_costs_one_product_per_edge(monkeypatch, g, n, products):
+    monkeypatch.setattr(g, "key_step", None)  # the object loop's products
     calls = counted_products(monkeypatch, g)
     bfs_ball(g, n).adjacency
     assert len(calls) == products
@@ -256,6 +370,7 @@ def test_ball_costs_one_product_per_edge(monkeypatch, g, n, products):
     ],
 )
 def test_open_ball_multiplies_only_the_rows_inside(monkeypatch, g, n, products):
+    monkeypatch.setattr(g, "key_step", None)  # the object loop's products
     calls = counted_products(monkeypatch, g)
     ball = bfs_ball(g, n)
     assert len(calls) == products and not ball.closed

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
@@ -497,6 +498,36 @@ def test_sweep_refuses_a_flag_every_row_refuses(parameter, flags, message, capsy
     assert main(["sweep", parameter, "grid(2)", "free(2)", *flags, "--json", "-"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith(usage)
+
+
+@pytest.mark.parametrize(
+    "parameter, flags",
+    [
+        ("mu", ["--n", "1"]),
+        ("rho", ["--n", "6"]),  # fine: a control
+        ("rho", ["--n", "5"]),
+        ("entropy", ["--n", "0"]),
+        ("speed", ["--n", "0"]),
+        ("growth", ["--n", "-1"]),
+        ("cheeger", ["--n", "-1"]),
+        ("cheeger", ["--candidates", "boxes", "--n", "0"]),
+        ("pc-site", ["--trials", "0"]),
+        ("pc-bond", ["--R", "0"]),
+        ("pc-bond", ["--seed", "-1"]),
+    ],
+)
+@pytest.mark.parametrize("groups", [[], ["nope("]])
+def test_sweep_checks_its_flags_before_any_row(parameter, flags, groups, capsys):
+    # with no group to reach, or none that parses, sweep refuses a flag
+    # exactly when estimate does, with the same usage error
+    rc = main(["estimate", "grid(2)", parameter, *flags, "--json", "-"])
+    usage = capsys.readouterr().err
+    assert main(["sweep", parameter, *groups, *flags, "--json", "-"]) == (2 if rc == 2 else 0)
+    out, err = capsys.readouterr()
+    if rc == 2:
+        assert usage.startswith("usage error: ") and (out, err) == ("", usage)
+    else:
+        assert json.loads(out)["rows"] == [{"group": g, "error": ANY} for g in groups]
 
 
 def test_sweep_row_past_its_faithful_radius_recorded(tmp_path):
