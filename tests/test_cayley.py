@@ -277,17 +277,10 @@ def test_free_one_keys_are_signed_exponents():
 
 
 @pytest.mark.parametrize("expr", ["free(2)", "free(3)", "free(4)", "gamma_free()"])
-def test_key_step_is_right_multiplication(expr):
+def test_key_step_is_right_multiplication_past_the_balls(expr):
     g = parse_group_expr(expr)
     rng = random.Random(5)
-    ball = bfs_ball(g, 4)
-    keys = ball.keys
-    gens = g.generators()
-    for s in range(g.k):
-        got = [g.key_element(x) for x in g.key_step(keys, s).tolist()]
-        assert got == [g.mul(x, gens[s]) for x in ball.vertices]
-    # longer words too, past the ball
-    for _ in range(20):
+    for _ in range(50):
         w = [rng.randrange(g.k) for _ in range(rng.randrange(19))]
         assert g.key_element(int(stepped_key(g, w)[0])) == g.evaluate(w)
 
