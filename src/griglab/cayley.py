@@ -265,22 +265,30 @@ def _keyed_spheres(g, n, inverse):
         if hi + fresh.size > DEFAULT_VERTEX_BUDGET:
             raise BallBudgetError(r, DEFAULT_VERTEX_BUDGET)
         by_first = np.argsort(fresh)
+        spheres.append(both[fresh[by_first]])
+        del both  # each temporary is freed as it dies, which bounds the peak
         run_ids = lo + first
         run_ids[np.flatnonzero(new)[by_first]] = np.arange(hi, hi + fresh.size)
+        del first, new, fresh, by_first
         run = np.cumsum(head)
+        del head
         run -= 1
-        ids = np.empty_like(both)
-        ids[order] = run_ids[run]
+        # in place, unbuffered under mode="clip": element i reads run[i] before writing it
+        np.take(run_ids, run, out=run, mode="clip")
+        del run_ids
+        ids = np.empty(order.size, np.int64)
+        ids[order] = run
         del order, run
         rows = ids[known:].reshape(-1, k)
         cells.frombytes(memoryview(rows).cast("B"))
-        spheres.append(both[fresh[by_first]])
-        offsets.append(hi + fresh.size)
+        offsets.append(hi + spheres[-1].size)
     last = np.full((spheres[-1].size, k), UNKNOWN, np.int64)
     if n:
         u, s = np.nonzero(rows >= offsets[n])
         last[rows[u, s] - offsets[n], np.array(inverse)[s]] = offsets[n - 1] + u
+        del ids, rows, u, s
     cells.frombytes(memoryview(last).cast("B"))
+    del last
     return cells, offsets, np.concatenate(spheres)
 
 
@@ -364,33 +372,42 @@ def walk_counts(ball: CayleyBall, n_max: int) -> Iterator[np.ndarray]:
     """Yield c_t for t = 0..n_max: c_t[v] counts the length-t symbol words
     from the identity that evaluate to ball vertex v without leaving the ball.
 
-    c_t[v] is the group's count for t <= radius, and c_t[0] for t <= 2 *
-    radius.  The dynamic program reads the ball's cells and never closes it:
-    a walk of length t <= radius enters the last sphere only on its last
-    step, and a closed walk of length <= 2 * radius reaches it only at its
-    midpoint, from where it must step straight back to sphere radius - 1.
-    The cells still UNKNOWN lead within the last sphere or out of the ball,
-    so neither kind of walk reads them, and inside those ranges the counts
-    are the same whether or not the ball was closed.
+    Only the counts a caller can read are computed; each c_t is zero past
+    the BFS prefix that step t fills.  If n_max <= radius, every c_t is the
+    group's count at every vertex: a walk of length t lies in B_t, so step
+    t fills B_t.  If n_max > radius, only the returns c_t[0] are the group's
+    counts, for t <= min(n_max, 2 * radius): a walk at time t that is back
+    at the identity by n_max lies in B_{n_max - t}, so step t fills
+    B_{min(t, n_max - t, radius)}.  The dynamic program reads the ball's
+    cells and never closes it: a walk of length t <= radius enters the last
+    sphere only on its last step, and a closed walk of length <= 2 * radius
+    reaches it only at its midpoint, from where it must step straight back
+    to sphere radius - 1.  The cells still UNKNOWN lead within the last
+    sphere or out of the ball, so neither kind of walk reads them, and the
+    counts are the same whether or not the ball was closed.
 
     Counts start as int64 and become Python ints in an object array before
     the first step t -> t+1 with max(c_t) * k >= 2^63: a new count sums k old
     ones, so below that bound int64 is exact.  Each step is a fresh array.
     """
-    V, k = ball.size, ball.group.k
+    V, k, radius = ball.size, ball.group.k, ball.radius
+    returns_only = n_max > radius
+    top = ball.ball_size(min(n_max // 2, radius) if returns_only else n_max)
     # predecessors of v through s are v * s^{-1}; OUTSIDE and UNKNOWN read
     # the zero cell V
-    preds = np.where(ball.cells >= 0, ball.cells, V)[list(ball.inverse)]
+    cells = ball.cells[:, :top]
+    preds = np.where(cells >= 0, cells, V)[list(ball.inverse)]
     cur = np.zeros(V + 1, dtype=np.int64)
     cur[0] = 1
     yield cur[:V]
-    for t in range(n_max):
-        # k^(t+1) bounds every new count, so the max is read only past 2^63
-        if cur.dtype != object and k ** (t + 1) >= 2**63 and int(cur.max()) * k >= 2**63:
+    for t in range(1, n_max + 1):
+        # k^t bounds every new count, so the max is read only past 2^63
+        if cur.dtype != object and k**t >= 2**63 and int(cur.max()) * k >= 2**63:
             cur = cur.astype(object)
+        size = ball.ball_size(min(t, n_max - t, radius) if returns_only else t)
         new = np.zeros(V + 1, dtype=cur.dtype)
-        for idx in preds:
-            new[:V] += cur[idx]
+        for idx in preds[:, :size]:
+            new[:size] += cur[idx]
         cur = new
         yield cur[:V]
 

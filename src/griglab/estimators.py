@@ -8,7 +8,7 @@ series/curve so callers can render CSV without recomputation.
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
@@ -123,6 +123,8 @@ class WalkDistribution:
     point of class i (a distance and type of a radial chain, or one vertex
     of ball when sizes is None), at distance distances[i]; the class has
     sizes[i] points.  The total is k^n, so probabilities are exact Fractions.
+    A ball law's counts and distances may be the numpy arrays of walk_counts
+    and ball.dist; its sums then read only the vertices the walk reaches.
     """
 
     group: MarkedGroup
@@ -137,20 +139,32 @@ class WalkDistribution:
         return self.group.k ** self.n
 
     def prob(self, i: int) -> Fraction:
-        return Fraction(self.counts[i], self.total)
+        return Fraction(int(self.counts[i]), self.total)
+
+    def _ball_counts(self) -> np.ndarray:
+        # a list of counts past int64 must not become float64
+        return np.asarray(self.counts, getattr(self.counts, "dtype", object))
 
     def mean_distance(self) -> Fraction:
-        weights = self.counts if self.sizes is None else map(mul, self.sizes, self.counts)
-        return Fraction(sum(w * d for w, d in zip(weights, self.distances)), self.total)
+        if self.sizes is None:  # Python ints: sum c * d can pass 2^63
+            c = self._ball_counts()
+            hit = np.flatnonzero(c)
+            terms = map(mul, c[hit].tolist(), np.asarray(self.distances)[hit].tolist())
+        else:
+            terms = map(mul, map(mul, self.sizes, self.counts), self.distances)
+        return Fraction(sum(terms), self.total)
 
     def entropy(self) -> float:
         """H = n log k - (1/k^n) sum size * c log c, compensated summation.
         Past k^n = 2^1010 the same low bits leave each weight size * c and
-        k^n, so both fit a float; a ball (k^n <= e^700) keeps every bit."""
+        k^n, so both fit a float; a ball (k^n <= e^700) keeps every bit and
+        selects its counts c > 1 in numpy, then sums the same Python terms."""
         log, total = math.log, self.total
         shift = max(0, total.bit_length() - 1010)
         if self.sizes is None:
-            acc = math.fsum(c * log(c) for c in self.counts if c > 1)
+            c = self._ball_counts()
+            cs = c[c > 1].tolist()
+            acc = math.fsum(map(mul, cs, map(log, cs)))
         else:
             pairs = zip(self.sizes, self.counts)
             acc = math.fsum((s * c >> shift) * log(c) for s, c in pairs if c > 1)
@@ -186,9 +200,8 @@ def _walk_laws(g: MarkedGroup, n: int, ball: CayleyBall | None, method: str):
         hint = "; use method radial" if _radial_chain(g) else ""
         raise ValueError(f"k^n = {g.k}^{n} exceeds e^700, the float range of the ball method{hint}")
     ball = ensure_ball(g, n, ball)
-    dist = ball.dist.tolist()
     for t, counts in enumerate(walk_counts(ball, n)):
-        yield WalkDistribution(g, t, counts.tolist(), dist, ball=ball)
+        yield WalkDistribution(g, t, counts, ball.dist, ball=ball)
 
 
 def walk_distribution(g: MarkedGroup, n: int) -> WalkDistribution:
@@ -196,7 +209,7 @@ def walk_distribution(g: MarkedGroup, n: int) -> WalkDistribution:
         raise SettingError("n must be >= 0")
     for law in _walk_laws(g, n, None, "ball"):
         pass  # keep the last step
-    return law
+    return replace(law, counts=law.counts.tolist(), distances=law.distances.tolist())
 
 
 def _walk_method(g: MarkedGroup, method: str, parameter: str, ball: CayleyBall | None) -> str:

@@ -518,6 +518,59 @@ def test_cogrowth_bigint_path_matches_numpy_path():
     assert wide[40] == math.comb(40, 20) ** 2
 
 
+def full_sweep_walk_counts(ball, n_max):
+    """walk_counts as it was before the pruning: every step sweeps every
+    vertex of the ball, kept as the reference for the pruned prefixes."""
+    V, k = ball.size, ball.group.k
+    preds = np.where(ball.cells >= 0, ball.cells, V)[list(ball.inverse)]
+    cur = np.zeros(V + 1, dtype=np.int64)
+    cur[0] = 1
+    yield cur[:V]
+    for t in range(n_max):
+        if cur.dtype != object and k ** (t + 1) >= 2**63 and int(cur.max()) * k >= 2**63:
+            cur = cur.astype(object)
+        new = np.zeros(V + 1, dtype=cur.dtype)
+        for idx in preds:
+            new[:V] += cur[idx]
+        cur = new
+        yield cur[:V]
+
+
+@pytest.mark.parametrize("expr, radius", [
+    ("free(2)", 5),
+    ("gamma_free()", 6),
+    ("grid(2)", 6),
+    ("cycle(5)", 5),
+    ("cycle(2)", 3),
+    ("matrix_h()", 5),
+    ("grig((012)*, 5)", 6),
+    ("gj((012)*, {1,3}, 6)", 6),
+    ("product(grig((012)*, 3), matrix_h())", 4),
+    ("grid(2)", 20),  # the returns widen to Python ints past t = 32
+])
+def test_pruned_walk_counts_equal_the_full_sweep(expr, radius):
+    ball = bfs_ball(parse_group_expr(expr), radius)
+    full = [c.tolist() for c in full_sweep_walk_counts(ball, 2 * radius)]
+    for n_max in range(radius + 1):  # every count at every vertex
+        got = [c.tolist() for c in walk_counts(ball, n_max)]
+        assert got == full[: n_max + 1], n_max
+    for n_max in range(radius + 1, 2 * radius + 1):  # only the returns are read
+        got = [c[0] for c in walk_counts(ball, n_max)]
+        assert got == [c[0] for c in full[: n_max + 1]], n_max
+        assert all(len(c) == ball.size for c in walk_counts(ball, n_max))
+
+
+@pytest.mark.parametrize("radius", [5, 9, 10, 12])
+def test_cogrowth_on_a_larger_passed_ball(radius):
+    # step t fills B_min(t, 10 - t) of a radius-9 ball, and B_t of a ball of
+    # radius >= 10, whose every count is read
+    g = GridGroup(2)
+    ball = bfs_ball(g, radius)
+    values = cogrowth(g, 10, ball=ball).values
+    assert values == [int(c[0]) for c in full_sweep_walk_counts(ball, 10)]
+    assert values == [math.comb(n, n // 2) ** 2 * (n % 2 == 0) for n in range(11)]
+
+
 def test_gamma_free_sphere_sizes_follow_the_closed_form():
     # s(0) = 1, s(2m+1) = 4 * 3^m, s(2m) = 6 * 3^(m-1)
     sizes = bfs_ball(GammaFree(), 16).layer_sizes()

@@ -625,6 +625,47 @@ def test_walk_counts_past_int64_match_binomial_sums():
     assert sum(w.counts) == 2**70
 
 
+def per_vertex_law(ball, n):
+    """H(t) and E|walk at t| for t = 1..n from the ball's per-vertex counts,
+    summed in Python over every vertex, zeros included."""
+    k, dist = ball.group.k, ball.dist.tolist()
+    hs, means = [], []
+    for t, counts in enumerate(cayley.walk_counts(ball, n)):
+        counts = counts.tolist()
+        acc = math.fsum(c * math.log(c) for c in counts if c > 1)
+        hs.append(t * math.log(k) - acc / float(k**t))
+        means.append(Fraction(sum(c * d for c, d in zip(counts, dist)), k**t))
+    return hs[1:], means[1:]
+
+
+@pytest.mark.parametrize("expr, n", [
+    ("free(2)", 9),
+    ("gamma_free()", 8),
+    ("gj((012)*, {1,3}, 8)", 8),
+    ("cycle(4)", 70),  # 2^70: the counts are Python ints in object arrays
+])
+def test_ball_walk_laws_are_bit_identical_to_the_per_vertex_sums(expr, n):
+    g = parse_group_expr(expr)
+    ball = bfs_ball(g, n)
+    hs, means = per_vertex_law(ball, n)
+    assert entropy(g, n, method="ball", ball=ball).series["H"] == hs
+    laws = list(_walk_laws(g, n, ball, "ball"))[1:]
+    assert [law.mean_distance() for law in laws] == means
+    if estimators._radial_chain(g) is None:  # speed counts on the ball
+        assert speed(g, n).series["mean_distance"] == [float(m) for m in means]
+
+
+def test_ball_mean_distance_past_int64():
+    # sum c * d passes 2^63 while every count fits int64: exact Python ints
+    g = GridGroup(1)
+    w = walk_distribution(g, 62)
+    assert max(w.counts) < 2**63 <= sum(c * d for c, d in zip(w.counts, w.distances))
+    law = list(_walk_laws(g, 62, None, "ball"))[-1]
+    assert law.counts.dtype == np.int64
+    assert law.mean_distance() == w.mean_distance() == Fraction(
+        sum(c * d for c, d in zip(w.counts, w.distances)), 2**62)
+
+
 def test_entropy_ball_matches_walk_distribution_per_step():
     for g in (GammaFree(), GridGroup(2)):
         b = bfs_ball(g, 6)
