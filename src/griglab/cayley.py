@@ -390,9 +390,9 @@ def walk_counts(ball: CayleyBall, n_max: int) -> Iterator[np.ndarray]:
     the first step t -> t+1 with max(c_t) * k >= 2^63: a new count sums k old
     ones, so below that bound int64 is exact.  Each step is a fresh array.
     """
-    V, k, radius = ball.size, ball.group.k, ball.radius
+    V, k, radius, offsets = ball.size, ball.group.k, ball.radius, ball.layer_offsets
     returns_only = n_max > radius
-    top = ball.ball_size(min(n_max // 2, radius) if returns_only else n_max)
+    top = offsets[(min(n_max // 2, radius) if returns_only else n_max) + 1]
     # predecessors of v through s are v * s^{-1}; OUTSIDE and UNKNOWN read
     # the zero cell V
     cells = ball.cells[:, :top]
@@ -404,10 +404,11 @@ def walk_counts(ball: CayleyBall, n_max: int) -> Iterator[np.ndarray]:
         # k^t bounds every new count, so the max is read only past 2^63
         if cur.dtype != object and k**t >= 2**63 and int(cur.max()) * k >= 2**63:
             cur = cur.astype(object)
-        size = ball.ball_size(min(t, n_max - t, radius) if returns_only else t)
+        size = offsets[(min(t, n_max - t, radius) if returns_only else t) + 1]
         new = np.zeros(V + 1, dtype=cur.dtype)
+        prefix = new[:size]
         for idx in preds[:, :size]:
-            new[:size] += cur[idx]
+            prefix += cur[idx]
         cur = new
         yield cur[:V]
 
