@@ -129,6 +129,8 @@ def separation_witness(
         raise ValueError("need J a proper subset of Jp")
     if i not in set(Jp) - set(J):
         raise ValueError("witness level must lie in Jp minus J")
+    if omega.is_stabilizing:
+        raise ValueError("letter sequence must not stabilize")
 
     H = MatrixHGroup()
     w = eta_word(omega, i)

@@ -105,6 +105,13 @@ class MarkedGroup:
         return self.parse("".join(items))
 
     def evaluate(self, w: Union[str, Iterable]):
+        """The element a word names: ``mul`` folded over its generators.
+
+        A subclass may override this with an exact shortcut that returns
+        the same value (``GammaFree`` reduces the word, ``WreathGroup``
+        splits it into section words, ``ProductGroup`` evaluates it in
+        each factor).
+        """
         x = self.identity()
         for i in self.parse(w):
             x = self.mul(x, self.generator(i))
@@ -364,6 +371,11 @@ class ProductGroup(MarkedGroup):
 
     def mul(self, x, y):
         return tuple(g.mul(p, q) for g, p, q in zip(self.factors, x, y))
+
+    def evaluate(self, w):
+        # generated diagonally, so a word names its value in every factor
+        idx = self.parse(w)
+        return tuple(g.evaluate(idx) for g in self.factors)
 
     def inv(self, x):
         return tuple(g.inv(p) for g, p in zip(self.factors, x))

@@ -13,13 +13,21 @@ they are the same object.  Equality and hashing are therefore the
 default identity ones, and ball enumerations stay compact in memory.
 The intern pool is process-global and never shrinks.
 
-Each tower keeps one composition memo, a dict from a pair (g, h) of
-interned trees to g h.  The depth-1 functor group creates it and every
-group stacked on top shares it, since they share one leaf multiplication;
-subtrees of every depth are keys.  So each distinct pair of subtrees,
-leaf pairs included, is composed once per tower, and a product walks the
-DAG of shared subtrees rather than the whole tree.  The memo is an
-attribute of the groups, so it is freed with the tower.
+Words evaluate by sections, not by composing trees.  One pass over a
+word gives its root swap bit and the two section words at inputs 0 and
+1, each reduced in Z/2 * (Z/2)^2 and about half as long; they recurse
+into the base, and a base that is not a functor group evaluates its
+sections itself.  Trees are interned, so this returns the same object as
+folding ``mul`` over the word.
+
+``mul`` serves the ball builds.  Each tower keeps one composition memo,
+a dict from a pair (g, h) of interned trees to g h.  The depth-1 functor
+group creates it and every group stacked on top shares it, since they
+share one leaf multiplication; subtrees of every depth are keys.  So
+each distinct pair of subtrees, leaf pairs included, is composed once
+per tower, and a product walks the DAG of shared subtrees rather than
+the whole tree.  The memo is an attribute of the groups, so it is freed
+with the tower.
 
 The level functor takes a group with the involutive Klein marking
 (a, b, c, d) and produces a new one of tree depth one greater, with the
@@ -38,6 +46,7 @@ import numpy as np
 
 from .cayley import bfs_ball
 from .marked import MarkedGroup, TrivialGroup, has_involutive_klein_marking
+from . import words
 from .words import OmegaWord
 
 
@@ -225,6 +234,7 @@ class WreathGroup(MarkedGroup):
             wrap = leaf
         a, b, c, d = (wrap(base.generator(i)) for i in range(4))
         e = wrap(base.identity())
+        self._base_identity = e
         self._identity = node(0, e, e)
         weak = _WEAK[letter]
         mk = lambda s, child: node(0, e if s == weak else a, child)
@@ -244,6 +254,45 @@ class WreathGroup(MarkedGroup):
 
     def mul(self, x, y):
         return compose(x, y, self.leaf_base.mul, self._memo)
+
+    def evaluate(self, w):
+        """The element a word names, by the wreath recursion on the word.
+
+        Returns the very tree that folding ``mul`` over the word returns,
+        since trees are interned by value.
+        """
+        return self._evaluate_roles([words.LETTERS[i] for i in self.parse(w)])
+
+    def _evaluate_roles(self, word):
+        # ``word`` spells generator positions 0-3 in the roles a, b, c, d.
+        # A generator s is (0; a or e, s): it appends s to the section the
+        # swap bit puts at input 1 and a (unless s is weak) to the other.
+        weak = _WEAK[self.letter]
+        swap = 0
+        sections = ([], [])
+        for ch in word:
+            if ch == "a":
+                swap ^= 1
+                continue
+            sections[1 ^ swap].append(ch)
+            if ch != weak:
+                sections[swap].append("a")
+        return node(
+            swap,
+            self._section_element(sections[swap]),
+            self._section_element(sections[swap ^ 1]),
+        )
+
+    def _section_element(self, section):
+        # the base carries the involutive Klein marking, so it is a
+        # quotient of Gamma = Z/2 * (Z/2)^2 and the section may be reduced
+        # there first
+        section = words.reduce(section)
+        if not section:
+            return self._base_identity
+        if isinstance(self.base, WreathGroup):
+            return self.base._evaluate_roles(section)
+        return leaf(self.base.evaluate(tuple(map(words.LETTERS.index, section))))
 
     def inv(self, x):
         return invert(x, self.leaf_base.inv)

@@ -350,6 +350,12 @@ def test_sweep_eta_witness_matrix(tmp_path):
     assert all(",True," in ln or ln.endswith("True") or ",1" in ln for ln in lines[1:])
 
 
+@pytest.mark.parametrize("omega", ["000", "1|2"])
+def test_sweep_eta_witness_refuses_a_stabilizing_omega(omega, capsys):
+    assert main(["sweep", "eta-witness", "{}", "{1}", "--omega", omega]) == 2
+    assert "letter sequence must not stabilize" in capsys.readouterr().err
+
+
 def test_sweep_seed_is_null_for_the_exact_eta_witness(tmp_path):
     # the seed field is the seed the rows used: null where no parameter
     # reads one, the estimator's default where none was given

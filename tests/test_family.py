@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -11,7 +12,7 @@ from griglab import family as F
 from griglab.cayley import bfs_ball
 from griglab.marked import MatrixHGroup, product
 from griglab.words import FIRST_OMEGA as OM
-from griglab.words import OmegaWord, eta_word
+from griglab.words import OmegaWord, eta_word, parse_omega, reduce, word_str
 from griglab.wreath import ball_agreement_radius, grig, iterate_functor
 
 
@@ -28,6 +29,63 @@ def test_truncation_level_values():
     assert F.truncation_level(0, OM) == 1
     with pytest.raises(ValueError):
         F.truncation_level(-1, OM)
+
+
+# per letter of omega, the torsion generator whose section at input 0 is
+# trivial; the other two have the swap generator there
+WEAK = {0: "d", 1: "c", 2: "b"}
+
+
+def trivial_in_limit(w, omega):
+    """Whether ``w`` is trivial in G_omega, by Grigorchuk's contraction."""
+    w = reduce(w)
+    if not w:
+        return True
+    if len(w) == 1 or w.count("a") % 2:
+        return False
+    weak = WEAK[omega.letter(1)]
+    sections, swap = ([], []), 0
+    for ch in w:
+        if ch == "a":
+            swap ^= 1
+            continue
+        sections[1 ^ swap].append(ch)
+        if ch != weak:
+            sections[swap].append("a")
+    # sections are at most (len(w) + 1) // 2 long, so this ends
+    return all(trivial_in_limit(p, omega.shift(1)) for p in sections)
+
+
+def reduced_words(length):
+    """Every normal form of the given length: a alternates with b, c, d."""
+    out = []
+    for first_a in (True, False):
+        pattern = [(j % 2 == 0) == first_a for j in range(length)]
+        for torsion in itertools.product("bcd", repeat=pattern.count(False)):
+            it = iter(torsion)
+            out.append("".join("a" if is_a else next(it) for is_a in pattern))
+    return out
+
+
+@pytest.mark.parametrize("om", ["(012)*", "(021)*", "(0112)*", "2|01"])
+def test_truncation_level_decides_short_words_as_the_limit_does(om):
+    omega = parse_omega(om)
+    rng = random.Random(23)
+    ws = [w for length in range(8) for w in reduced_words(length)]  # n <= 3
+    for n in range(1, 9):
+        ws += ["".join(rng.choices("abcd", k=2 * n + 1)) for _ in range(60)]
+    relators = ["".join(("a", s)) * m for s in "bcd" for m in (2, 4, 8, 16)]
+    for r in relators:
+        for _ in range(8):
+            u = "".join(rng.choices("abcd", k=rng.randrange(1, 7)))
+            ws.append(u + r + u[::-1])  # u^-1 is u reversed
+    ws += [word_str(eta_word(omega, k)) for k in (1, 2, 3)]
+    towers = {}
+    for w in ws:
+        n = max(1, len(w) // 2)  # the least n >= 1 with len(w) <= 2n + 1
+        N = F.truncation_level(n, omega)
+        G = towers.setdefault(N, grig(omega, N))
+        assert G.is_trivial_word(w) == trivial_in_limit(w, omega), (w, n)
 
 
 def test_gjspec_normalization():
@@ -153,6 +211,9 @@ def test_witness_preconditions():
         F.separation_witness(OM, (1,), (1,), 1)
     with pytest.raises(ValueError):
         F.separation_witness(OM, (1,), (1, 2), 1)
+    for stabilizing in ("000", "1|2"):
+        with pytest.raises(ValueError, match="must not stabilize"):
+            F.separation_witness(parse_omega(stabilizing), (), (1,), 1)
 
 
 def test_kernel_section_small_cases():

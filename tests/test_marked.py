@@ -8,6 +8,8 @@ import pytest
 
 from griglab import marked as M
 from griglab import words as W
+from griglab.family import GJSpec, build_GJ
+from griglab.wreath import grig
 
 
 ZOO = [
@@ -106,6 +108,23 @@ def test_product_componentwise():
     assert p.component_triviality(p.evaluate("ssss")) == [True, False]
     with pytest.raises(ValueError):
         M.product([M.CyclicGroup(2), M.FreeGroup(1)])
+
+
+def test_product_evaluates_the_word_in_each_factor():
+    groups = [
+        M.product([M.MatrixHGroup(), M.GammaFree(), grig(W.FIRST_OMEGA, 3)]),
+        build_GJ(GJSpec(W.parse_omega("(021)*"), (1, 3), 3)),
+    ]
+    rng = random.Random(5)
+    for p in groups:
+        for _ in range(40):
+            w = "".join(rng.choices("abcd", k=rng.randrange(0, 30)))
+            x = p.identity()
+            for i in p.parse(w):
+                x = p.mul(x, p.generator(i))
+            got = p.evaluate(w)
+            assert got == x
+            assert p.evaluate(tuple(w)) == p.evaluate(p.parse(w)) == got
 
 
 def test_product_of_one_behaves_like_factor():

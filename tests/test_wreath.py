@@ -177,6 +177,36 @@ def test_tower_multiplies_each_leaf_pair_once_and_frees_its_memo():
     assert ref() is None
 
 
+# ------------------------------------------------------------ evaluation
+
+
+def fold_evaluate(g, w):
+    """The element ``w`` names, by folding ``mul`` over its letters."""
+    x = g.identity()
+    for i in g.parse(w):
+        x = g.mul(x, g.generator(i))
+    return x
+
+
+@pytest.mark.parametrize("om", ["(012)*", "(021)*", "0112", "2|01"])
+def test_section_evaluation_returns_the_folded_tree(om):
+    omega = W.parse_omega(om)
+    H = MatrixHGroup()
+    towers = [
+        Wr.iterate_functor(omega, 3, H),
+        Wr.grig(omega, 5),
+        Wr.iterate_functor(omega, 2, product([H, Wr.grig(omega, 1)])),
+    ]
+    rng = random.Random(11)
+    words = ["", "e", "a", "b", "c", "d"]
+    words += ["".join(rng.choices("abcd", k=rng.randrange(65))) for _ in range(40)]
+    words += [W.word_str(W.eta_word(omega, k)) for k in (1, 2, 3)]
+    for g in towers:
+        for w in words:
+            for form in (w, g.parse(w), tuple(g.symbols[i] for i in g.parse(w))):
+                assert g.evaluate(form) is fold_evaluate(g, form), (g.label, w)
+
+
 # ------------------------------------------------------------ the action
 
 
