@@ -152,11 +152,8 @@ class CayleyBall:
     def neighbors(self) -> list:
         """Sorted distinct neighbours of each vertex, the other ends of its
         edges(); parallel generator edges give one neighbour."""
-        sets = [set() for _ in range(self.size)]
-        for u, v in self.edges():
-            sets[u].add(v)
-            sets[v].add(u)
-        return [tuple(sorted(n)) for n in sets]
+        table = _neighbor_table(self.adjacency).tolist()
+        return [tuple(v for v in row if v >= 0) for row in table]
 
     def to_dot(self) -> str:
         lines = ["digraph ball {"]
@@ -435,27 +432,36 @@ def growth(g: MarkedGroup, n_max: int, ball: CayleyBall | None = None) -> CountS
 _SAW_CHUNK = 1024  # walks extended together: bounds the frontier's memory
 
 
-def _saw_table(ball: CayleyBall) -> np.ndarray:
-    """(V, k) distinct neighbours of each vertex read off the open cells,
-    each row sorted: a repeated neighbour (parallel edges) and the vertex
-    itself (a self-loop) read -1, and OUTSIDE and UNKNOWN are negative too,
-    so an entry is a neighbour exactly when it is >= 0."""
-    nb = np.sort(ball.cells.T, axis=1)
+def _neighbor_table(cells: np.ndarray) -> np.ndarray:
+    """(V, k) distinct neighbours of each vertex read off (k, V) cells, each
+    row sorted: a repeated neighbour (parallel edges) and the vertex itself
+    (a self-loop) read -1, and OUTSIDE and UNKNOWN are negative too, so an
+    entry is a neighbour exactly when it is >= 0."""
+    nb = np.sort(cells.T, axis=1)
     nb[:, 1:][nb[:, 1:] == nb[:, :-1]] = -1
-    nb[nb == np.arange(ball.size)[:, None]] = -1
+    nb[nb == np.arange(nb.shape[0])[:, None]] = -1
     return nb
 
 
 def _saw_children(nb, paths, counts, n_max):
     """Count the one-step self-avoiding extensions of the walks ``paths``, an
-    (m, d+1) array of vertex ids, into counts[d+1]; then, below n_max, yield
-    those extensions in chunks of _SAW_CHUNK rows."""
+    (m, d) array of vertex ids, into counts[d]; at d = n_max - 1, count theirs
+    into counts[n_max] by an (m, k, k) gather of the table rows at their ends
+    (a row never holds its own vertex), and below it, yield the extensions
+    in chunks of _SAW_CHUNK rows."""
     cand = nb[paths[:, -1]]
     ok = cand >= 0
     for col in paths.T:
         ok &= cand != col[:, None]
-    counts[paths.shape[1]] += int(np.count_nonzero(ok))
-    if paths.shape[1] < n_max:
+    d = paths.shape[1]
+    counts[d] += int(np.count_nonzero(ok))
+    if d == n_max - 1:
+        grand = nb[cand]
+        ok = ok[:, :, None] & (grand >= 0)
+        for col in paths.T:
+            ok &= grand != col[:, None, None]
+        counts[n_max] += int(np.count_nonzero(ok))
+    elif d < n_max:
         rows, cols = np.nonzero(ok)
         for i in range(0, rows.size, _SAW_CHUNK):
             r, c = rows[i:i + _SAW_CHUNK], cols[i:i + _SAW_CHUNK]
@@ -472,11 +478,11 @@ def saw_count(g: MarkedGroup, n_max: int) -> CountSeries:
     in B_{n_max-1}, whose rows are complete.  Each chunk of walks of one
     length is extended by one step at once and its extensions are searched
     depth-first, chunk by chunk, so memory stays bounded; the walks of
-    length n_max are counted, never built.
+    length n_max - 1 and n_max are counted, never built.
     """
     if n_max < 0:
         raise SettingError("n_max must be >= 0")
-    nb = _saw_table(bfs_ball(g, n_max))
+    nb = _neighbor_table(bfs_ball(g, n_max).cells)
     counts = [1] + [0] * n_max
     todo = [_saw_children(nb, np.zeros((1, 1), np.int64), counts, n_max)] if n_max else []
     while todo:

@@ -370,29 +370,28 @@ def speed(g: MarkedGroup, n: int = 16) -> EstimateReport:
 
 # ------------------------------------------------------------------- percolation
 
-def _invasion_pstar(links, sphere_start, u, start) -> float:
-    """Minimax weight of a path from vertex 0 to the sphere.
+def _invasion_pstar(links, sphere_start, u) -> float:
+    """Minimax edge weight of a path from vertex 0 to the sphere.
 
     links[v] lists (uniform index, neighbour) pairs, u holds the weights,
-    start is the root's own weight, and the vertices >= sphere_start are
-    the sphere.  Invasion at a water level: worst is the largest weight
-    opened so far.  A frontier link of weight <= worst cannot raise it,
-    so its end joins the cluster at once through a plain stack; only
-    links above worst enter the heap.  When the stack runs dry, the
-    cluster is the root's component below worst, it holds no sphere
-    vertex, and every link leaving it is in the heap, so every path to
-    the sphere crosses a link at or above the least unseen heap key.
-    Raising worst to that key and flooding again keeps worst a lower
-    bound on the minimax value; the cluster joins the root to each of
+    and the vertices >= sphere_start are the sphere.  Invasion at a water
+    level: worst is the largest weight opened so far.  A frontier link of
+    weight <= worst cannot raise it, so its end joins the cluster at once
+    through a plain stack; only links above worst enter the heap.  When the
+    stack runs dry, the cluster is the root's component below worst, it
+    holds no sphere vertex, and every link leaving it is in the heap, so
+    every path to the sphere crosses a link at or above the least unseen
+    heap key.  Raising worst to that key and flooding again keeps worst a
+    lower bound on the minimax value; the cluster joins the root to each of
     its vertices by links <= worst, so worst is the minimax value once a
     sphere vertex is reached.  A vertex returns as it leaves the stack,
     before its links are read, so no vertex past the sphere is reached.
-    The sphere is nonempty and the ball connected, so the heap never
-    runs dry first.
+    The sphere is nonempty and the ball connected, so the heap never runs
+    dry first.
     """
     seen = bytearray(len(links))
     seen[0] = 1
-    worst = start
+    worst = 0.0
     stack = [0]
     push, pop = stack.append, stack.pop
     heap = []
@@ -417,6 +416,43 @@ def _invasion_pstar(links, sphere_start, u, start) -> float:
         push(v)
 
 
+def _site_pstar(nbrs, sphere_start, u) -> float:
+    """_invasion_pstar over sites, root included: v weighs u[v] whichever
+    neighbour reaches it, so it is seen when first reached and enters the
+    stack or the heap once."""
+    seen = bytearray(len(nbrs))
+    seen[0] = 1
+    worst = u[0]
+    stack = [0]
+    push, pop = stack.append, stack.pop
+    heap = []
+    while True:
+        while stack:
+            v = pop()
+            if v >= sphere_start:
+                return worst
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    x = u[w]
+                    if x <= worst:
+                        push(w)
+                    else:
+                        heapq.heappush(heap, (x, w))
+        worst, v = heapq.heappop(heap)
+        push(v)
+
+
+def _rekeyed(gen, seed: int, t: int):
+    """gen, a Philox Generator, reset to where Philox(key=[seed, t]) starts;
+    building a Philox draws a SeedSequence from OS entropy, about 20 us."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [seed, t]},
+        "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
+
+
 def _percolation_settings(mode, radius, trials, seed):
     if mode not in ("site", "bond"):
         raise SettingError("mode must be 'site' or 'bond'")
@@ -435,10 +471,11 @@ def percolation_pstars(
     sphere at occupation p exactly when pstars[t] < p.  Each p* is the
     minimax path weight from the root to the sphere (over edges in bond
     mode, over sites, root included, in site mode), found by water-level
-    invasion from the root (see _invasion_pstar).  Trial t draws one
-    uniform per edge of bfs_ball(g, R).edges() (bond) or per vertex of
-    that ball (site) from a Philox stream keyed by (seed, t), so it does
-    not depend on the trial count.  The key takes a seed in [0, 2^63).
+    invasion from the root (_invasion_pstar, _site_pstar).  Trial t draws
+    one uniform per edge of bfs_ball(g, R).edges() (bond) or per vertex of
+    that ball (site) from a Philox stream keyed by (seed, t), so it does not
+    depend on the trial count; the trials re-key one Philox (_rekeyed).
+    The key takes a seed in [0, 2^63).
     """
     _percolation_settings(mode, radius, trials, seed)
     ball = bfs_ball(g, radius)
@@ -450,17 +487,17 @@ def percolation_pstars(
         for e, (a, b) in enumerate(edges):
             links[a].append((e, b))
             links[b].append((e, a))
-        n = len(edges)
+        n, invade = len(edges), _invasion_pstar
     else:
-        links = [[(w, w) for w in nbrs] for nbrs in ball.neighbors()]
-        n = len(links)
+        links = ball.neighbors()
+        n, invade = len(links), _site_pstar
     sphere_start = ball.layer_offsets[radius]
-    pstars = []
-    for t in range(trials):
-        # a memoryview makes a float only for each uniform the invasion reads
-        u = memoryview(np.random.Generator(np.random.Philox(key=[seed, t])).random(n))
-        pstars.append(_invasion_pstar(links, sphere_start, u, u[0] if mode == "site" else 0.0))
-    return np.array(pstars)
+    gen = np.random.Generator(np.random.Philox(0))  # numpy.random loads lazily
+    # a memoryview makes a float only for each uniform the invasion reads
+    return np.array([
+        invade(links, sphere_start, memoryview(_rekeyed(gen, seed, t).random(n)))
+        for t in range(trials)
+    ])
 
 
 def _wilson_ci(hits: int, n: int, z: float = 1.96) -> tuple:
@@ -476,6 +513,22 @@ def _wilson_ci(hits: int, n: int, z: float = 1.96) -> tuple:
 _BOOTSTRAP = 200  # resamples for the p_c confidence interval
 
 
+def _median(part):
+    """np.median along the last axis of an array whose middle positions hold
+    their sorted values: the middle one, or the mean of the middle two."""
+    m = part.shape[-1] // 2
+    return part[..., m] if part.shape[-1] % 2 else (part[..., m - 1] + part[..., m]) / 2
+
+
+def _quantile(s, q: float) -> float:
+    """np.quantile(s, q) of an ascending array s: numpy's linear lerp."""
+    h = (s.size - 1) * q
+    lo = math.floor(h)
+    a, b = s[lo], s[min(lo + 1, s.size - 1)]
+    t, d = h - lo, b - a
+    return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
+
+
 def percolation(
     g: MarkedGroup, mode: str, radius: int = 32, trials: int = 500, seed: int = 0
 ) -> EstimateReport:
@@ -484,7 +537,9 @@ def percolation(
 
     theta_hat(p) = fraction of trials with bottleneck below p is exactly
     nondecreasing in p by construction.  p_c estimate is the median
-    bottleneck (the 0.5 crossing); CI by bootstrap over trials.
+    bottleneck (the 0.5 crossing); CI by bootstrap over trials keyed by
+    (seed, 2^32).  Median, quartiles and CI are read off the sorted p*:
+    np.median and np.quantile bit for bit, without importing numpy.ma.
     """
     pstars = percolation_pstars(g, mode, radius, trials, seed)
     param = {"mode": mode, "radius": radius, "trials": trials, "seed": seed}
@@ -503,12 +558,12 @@ def percolation(
         hits = int(np.searchsorted(sorted_p, p, side="left"))
         lo, hi = _wilson_ci(hits, trials)
         curve.append((float(p), hits / trials, lo, hi))
-    est = float(np.median(pstars))
+    est = float(_median(sorted_p))
     brng = np.random.Generator(np.random.Philox(key=[seed, 1 << 32]))
-    idx = brng.integers(0, trials, size=(_BOOTSTRAP, trials))
-    # the gathered resamples are scratch: the median may sort them in place
-    medians = np.median(pstars[idx], axis=1, overwrite_input=True)
-    ci = (float(np.quantile(medians, 0.025)), float(np.quantile(medians, 0.975)))
+    resamples = pstars[brng.integers(0, trials, size=(_BOOTSTRAP, trials))]
+    resamples.partition([(trials - 1) // 2, trials // 2], axis=1)
+    medians = np.sort(_median(resamples))
+    ci = (_quantile(medians, 0.025), _quantile(medians, 0.975))
     return EstimateReport(
         parameter=f"pc-{mode}",
         group=g.label,
@@ -517,9 +572,7 @@ def percolation(
         parameters=param,
         series={
             "curve": curve,
-            "p_star_quartiles": [
-                float(np.quantile(pstars, q)) for q in (0.25, 0.5, 0.75)
-            ],
+            "p_star_quartiles": [_quantile(sorted_p, q) for q in (0.25, 0.5, 0.75)],
         },
         notes=[
             "finite-radius proxy: crossing to the sphere of the stated radius",

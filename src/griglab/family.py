@@ -64,8 +64,6 @@ def truncation_level(n: int, omega: OmegaWord) -> int:
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
-    if n == 0:
-        return 1
     # (2n).bit_length() is ceil(log2(2n + 1)), computed without floats
     return (2 * n).bit_length() + activation_margin(omega)
 

@@ -325,6 +325,7 @@ class GridGroup(MarkedGroup):
             ch for i in range(dim) for ch in (_FREE_LETTERS[i], _FREE_LETTERS[i].upper())
         )
         self.label = f"grid({dim})"
+        self._shift = 63 // dim  # bits per coordinate of an element key
 
     def identity(self):
         return (0,) * self.dim
@@ -339,6 +340,23 @@ class GridGroup(MarkedGroup):
 
     def inv(self, x):
         return tuple(-p for p in x)
+
+    # keys: the coordinates as balanced base-2^shift digits, coordinate 0
+    # least significant; a coordinate stays within |x| < 2^(shift-1) = half
+    def _coordinate(self, keys, i):
+        # adding half to digits 0..i makes them plain base-2^shift digits
+        half = 1 << (self._shift - 1)
+        low = keys + sum(half << (self._shift * j) for j in range(i + 1))
+        return ((low >> (self._shift * i)) & (2 * half - 1)) - half
+
+    def key_step(self, keys, s):
+        i, sign = s // 2, 1 - 2 * (s % 2)
+        full = (1 << (self._shift - 1)) - 1  # a coordinate this far from 0 grows no more
+        _refuse_full(self._coordinate(keys, i) * sign, True, full, self.label)
+        return keys + (sign << (self._shift * i))
+
+    def key_element(self, key):
+        return tuple(self._coordinate(key, i) for i in range(self.dim))
 
 
 class ProductGroup(MarkedGroup):

@@ -187,7 +187,10 @@ def test_ball_matches_the_two_product_builder(expr, n):
     assert b.inverse == tuple(g.inverse_symbol_index(s) for s in range(g.k))
 
 
-KEYED_CASES = [("free(1)", 45), ("free(2)", 6), ("free(3)", 4), ("free(4)", 3), ("gamma_free()", 10)]
+KEYED_CASES = [
+    ("free(1)", 45), ("free(2)", 6), ("free(3)", 4), ("free(4)", 3), ("gamma_free()", 10),
+    ("grid(1)", 40), ("grid(2)", 12), ("grid(3)", 6), ("grid(4)", 4),
+]
 
 
 def object_loop_ball(g, n):
@@ -241,7 +244,14 @@ def stepped_key(g, word):
     return key
 
 
-# int64 keys hold 27 base-5 letters, 22 base-7 and 19 base-9
+def grid_key(g, x):
+    """The key of grid element x: balanced base-2^(63 // d) digits."""
+    return np.array([sum(c << (63 // g.dim * i) for i, c in enumerate(x))], np.int64)
+
+
+# int64 keys hold 27 base-5 letters, 22 base-7 and 19 base-9; a grid(d)
+# coordinate stays below 2^(63 // d - 1) in absolute value, and a grid's
+# word is its element, reached by grid_key rather than by 2^62 steps
 @pytest.mark.parametrize(
     "expr, word, grow, shrink, keep",
     [
@@ -250,18 +260,27 @@ def stepped_key(g, word):
         ("free(4)", [7] * 19, 0, 6, None),
         ("gamma_free()", [0, 1] * 13 + [0], 1, 0, None),
         ("gamma_free()", [1, 0] * 13 + [1], 0, 1, 2),  # c merges onto the last b
+        ("grid(1)", (2**62 - 1,), 0, 1, None),
+        ("grid(1)", (1 - 2**62,), 1, 0, None),
+        ("grid(2)", (-5, 2**30 - 1), 2, 3, 1),
+        ("grid(2)", (1 - 2**30, -(2**30 - 1)), 1, 0, 2),  # borrows from digit 1
+        ("grid(3)", (2**20 - 1, -7, 1 - 2**20), 0, 1, 3),
+        ("grid(3)", (3, 1 - 2**20, 2**20 - 1), 4, 5, 2),
+        ("grid(4)", (2**14 - 1, -1, 1 - 2**14, 2**14 - 1), 6, 7, 2),
     ],
 )
 def test_keys_never_wrap(expr, word, grow, shrink, keep):
     g = parse_group_expr(expr)
-    full = stepped_key(g, word)
-    assert g.key_element(int(full[0])) == g.evaluate(word)
-    assert len(g.evaluate(word)) == len(word)
+    if isinstance(g, GridGroup):
+        full, x = grid_key(g, word), word
+    else:
+        full, x = stepped_key(g, word), g.evaluate(word)
+        assert len(x) == len(word)
+    assert g.key_element(int(full[0])) == x
     with pytest.raises(OverflowError):
         g.key_step(full, grow)
-    assert g.key_element(int(g.key_step(full, shrink)[0])) == g.evaluate(word + [shrink])
-    if keep is not None:
-        assert g.key_element(int(g.key_step(full, keep)[0])) == g.evaluate(word + [keep])
+    for s in (shrink, keep) if keep is not None else (shrink,):
+        assert g.key_element(int(g.key_step(full, s)[0])) == g.mul(x, g.generator(s))
 
 
 def test_free_one_keys_are_signed_exponents():
@@ -276,7 +295,9 @@ def test_free_one_keys_are_signed_exponents():
         g.key_step(np.array([-(2**63 - 1)], np.int64), 1)
 
 
-@pytest.mark.parametrize("expr", ["free(2)", "free(3)", "free(4)", "gamma_free()"])
+@pytest.mark.parametrize(
+    "expr", ["free(2)", "free(3)", "free(4)", "gamma_free()", "grid(1)", "grid(2)", "grid(3)", "grid(4)"]
+)
 def test_key_step_is_right_multiplication_past_the_balls(expr):
     g = parse_group_expr(expr)
     rng = random.Random(5)
@@ -668,6 +689,46 @@ def reference_saw_count(g, n_max):
 def test_saw_count_matches_the_full_search(expr, n_max):
     g = parse_group_expr(expr)
     assert saw_count(g, n_max).values == reference_saw_count(g, n_max)
+
+
+def one_step_saw_count(g, n_max):
+    """The frontier search that builds every walk of length n_max - 1 and
+    counts its one-step extensions, kept as the reference for the gather of
+    the last two steps."""
+
+    def children(nb, paths, counts):
+        cand = nb[paths[:, -1]]
+        ok = cand >= 0
+        for col in paths.T:
+            ok &= cand != col[:, None]
+        counts[paths.shape[1]] += int(np.count_nonzero(ok))
+        if paths.shape[1] < n_max:
+            rows, cols = np.nonzero(ok)
+            for i in range(0, rows.size, cayley._SAW_CHUNK):
+                r, c = rows[i:i + cayley._SAW_CHUNK], cols[i:i + cayley._SAW_CHUNK]
+                yield np.column_stack((paths[r], cand[r, c]))
+
+    nb = cayley._neighbor_table(bfs_ball(g, n_max).cells)
+    counts = [1] + [0] * n_max
+    todo = [children(nb, np.zeros((1, 1), np.int64), counts)] if n_max else []
+    while todo:
+        for paths in todo[-1]:
+            todo.append(children(nb, paths, counts))
+            break
+        else:
+            todo.pop()
+    return counts
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["grid(1)", "grid(2)", "grid(3)", "free(2)", "gamma_free()", "cycle(1)", "cycle(2)",
+     "cycle(5)", "grig((012)*, 2)"],
+)
+def test_two_step_saw_counts_match_the_one_step_search(expr):
+    g = parse_group_expr(expr)
+    for n_max in range(7):
+        assert saw_count(g, n_max).values == one_step_saw_count(g, n_max), n_max
 
 
 def test_saw_frontier_is_bounded_and_exact_deeper():

@@ -3,9 +3,13 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from griglab.cli import parse_group_expr
 from griglab.estimators import (
     EstimateReport,
     _invasion_pstar,
+    _site_pstar,
     _walk_laws,
     cheeger_report,
     connective_constant,
@@ -488,23 +493,22 @@ def _links(n, weighted_edges):
 def test_invasion_water_level_on_hand_built_tables():
     # ties with worst join at once and leave the answer at the tied level
     links, u = _links(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.7)])
-    assert _invasion_pstar(links, 3, u, 0.0) == 0.5
+    assert _invasion_pstar(links, 3, u) == 0.5
     # a sphere vertex beside the root; its own links (here to a vertex past
     # the table) are never read
     links, u = _links(3, [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)])
     links[2].append((len(u), 99))
-    assert _invasion_pstar(links, 2, u, 0.0) == 0.2
-    assert _invasion_pstar(links, 1, u, 0.0) == 0.1
-    # site mode: a root weight above every link weight is the answer
-    links, u = _links(3, [(0, 1, 0.4), (1, 2, 0.6)])
-    assert _invasion_pstar(links, 2, u, 0.9) == 0.9
+    assert _invasion_pstar(links, 2, u) == 0.2
+    assert _invasion_pstar(links, 1, u) == 0.1
+    # site mode: a root weight above every other weight is the answer
+    assert _site_pstar([[1], [0, 2], [1]], 2, [0.9, 0.4, 0.6]) == 0.9
     # a long flood below the level never lowers or raises it, and the
     # cheaper exit found late beats the dearer one found first
     chain = [(v, v + 1, 0.5 - v / 100) for v in range(1, 40)]
     links, u = _links(42, [(0, 1, 0.6), (1, 41, 0.8)] + chain + [(40, 41, 0.7)])
-    assert _invasion_pstar(links, 41, u, 0.0) == 0.7
+    assert _invasion_pstar(links, 41, u) == 0.7
     links, u = _links(42, [(0, 1, 0.6), (1, 41, 0.8)] + chain + [(40, 41, 0.3)])
-    assert _invasion_pstar(links, 41, u, 0.0) == 0.6
+    assert _invasion_pstar(links, 41, u) == 0.6
 
 
 # percolation draws one uniform per edges() entry (bond) or vertex (site), so
@@ -573,6 +577,51 @@ def test_percolation_report_deterministic_json():
     a = percolation(GridGroup(2), "bond", radius=6, trials=25, seed=8).to_json()
     b = percolation(GridGroup(2), "bond", radius=6, trials=25, seed=8).to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 199, 200, 400, 401])
+def test_sorted_statistics_equal_numpy_bit_for_bit(n):
+    # magnitudes far apart, where a lerp and a mean round differently, and ties
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n)
+    x[rng.integers(0, n, n // 3)] = x[rng.integers(0, n, n // 3)]
+    s = np.sort(x)
+    assert float(estimators._median(s)).hex() == float(np.median(x)).hex()
+    for q in (0.025, 0.25, 0.5, 0.75, 0.975):
+        assert estimators._quantile(s, q).hex() == float(np.quantile(x, q)).hex(), q
+    rows = rng.standard_normal((7, n)) * 10.0 ** rng.integers(-3, 3, (7, n))
+    want = np.median(rows, axis=1)
+    rows.partition([(n - 1) // 2, n // 2], axis=1)
+    assert estimators._median(rows).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**63 - 1])
+def test_rekeyed_philox_is_the_keyed_stream(seed):
+    gen = np.random.Generator(np.random.Philox(0))
+    for t in (0, 1, 399, 2**32):
+        fresh = np.random.Generator(np.random.Philox(key=[seed, t]))
+        want = fresh.random(7).tolist() + fresh.integers(0, 401, size=(3, 5)).ravel().tolist()
+        got = estimators._rekeyed(gen, seed, t)
+        assert got is gen
+        assert gen.random(7).tolist() + gen.integers(0, 401, size=(3, 5)).ravel().tolist() == want
+        estimators._rekeyed(gen, seed, t + 1).random(3)  # a stream part-read, then re-keyed
+        assert estimators._rekeyed(gen, seed, t).random(7).tolist() == want[:7]
+
+
+def test_percolation_never_imports_numpy_ma():
+    # np.median and np.quantile import numpy.ma on their first call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; from griglab.estimators import percolation; "
+        "from griglab.marked import GridGroup; "
+        "[percolation(GridGroup(2), m, radius=8, trials=57, seed=1) for m in ('bond', 'site')]; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_report_json_is_deterministic():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from griglab import family as F
-from griglab.cayley import bfs_ball
+from griglab.cayley import OUTSIDE, bfs_ball
 from griglab.marked import MatrixHGroup, product
 from griglab.words import FIRST_OMEGA as OM
 from griglab.words import OmegaWord, eta_word, parse_omega, reduce, word_str
@@ -26,7 +26,7 @@ def test_activation_margin():
 
 def test_truncation_level_values():
     assert [F.truncation_level(n, OM) for n in (1, 3, 7, 8)] == [5, 6, 7, 8]
-    assert F.truncation_level(0, OM) == 1
+    assert F.truncation_level(0, OM) == 3  # the margin alone: depth 1 kills b, c, d
     with pytest.raises(ValueError):
         F.truncation_level(-1, OM)
 
@@ -72,7 +72,7 @@ def test_truncation_level_decides_short_words_as_the_limit_does(om):
     omega = parse_omega(om)
     rng = random.Random(23)
     ws = [w for length in range(8) for w in reduced_words(length)]  # n <= 3
-    for n in range(1, 9):
+    for n in range(9):
         ws += ["".join(rng.choices("abcd", k=2 * n + 1)) for _ in range(60)]
     relators = ["".join(("a", s)) * m for s in "bcd" for m in (2, 4, 8, 16)]
     for r in relators:
@@ -82,10 +82,17 @@ def test_truncation_level_decides_short_words_as_the_limit_does(om):
     ws += [word_str(eta_word(omega, k)) for k in (1, 2, 3)]
     towers = {}
     for w in ws:
-        n = max(1, len(w) // 2)  # the least n >= 1 with len(w) <= 2n + 1
+        n = len(w) // 2  # the least n with len(w) <= 2n + 1
         N = F.truncation_level(n, omega)
         G = towers.setdefault(N, grig(omega, N))
         assert G.is_trivial_word(w) == trivial_in_limit(w, omega), (w, n)
+
+
+def test_radius_zero_members_keep_their_generators():
+    # at query radius 0 a member still tells every generator from the identity
+    empty, one = (F.build_GJ(F.GJSpec(OM, J, 0)) for J in ((), (1,)))
+    assert (bfs_ball(empty, 0).within(0) == OUTSIDE).all()
+    assert ball_agreement_radius(empty, one, 0) == 0
 
 
 def test_gjspec_normalization():
@@ -229,7 +236,7 @@ def test_kernel_section_small_cases():
 
 def test_trivial_tail_section_is_all_nontrivial_elements():
     from griglab.marked import TrivialGroup
-    from griglab.cayley import bfs_ball
+    from griglab.cayley import OUTSIDE, bfs_ball
 
     gam = product([grig(OM, 2), TrivialGroup()], ["finite", "tail"])
     ks = F.finite_kernel_section(gam, 3)
