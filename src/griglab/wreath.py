@@ -27,7 +27,8 @@ share one leaf multiplication; subtrees of every depth are keys.  So
 each distinct pair of subtrees, leaf pairs included, is composed once
 per tower, and a product walks the DAG of shared subtrees rather than
 the whole tree.  The memo is an attribute of the groups, so it is freed
-with the tower.
+with the tower.  ``invert`` likewise visits each distinct subtree once,
+through a dict local to the call.
 
 The level functor takes a group with the involutive Klein marking
 (a, b, c, d) and produces a new one of tree depth one greater, with the
@@ -118,36 +119,26 @@ def compose(
 
 
 def invert(g: DecoratedElement, base_inv: Callable) -> DecoratedElement:
-    if g.depth == 0:
-        return leaf(base_inv(g.leaf))
-    if g.swap == 0:
-        return node(0, invert(g.left, base_inv), invert(g.right, base_inv))
-    return node(1, invert(g.right, base_inv), invert(g.left, base_inv))
+    """The inverse of g, visiting each distinct subtree of its DAG once.
 
+    A dict local to the call maps each interned subtree to its inverse,
+    so a generator of depth L costs O(L) nodes, not 2^L.
+    """
+    memo = {}
 
-def act(g: DecoratedElement, address: tuple) -> tuple:
-    """Image of a tree address (tuple of bits) under the element."""
-    if len(address) > g.depth:
-        raise ValueError("address deeper than the element")
-    if not address:
-        return ()
-    x, rest = address[0], address[1:]
-    child = g.left if x == 0 else g.right
-    return (x ^ g.swap,) + act(child, rest)
+    def inv(e):
+        got = memo.get(e)
+        if got is None:
+            if e.depth == 0:
+                got = leaf(base_inv(e.leaf))
+            elif e.swap == 0:
+                got = node(0, inv(e.left), inv(e.right))
+            else:
+                got = node(1, inv(e.right), inv(e.left))
+            memo[e] = got
+        return got
 
-
-def leaf_permutation(g, depth: int) -> tuple:
-    """Permutation induced on the 2^depth leaf addresses, in binary order."""
-    if not isinstance(g, DecoratedElement):
-        raise TypeError("need a decorated element")
-    if depth > g.depth:
-        raise ValueError("depth exceeds element depth")
-    out = []
-    for v in range(1 << depth):
-        bits = tuple((v >> (depth - 1 - j)) & 1 for j in range(depth))
-        img = act(g, bits)
-        out.append(sum(b << (depth - 1 - j) for j, b in enumerate(img)))
-    return tuple(out)
+    return inv(g)
 
 
 @dataclass(frozen=True)

@@ -608,15 +608,31 @@ def test_rekeyed_philox_is_the_keyed_stream(seed):
         assert estimators._rekeyed(gen, seed, t).random(7).tolist() == want[:7]
 
 
-def test_percolation_never_imports_numpy_ma():
-    # np.median and np.quantile import numpy.ma on their first call
+def test_cli_runs_never_import_numpy_ma():
+    # np.median, np.quantile and np.unique import numpy.ma on their first
+    # call; one interpreter runs every verify suite, the eta-witness sweep
+    # and every estimate parameter
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        "import sys; from griglab.estimators import percolation; "
-        "from griglab.marked import GridGroup; "
-        "[percolation(GridGroup(2), m, radius=8, trials=57, seed=1) for m in ('bond', 'site')]; "
-        "print('numpy.ma' in sys.modules)"
-    )
+    code = """if True:
+        import contextlib, io, sys
+        from griglab.cli import main
+        from griglab.estimators import percolation
+        from griglab.marked import GridGroup
+        for m in ("bond", "site"):
+            percolation(GridGroup(2), m, radius=8, trials=57, seed=1)
+        G = "grig((012)*, 4)"
+        runs = [["verify", "all"], ["sweep", "eta-witness", "{}", "{1}"]]
+        runs += [["estimate", G, p, "--n", "4"]
+                 for p in ("rho", "entropy", "speed", "mu", "growth")]
+        runs += [["estimate", g, "cheeger", "--n", "3", "--candidates", c]
+                 for g, c in ((G, "balls"), ("grid(2)", "boxes"), (G, "greedy"))]
+        runs += [["estimate", G, p, "--R", "4", "--trials", "20", "--seed", "1"]
+                 for p in ("pc-site", "pc-bond")]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        print("numpy.ma" in sys.modules)
+    """
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})

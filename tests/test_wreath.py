@@ -177,6 +177,66 @@ def test_tower_multiplies_each_leaf_pair_once_and_frees_its_memo():
     assert ref() is None
 
 
+# ------------------------------------------------------------ inversion
+
+
+def reference_invert(g, base_inv):
+    """The inverse of g by the plain recursion over the whole tree."""
+    if g.depth == 0:
+        return Wr.leaf(base_inv(g.leaf))
+    l = reference_invert(g.left, base_inv)
+    r = reference_invert(g.right, base_inv)
+    return Wr.node(0, l, r) if g.swap == 0 else Wr.node(1, r, l)
+
+
+@pytest.mark.parametrize("om", ["(012)*", "(021)*", "0112", "2|01"])
+def test_inverse_is_the_reference_inverse(om):
+    omega = W.parse_omega(om)
+    H = MatrixHGroup()
+    rng = random.Random(19)
+    for depth in range(1, 9):
+        for base in (TrivialGroup(), H, product([H, Wr.grig(omega, 1)])):
+            g = Wr.iterate_functor(omega, depth, base)
+            for _ in range(6):
+                x = g.evaluate([rng.randrange(4) for _ in range(rng.randrange(41))])
+                assert Wr.invert(x, g.leaf_base.inv) is reference_invert(x, g.leaf_base.inv)
+
+
+def test_inverting_a_generator_visits_each_subtree_once(monkeypatch):
+    calls = 0
+    node = Wr.node
+
+    def counting_node(*args):
+        nonlocal calls
+        calls += 1
+        return node(*args)
+
+    monkeypatch.setattr(Wr, "node", counting_node)
+    towers = [Wr.grig(OM, 12), Wr.grig(OM, 16), Wr.iterate_functor(OM, 16, MatrixHGroup())]
+    for g in towers:
+        calls = 0
+        for i in range(4):
+            g.inv(g.generator(i))
+        # a generator's DAG has about two nodes per level; its tree has 2^depth
+        assert calls <= 9 * g.depth, (g.label, calls)
+    monkeypatch.undo()
+    assert bfs_ball(Wr.grig(OM, 16), 3).inverse == (0, 1, 2, 3)
+    assert bfs_ball(Wr.grig(OM, 8), 3).layer_sizes() == [1, 4, 6, 12]
+
+
+def test_ball_inverse_symbols_match_the_reference_inverse(monkeypatch):
+    H = MatrixHGroup()
+    zoo = [
+        TrivialGroup(), GammaFree(), H, FreeGroup(2), CyclicGroup(2), CyclicGroup(6),
+        GridGroup(2), Wr.grig(OM, 5), Wr.iterate_functor(OM, 3, H),
+        Wr.iterate_functor(OM, 2, product([H, Wr.grig(OM, 1)])),
+        build_GJ(GJSpec(OM, (1,), 2)),
+    ]
+    fast = [bfs_ball(g, 1).inverse for g in zoo]
+    monkeypatch.setattr(Wr, "invert", reference_invert)
+    assert fast == [bfs_ball(g, 1).inverse for g in zoo]
+
+
 # ------------------------------------------------------------ evaluation
 
 
@@ -210,12 +270,30 @@ def test_section_evaluation_returns_the_folded_tree(om):
 # ------------------------------------------------------------ the action
 
 
+def act(g, address):
+    """Image of a tree address (tuple of bits) under the element."""
+    if not address:
+        return ()
+    x, rest = address[0], address[1:]
+    return (x ^ g.swap,) + act(g.left if x == 0 else g.right, rest)
+
+
+def leaf_permutation(g, depth):
+    """Permutation induced on the 2^depth leaf addresses, in binary order."""
+    assert depth <= g.depth
+    out = []
+    for v in range(1 << depth):
+        bits = tuple((v >> (depth - 1 - j)) & 1 for j in range(depth))
+        out.append(sum(b << (depth - 1 - j) for j, b in enumerate(act(g, bits))))
+    return tuple(out)
+
+
 def test_action_of_the_swap_generator():
     g = Wr.grig(OM, 3)
     a = g.generator(0)
-    assert Wr.act(a, (0, 1, 1)) == (1, 1, 1)
-    assert Wr.act(a, (1, 0, 0)) == (0, 0, 0)
-    assert Wr.leaf_permutation(a, 1) == (1, 0)
+    assert act(a, (0, 1, 1)) == (1, 1, 1)
+    assert act(a, (1, 0, 0)) == (0, 0, 0)
+    assert leaf_permutation(a, 1) == (1, 0)
 
 
 def test_action_is_a_homomorphism_to_permutations():
@@ -223,9 +301,9 @@ def test_action_is_a_homomorphism_to_permutations():
     g = Wr.grig(OM, 3)
     for _ in range(40):
         x, y = rand_elem(rng, g), rand_elem(rng, g)
-        px = Wr.leaf_permutation(x, 3)
-        py = Wr.leaf_permutation(y, 3)
-        pxy = Wr.leaf_permutation(g.mul(x, y), 3)
+        px = leaf_permutation(x, 3)
+        py = leaf_permutation(y, 3)
+        pxy = leaf_permutation(g.mul(x, y), 3)
         # left action: (xy) acts as: apply y, then x
         composed = tuple(px[py[v]] for v in range(8))
         assert pxy == composed
@@ -233,7 +311,7 @@ def test_action_is_a_homomorphism_to_permutations():
 
 def test_level_three_action_is_transitive():
     g = Wr.grig(OM, 3)
-    perms = [Wr.leaf_permutation(g.generator(i), 3) for i in range(4)]
+    perms = [leaf_permutation(g.generator(i), 3) for i in range(4)]
     orbit = {0}
     frontier = [0]
     while frontier:
