@@ -289,6 +289,28 @@ def _keyed_spheres(g, n, inverse):
     return cells, offsets, np.concatenate(spheres)
 
 
+def _inverse_symbols(g: MarkedGroup) -> tuple:
+    """inverse[s], the symbol whose image inverts generator s: the first t
+    with s t = e, trying t = s first, so that the map is a permutation even
+    where two symbols name one involution (cycle(2)'s s and S).  At most k^2
+    generator products.  ValueError unless the marking is symmetric with
+    paired inverse symbols."""
+    k = g.k
+    e = g.identity()
+    gens = g.generators()
+    inverse = []
+    for s in range(k):
+        for t in (s, *range(s), *range(s + 1, k)):
+            if g.mul(gens[s], gens[t]) == e:
+                inverse.append(t)
+                break
+        else:
+            raise ValueError(f"generating set of {g.label} is not symmetric")
+    if any(inverse[t] != s for s, t in enumerate(inverse)):
+        raise ValueError(f"inverse symbols of {g.label} are not paired")
+    return tuple(inverse)
+
+
 def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
     """Radius-n ball, left open: every row of B_{n-1} is complete.
 
@@ -314,9 +336,7 @@ def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
             f"to which {g.label} is faithful"
         )
     k = g.k
-    inverse = tuple(g.inverse_symbol_index(s) for s in range(k))
-    if any(inverse[t] != s for s, t in enumerate(inverse)):
-        raise ValueError(f"inverse symbols of {g.label} are not paired")
+    inverse = _inverse_symbols(g)
     if g.key_step is not None:
         cells, offsets, keys = _keyed_spheres(g, n, inverse)
         vertices = None

@@ -1,10 +1,12 @@
 """Marked groups: a fixed generator tuple plus exact group operations.
 
 A marked group here is a group given by an ordered tuple of generator
-symbols together with computable multiplication, inversion and equality
-on canonical element values.  Words over the symbols evaluate by folding
+symbols together with computable multiplication and equality on
+canonical element values.  Words over the symbols evaluate by folding
 multiplication over generator images, so triviality and equality of words
-are decidable wherever element equality is.
+are decidable wherever element equality is.  No group inverts elements:
+the marking is symmetric, and which symbol inverts which is read off
+products of generators (``cayley.bfs_ball``).
 
 The zoo covers the standard comparison targets: free groups, cyclic
 groups, grid (free abelian) groups, the rank-4 involutive base group, its
@@ -40,7 +42,8 @@ def _refuse_full(keys, grows, full: int, label: str) -> None:
 
 
 class MarkedGroup:
-    """Base class; subclasses fill in the four core operations."""
+    """Base class; subclasses fill in ``identity``, ``generator`` and
+    ``mul`` on hashable values that compare with ``==``."""
 
     symbols: tuple = ()
     label: str = "group"
@@ -69,21 +72,6 @@ class MarkedGroup:
 
     def mul(self, x, y):
         raise NotImplementedError
-
-    def inv(self, x):
-        raise NotImplementedError
-
-    def inverse_symbol_index(self, i: int) -> int:
-        """Index of the symbol whose image inverts generator i: i itself
-        when that generator is an involution, so the map is a permutation
-        even where two symbols name one involution (cycle(2)'s s and S)."""
-        gi_inv = self.inv(self.generator(i))
-        if gi_inv == self.generator(i):
-            return i
-        for j in range(self.k):
-            if self.generator(j) == gi_inv:
-                return j
-        raise ValueError(f"generating set of {self.label} is not symmetric")
 
     def parse(self, w: Union[str, Iterable]) -> tuple:
         """Word as a tuple of generator indices."""
@@ -144,9 +132,6 @@ class TrivialGroup(MarkedGroup):
     def mul(self, x, y):
         return "e"
 
-    def inv(self, x):
-        return "e"
-
 
 class GammaFree(MarkedGroup):
     """The rank-4 involutive group: Z/2 * (Z/2 x Z/2) on a, b, c, d.
@@ -169,10 +154,6 @@ class GammaFree(MarkedGroup):
     def mul(self, x, y):
         # both operands are normal forms
         return words.reduce_onto(x, y)
-
-    def inv(self, x):
-        # a reversed normal form is one, every letter being an involution
-        return x[::-1]
 
     def evaluate(self, w):
         if isinstance(w, str):
@@ -222,9 +203,6 @@ class MatrixHGroup(MarkedGroup):
     def mul(self, x, y):
         return x @ y
 
-    def inv(self, x):
-        return x.inverse()
-
 
 _FREE_LETTERS = "xyzw"
 
@@ -263,9 +241,6 @@ class FreeGroup(MarkedGroup):
             else:
                 out.append(t)
         return tuple(out)
-
-    def inv(self, x):
-        return tuple(-t for t in reversed(x))
 
     # keys: free(1) is Z, keyed by the signed exponent; a higher rank keys
     # the reduced word's symbols s as base-(2 rank + 1) digits s + 1, the last
@@ -310,9 +285,6 @@ class CyclicGroup(MarkedGroup):
     def mul(self, x, y):
         return (x + y) % self.n
 
-    def inv(self, x):
-        return (-x) % self.n
-
 
 class GridGroup(MarkedGroup):
     """Z^d with the standard basis marking, d <= 4."""
@@ -337,9 +309,6 @@ class GridGroup(MarkedGroup):
 
     def mul(self, x, y):
         return tuple(p + q for p, q in zip(x, y))
-
-    def inv(self, x):
-        return tuple(-p for p in x)
 
     # keys: the coordinates as balanced base-2^shift digits, coordinate 0
     # least significant; a coordinate stays within |x| < 2^(shift-1) = half
@@ -394,9 +363,6 @@ class ProductGroup(MarkedGroup):
         # generated diagonally, so a word names its value in every factor
         idx = self.parse(w)
         return tuple(g.evaluate(idx) for g in self.factors)
-
-    def inv(self, x):
-        return tuple(g.inv(p) for g, p in zip(self.factors, x))
 
     def component_triviality(self, x) -> list:
         return [p == g.identity() for g, p in zip(self.factors, x)]

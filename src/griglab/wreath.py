@@ -27,8 +27,8 @@ share one leaf multiplication; subtrees of every depth are keys.  So
 each distinct pair of subtrees, leaf pairs included, is composed once
 per tower, and a product walks the DAG of shared subtrees rather than
 the whole tree.  The memo is an attribute of the groups, so it is freed
-with the tower.  ``invert`` likewise visits each distinct subtree once,
-through a dict local to the call.
+with the tower.  Trees are never inverted: ``bfs_ball`` finds which
+generator inverts which by multiplying generators, through the memo.
 
 The level functor takes a group with the involutive Klein marking
 (a, b, c, d) and produces a new one of tree depth one greater, with the
@@ -116,29 +116,6 @@ def compose(
         got = node(g.swap ^ h.swap, l, r)
     memo[key] = got
     return got
-
-
-def invert(g: DecoratedElement, base_inv: Callable) -> DecoratedElement:
-    """The inverse of g, visiting each distinct subtree of its DAG once.
-
-    A dict local to the call maps each interned subtree to its inverse,
-    so a generator of depth L costs O(L) nodes, not 2^L.
-    """
-    memo = {}
-
-    def inv(e):
-        got = memo.get(e)
-        if got is None:
-            if e.depth == 0:
-                got = leaf(base_inv(e.leaf))
-            elif e.swap == 0:
-                got = node(0, inv(e.left), inv(e.right))
-            else:
-                got = node(1, inv(e.right), inv(e.left))
-            memo[e] = got
-        return got
-
-    return inv(g)
 
 
 @dataclass(frozen=True)
@@ -284,9 +261,6 @@ class WreathGroup(MarkedGroup):
         if isinstance(self.base, WreathGroup):
             return self.base._evaluate_roles(section)
         return leaf(self.base.evaluate(tuple(map(words.LETTERS.index, section))))
-
-    def inv(self, x):
-        return invert(x, self.leaf_base.inv)
 
     def describe_element(self, x):
         pr = portrait(x)

@@ -57,7 +57,7 @@ def brute_force_cogrowth(g, n_max):
 
 def reference_return_counts(g, ball, n_max):
     """The plain per-vertex Python-int walk-count DP, kept as a reference."""
-    rev = [ball.adjacency[g.inverse_symbol_index(s)].tolist() for s in range(g.k)]
+    rev = [ball.adjacency[ball.inverse[s]].tolist() for s in range(g.k)]
     cur = [1] + [0] * (ball.size - 1)
     counts = [1]
     for _ in range(n_max):
@@ -184,7 +184,11 @@ def test_ball_matches_the_two_product_builder(expr, n):
     assert b.adjacency.dtype == np.int64 and b.adjacency.shape == (g.k, b.size)
     assert b.adjacency.tolist() == adjacency
     assert not (b.adjacency == UNKNOWN).any()
-    assert b.inverse == tuple(g.inverse_symbol_index(s) for s in range(g.k))
+    # s times its inverse symbol is e, and an involution inverts itself
+    e, gens = g.identity(), g.generators()
+    for s, t in enumerate(b.inverse):
+        assert g.mul(gens[s], gens[t]) == e
+        assert (t == s) == (g.mul(gens[s], gens[s]) == e)
 
 
 KEYED_CASES = [
@@ -203,11 +207,12 @@ def object_loop_ball(g, n):
 @pytest.mark.parametrize("expr, n", KEYED_CASES)
 def test_keyed_ball_is_the_object_loop_ball(monkeypatch, expr, n):
     g = parse_group_expr(expr)
-    calls = counted_products(monkeypatch, g)
+    calls, symbol_map = counted_products(monkeypatch, g)
     keyed = bfs_ball(g, n)
     open_cells = keyed.cells.tobytes()
     closed_cells = keyed.adjacency.tobytes()
-    assert calls == [] and keyed.vertices  # no group product, building or closing
+    # no product beyond bfs_ball(g, 0)'s, building or closing
+    assert len(calls) == symbol_map and keyed.vertices
     want = object_loop_ball(g, n)
     assert keyed.keys is not None and want.keys is None
     assert open_cells == want.cells.tobytes()
@@ -352,11 +357,17 @@ def test_edges_and_neighbors_match_the_adjacency(expr, n):
 
 
 def counted_products(monkeypatch, g):
-    """A list that gains one entry per g.mul call from now on."""
+    """A list that gains one entry per g.mul call from now on, and the
+    products of a bare bfs_ball(g, 0): the at most k^2 generator products
+    that read off its inverse symbols, which every ball of g makes first."""
     calls = []
     mul = g.mul
     monkeypatch.setattr(g, "mul", lambda x, y: calls.append(1) or mul(x, y))
-    return calls
+    bfs_ball(g, 0)
+    symbol_map = len(calls)
+    assert symbol_map <= g.k**2
+    calls.clear()
+    return calls, symbol_map
 
 
 @pytest.mark.parametrize(
@@ -369,9 +380,9 @@ def counted_products(monkeypatch, g):
 )
 def test_ball_costs_one_product_per_edge(monkeypatch, g, n, products):
     monkeypatch.setattr(g, "key_step", None)  # the object loop's products
-    calls = counted_products(monkeypatch, g)
+    calls, symbol_map = counted_products(monkeypatch, g)
     bfs_ball(g, n).adjacency
-    assert len(calls) == products
+    assert len(calls) - symbol_map == products
 
 
 @pytest.mark.parametrize(
@@ -385,9 +396,9 @@ def test_ball_costs_one_product_per_edge(monkeypatch, g, n, products):
 )
 def test_open_ball_multiplies_only_the_rows_inside(monkeypatch, g, n, products):
     monkeypatch.setattr(g, "key_step", None)  # the object loop's products
-    calls = counted_products(monkeypatch, g)
+    calls, symbol_map = counted_products(monkeypatch, g)
     ball = bfs_ball(g, n)
-    assert len(calls) == products and not ball.closed
+    assert len(calls) - symbol_map == products and not ball.closed
     assert (ball.cells == UNKNOWN).any()
 
 
@@ -415,7 +426,7 @@ def test_open_ball_reads_like_a_closed_one(monkeypatch, expr, r):
             [ball.within(q).tolist() for q in range(r)],
         )
 
-    calls = counted_products(monkeypatch, g)
+    calls, _ = counted_products(monkeypatch, g)
     lean = bfs_ball(g, r)
     built = len(calls)
     got = reads(lean)
@@ -453,9 +464,6 @@ class _Successor(MarkedGroup):
 
     def mul(self, x, y):
         return x + y
-
-    def inv(self, x):
-        return -x
 
 
 def test_ball_needs_a_symmetric_marking():

@@ -44,8 +44,12 @@ def closure(g, cap=100000):
     return seen
 
 
+def rand_word(rng, n=10):
+    return [rng.randrange(4) for _ in range(rng.randrange(0, n))]
+
+
 def rand_elem(rng, g, n=10):
-    return g.evaluate([rng.randrange(4) for _ in range(rng.randrange(0, n))])
+    return g.evaluate(rand_word(rng, n))
 
 
 # ------------------------------------------------------------ raw elements
@@ -73,11 +77,15 @@ def test_group_axioms_on_decorated_elements():
     rng = random.Random(3)
     for g in (Wr.grig(OM, 3), Wr.iterate_functor(OM, 2, MatrixHGroup())):
         e = g.identity()
+        inverse = bfs_ball(g, 0).inverse
         for _ in range(60):
-            x, y, z = (rand_elem(rng, g) for _ in range(3))
+            w = rand_word(rng)
+            x, y, z = g.evaluate(w), rand_elem(rng, g), rand_elem(rng, g)
+            # the word for x^-1: w reversed, each symbol mapped to its inverse
+            x_inv = g.evaluate([inverse[s] for s in reversed(w)])
             assert g.mul(g.mul(x, y), z) == g.mul(x, g.mul(y, z))
-            assert g.mul(x, g.inv(x)) == e
-            assert g.mul(g.inv(x), x) == e
+            assert g.mul(x, x_inv) == e
+            assert g.mul(x_inv, x) == e
             assert g.mul(x, e) == x
 
 
@@ -177,32 +185,35 @@ def test_tower_multiplies_each_leaf_pair_once_and_frees_its_memo():
     assert ref() is None
 
 
-# ------------------------------------------------------------ inversion
+# ------------------------------------------------------------ inverse symbols
 
 
-def reference_invert(g, base_inv):
-    """The inverse of g by the plain recursion over the whole tree."""
-    if g.depth == 0:
-        return Wr.leaf(base_inv(g.leaf))
-    l = reference_invert(g.left, base_inv)
-    r = reference_invert(g.right, base_inv)
-    return Wr.node(0, l, r) if g.swap == 0 else Wr.node(1, r, l)
-
-
-@pytest.mark.parametrize("om", ["(012)*", "(021)*", "0112", "2|01"])
-def test_inverse_is_the_reference_inverse(om):
-    omega = W.parse_omega(om)
+def test_ball_inverse_symbols_on_the_zoo():
     H = MatrixHGroup()
-    rng = random.Random(19)
-    for depth in range(1, 9):
-        for base in (TrivialGroup(), H, product([H, Wr.grig(omega, 1)])):
-            g = Wr.iterate_functor(omega, depth, base)
-            for _ in range(6):
-                x = g.evaluate([rng.randrange(4) for _ in range(rng.randrange(41))])
-                assert Wr.invert(x, g.leaf_base.inv) is reference_invert(x, g.leaf_base.inv)
+    klein = [
+        TrivialGroup(), GammaFree(), H, Wr.grig(OM, 2), Wr.grig(OM, 5),
+        Wr.iterate_functor(OM, 3, H), Wr.iterate_functor(OM, 2, product([H, Wr.grig(OM, 1)])),
+        build_GJ(GJSpec(OM, (1,), 2)),
+    ]
+    pinned = [(g, (0, 1, 2, 3)) for g in klein] + [
+        (FreeGroup(1), (1, 0)),
+        (FreeGroup(2), (1, 0, 3, 2)),
+        (FreeGroup(4), (1, 0, 3, 2, 5, 4, 7, 6)),
+        (GridGroup(3), (1, 0, 3, 2, 5, 4)),
+        (CyclicGroup(1), (0, 1)),
+        (CyclicGroup(2), (0, 1)),  # s and S name one involution
+        (CyclicGroup(6), (1, 0)),
+        (product([CyclicGroup(4), CyclicGroup(6)]), (1, 0)),
+    ]
+    for g, want in pinned:
+        inverse = bfs_ball(g, 0).inverse
+        assert inverse == want, g.label
+        e, gens = g.identity(), g.generators()
+        for s, t in enumerate(inverse):
+            assert g.mul(gens[s], gens[t]) == g.mul(gens[t], gens[s]) == e
 
 
-def test_inverting_a_generator_visits_each_subtree_once(monkeypatch):
+def test_inverse_symbols_of_a_tower_visit_each_subtree_once(monkeypatch):
     calls = 0
     node = Wr.node
 
@@ -214,27 +225,14 @@ def test_inverting_a_generator_visits_each_subtree_once(monkeypatch):
     monkeypatch.setattr(Wr, "node", counting_node)
     towers = [Wr.grig(OM, 12), Wr.grig(OM, 16), Wr.iterate_functor(OM, 16, MatrixHGroup())]
     for g in towers:
+        g._memo.clear()  # cold: the marking check of each level filled it
         calls = 0
-        for i in range(4):
-            g.inv(g.generator(i))
-        # a generator's DAG has about two nodes per level; its tree has 2^depth
+        assert bfs_ball(g, 0).inverse == (0, 1, 2, 3)
+        # the generator products walk a DAG of about two nodes per level,
+        # not trees of 2^depth leaves
         assert calls <= 9 * g.depth, (g.label, calls)
     monkeypatch.undo()
-    assert bfs_ball(Wr.grig(OM, 16), 3).inverse == (0, 1, 2, 3)
     assert bfs_ball(Wr.grig(OM, 8), 3).layer_sizes() == [1, 4, 6, 12]
-
-
-def test_ball_inverse_symbols_match_the_reference_inverse(monkeypatch):
-    H = MatrixHGroup()
-    zoo = [
-        TrivialGroup(), GammaFree(), H, FreeGroup(2), CyclicGroup(2), CyclicGroup(6),
-        GridGroup(2), Wr.grig(OM, 5), Wr.iterate_functor(OM, 3, H),
-        Wr.iterate_functor(OM, 2, product([H, Wr.grig(OM, 1)])),
-        build_GJ(GJSpec(OM, (1,), 2)),
-    ]
-    fast = [bfs_ball(g, 1).inverse for g in zoo]
-    monkeypatch.setattr(Wr, "invert", reference_invert)
-    assert fast == [bfs_ball(g, 1).inverse for g in zoo]
 
 
 # ------------------------------------------------------------ evaluation
@@ -429,9 +427,6 @@ class Relabelled(MarkedGroup):
     def mul(self, x, y):
         return self.g.mul(x, y)
 
-    def inv(self, x):
-        return self.g.inv(x)
-
 
 class Z3xZ(MarkedGroup):
     """Z/3 x Z on grid(2)'s symbols: an odd relation (a^3) and an even
@@ -448,9 +443,6 @@ class Z3xZ(MarkedGroup):
 
     def mul(self, x, y):
         return ((x[0] + y[0]) % 3, x[1] + y[1])
-
-    def inv(self, x):
-        return (-x[0] % 3, -x[1])
 
 
 def oracle_agreement_radius(g1, g2, n_max):
