@@ -290,11 +290,11 @@ def _keyed_spheres(g, n, inverse):
 
 
 def _inverse_symbols(g: MarkedGroup) -> tuple:
-    """inverse[s], the symbol whose image inverts generator s: the first t
-    with s t = e, trying t = s first, so that the map is a permutation even
-    where two symbols name one involution (cycle(2)'s s and S).  At most k^2
-    generator products.  ValueError unless the marking is symmetric with
-    paired inverse symbols."""
+    """inverse[s], the symbol whose image is the inverse of generator s: the
+    first t with s t = e, trying t = s first, so that the map is a
+    permutation even where two symbols name one involution (cycle(2)'s s and
+    S).  At most k^2 generator products.  ValueError unless the marking is
+    symmetric with paired inverse symbols."""
     k = g.k
     e = g.identity()
     gens = g.generators()

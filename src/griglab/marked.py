@@ -4,9 +4,9 @@ A marked group here is a group given by an ordered tuple of generator
 symbols together with computable multiplication and equality on
 canonical element values.  Words over the symbols evaluate by folding
 multiplication over generator images, so triviality and equality of words
-are decidable wherever element equality is.  No group inverts elements:
-the marking is symmetric, and which symbol inverts which is read off
-products of generators (``cayley.bfs_ball``).
+are decidable wherever element equality is.  No group computes element
+inverses: the marking is symmetric, and the inverse of each symbol is
+read off products of generators (``cayley.bfs_ball``).
 
 The zoo covers the standard comparison targets: free groups, cyclic
 groups, grid (free abelian) groups, the rank-4 involutive base group, its

@@ -27,8 +27,9 @@ share one leaf multiplication; subtrees of every depth are keys.  So
 each distinct pair of subtrees, leaf pairs included, is composed once
 per tower, and a product walks the DAG of shared subtrees rather than
 the whole tree.  The memo is an attribute of the groups, so it is freed
-with the tower.  Trees are never inverted: ``bfs_ball`` finds which
-generator inverts which by multiplying generators, through the memo.
+with the tower.  No tree inverse is ever computed: ``bfs_ball`` pairs
+each generator with its inverse by multiplying generators, through the
+memo.
 
 The level functor takes a group with the involutive Klein marking
 (a, b, c, d) and produces a new one of tree depth one greater, with the
