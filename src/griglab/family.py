@@ -125,6 +125,8 @@ def separation_witness(
     Jp = tuple(sorted(set(int(x) for x in Jp)))
     if not set(J) < set(Jp):
         raise ValueError("need J a proper subset of Jp")
+    if Jp[0] < 1:  # the least level of J and Jp
+        raise ValueError("levels in J must be positive")
     if i not in set(Jp) - set(J):
         raise ValueError("witness level must lie in Jp minus J")
     if omega.is_stabilizing:
@@ -137,22 +139,14 @@ def separation_witness(
     for j in range(1, top + 1):
         Gj = grig(omega, j)
         plain_trivial[j] = Gj.evaluate(w) == Gj.identity()
-    higher_trivial = {}
-    lower_nontrivial = {}
-    for j in Jp:
-        if j == i:
-            continue
-        Fj = iterate_functor(omega, j, H)
-        trivial = Fj.evaluate(w) == Fj.identity()
-        if j > i:
-            higher_trivial[j] = trivial
-        else:
-            lower_nontrivial[j] = not trivial
+    # one decorated tower per level: i + 1 may also be a level of Jp
+    towers = {j: iterate_functor(omega, j, H) for j in sorted({*Jp, i + 1})}
+    Fi = towers.pop(i)
+    trivial = {j: F.evaluate(w) == F.identity() for j, F in towers.items()}
+    higher_trivial = {j: trivial[j] for j in Jp if j > i}
+    lower_nontrivial = {j: not trivial[j] for j in Jp if j < i}
+    deeper_trivial = trivial[i + 1]
 
-    Fdeeper = iterate_functor(omega, i + 1, H)
-    deeper_trivial = Fdeeper.evaluate(w) == Fdeeper.identity()
-
-    Fi = iterate_functor(omega, i, H)
     v = Fi.evaluate(w)
     nontrivial = v != Fi.identity()
     pr = portrait(v)

@@ -1,21 +1,19 @@
 """Exact projective 2x2 matrices over the Gaussian dyadic rationals.
 
-A GaussianDyadic is (re + im*i) / 2^exp with integer re, im and exp >= 0,
-kept normalized so that exp is minimal; it is a value type for entries and
-printing, with no arithmetic of its own.  A ProjectiveMat stores its four
-entries as one integer tuple over a shared, minimal power of two, so a
-product is eight integer sums of products and one canonicalisation; the
-entries come back as GaussianDyadic views.  Matrices are taken up to sign
-(projectively) and must have determinant one, which holds for the four
-distinguished generators below.  The canonicaliser checks the determinant
-in integers on every construction, product and inverse.  All arithmetic
-is exact; equality of canonical forms decides equality in the projective
-group.
+A ProjectiveMat is one canonical integer tuple (exp, re00, im00, re01,
+im01, re10, im10, re11, im11): entry jk is (rejk + imjk*i) / 2^exp, all
+four entries over one shared, minimal power of two.  A product is eight
+integer sums of products and one canonicalisation.  Matrices are taken
+up to sign (projectively) and must have determinant one, which holds for
+the four distinguished generators below; the canonicaliser checks the
+determinant in integers on every construction, product and inverse.  All
+arithmetic is exact, and equality of canonical tuples decides equality
+in the projective group.  Entries are printed one at a time with their
+own smallest exponent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .words import WordLike, _letters, base_relator
@@ -27,61 +25,29 @@ def _dyadic_shift(bits: int, exp: int) -> int:
     return min((bits & -bits).bit_length() - 1, exp)
 
 
-@dataclass(frozen=True)
-class GaussianDyadic:
-    """(re_num + im_num * i) / 2**exp, normalized."""
-
-    re_num: int
-    im_num: int
-    exp: int = 0
-
-    def __post_init__(self):
-        re, im, e = self.re_num, self.im_num, self.exp
-        if e < 0:
-            raise ValueError("exp must be >= 0")
-        if re == 0 and im == 0:
-            e = 0
-        else:
-            k = _dyadic_shift(re | im, e)
-            re, im, e = re >> k, im >> k, e - k
-        object.__setattr__(self, "re_num", re)
-        object.__setattr__(self, "im_num", im)
-        object.__setattr__(self, "exp", e)
-
-    def __repr__(self) -> str:
-        if self.exp:
-            return f"({self.re_num}{self.im_num:+d}i)/2^{self.exp}"
-        return f"({self.re_num}{self.im_num:+d}i)"
-
-
-GD_ZERO = GaussianDyadic(0, 0)
-GD_ONE = GaussianDyadic(1, 0)
-GD_I = GaussianDyadic(0, 1)
-
-
-def gd(re: int, im: int = 0, exp: int = 0) -> GaussianDyadic:
-    return GaussianDyadic(re, im, exp)
+def _dyadic(re: int, im: int, exp: int) -> str:
+    """The printed form of (re + im*i) / 2^exp, with exp made minimal."""
+    k = _dyadic_shift(re | im, exp) if re or im else exp
+    re, im, exp = re >> k, im >> k, exp - k
+    return f"({re}{im:+d}i)/2^{exp}" if exp else f"({re}{im:+d}i)"
 
 
 class ProjectiveMat:
     """2x2 determinant-one matrix up to sign, entries row-major.
 
-    Stored as one canonical tuple (exp, re00, im00, re01, im01, re10, im10,
-    re11, im11): entry jk is (rejk + imjk*i) / 2^exp.  The first nonzero
-    entry is positive in the (re, im) lexicographic sense and exp is
-    minimal, so tuple equality and hash decide projective equality.
+    Built from integers over one power of two, ``ProjectiveMat(exp, ints)``
+    with ints = (re00, im00, re01, im01, re10, im10, re11, im11), and stored
+    as the canonical key (exp, *ints): the first nonzero integer is
+    positive and exp is minimal, so tuple equality and hash decide
+    projective equality.
     """
 
     __slots__ = ("_key",)
 
-    def __init__(self, m00, m01, m10, m11):
-        entries = (m00, m01, m10, m11)
-        e = max(x.exp for x in entries)
-        ints = []
-        for x in entries:
-            s = e - x.exp
-            ints += (x.re_num << s, x.im_num << s)
-        self._key = _canonical(e, ints)
+    def __init__(self, exp: int, ints):
+        if exp < 0:
+            raise ValueError("exp must be >= 0")
+        self._key = _canonical(exp, ints)
 
     def __matmul__(self, other: "ProjectiveMat") -> "ProjectiveMat":
         e, ar, ai, br, bi, cr, ci, dr, di = self._key
@@ -110,19 +76,6 @@ class ProjectiveMat:
     def __hash__(self):
         return hash(self._key)
 
-    def _entry(self, j: int) -> GaussianDyadic:
-        k = self._key
-        return GaussianDyadic(k[j], k[j + 1], k[0])
-
-    m00 = property(lambda self: self._entry(1))
-    m01 = property(lambda self: self._entry(3))
-    m10 = property(lambda self: self._entry(5))
-    m11 = property(lambda self: self._entry(7))
-
-    @property
-    def entries(self) -> tuple:
-        return (self.m00, self.m01, self.m10, self.m11)
-
     @property
     def is_identity(self) -> bool:
         return self._key == MAT_ID._key
@@ -135,10 +88,12 @@ class ProjectiveMat:
     @classmethod
     def from_ints(cls, rows) -> "ProjectiveMat":
         (a, b), (c, d) = rows
-        return cls(gd(a), gd(b), gd(c), gd(d))
+        return cls(0, (a, 0, b, 0, c, 0, d, 0))
 
     def __repr__(self) -> str:
-        return f"[{self.m00!r} {self.m01!r}; {self.m10!r} {self.m11!r}]"
+        e, *ints = self._key
+        a, b, c, d = (_dyadic(ints[j], ints[j + 1], e) for j in range(0, 8, 2))
+        return f"[{a} {b}; {c} {d}]"
 
 
 def _canonical(exp: int, ints) -> tuple:
@@ -158,8 +113,8 @@ def _canonical(exp: int, ints) -> tuple:
     det_re = ar * dr - ai * di - br * cr + bi * ci
     det_im = ar * di + ai * dr - br * ci - bi * cr
     if det_re != 1 << 2 * exp or det_im:
-        det = GaussianDyadic(det_re, det_im, 2 * exp)
-        raise ValueError(f"determinant must be one, got {det!r}")
+        det = _dyadic(det_re, det_im, 2 * exp)
+        raise ValueError(f"determinant must be one, got {det}")
     s = _dyadic_shift(ar | ai | br | bi | cr | ci | dr | di, exp)
     if lead < 0:
         ints = [-x for x in ints]
@@ -174,14 +129,14 @@ def _from_key(key: tuple) -> ProjectiveMat:
     return m
 
 
-MAT_ID = ProjectiveMat(GD_ONE, GD_ZERO, GD_ZERO, GD_ONE)
+MAT_ID = ProjectiveMat(0, (1, 0, 0, 0, 0, 0, 1, 0))
 
 # the four distinguished involutions: a has the dyadic off-diagonal entry,
 # b and c swap coordinates, d is diagonal
-MAT_A = ProjectiveMat(GD_I, gd(0, 1, 2), GD_ZERO, gd(0, -1))
-MAT_B = ProjectiveMat(GD_ZERO, GD_I, GD_I, GD_ZERO)
-MAT_C = ProjectiveMat(GD_ZERO, GD_ONE, gd(-1), GD_ZERO)
-MAT_D = ProjectiveMat(GD_I, GD_ZERO, GD_ZERO, gd(0, -1))
+MAT_A = ProjectiveMat(2, (0, 4, 0, 1, 0, 0, 0, -4))
+MAT_B = ProjectiveMat(0, (0, 0, 0, 1, 0, 1, 0, 0))
+MAT_C = ProjectiveMat(0, (0, 0, 1, 0, -1, 0, 0, 0))
+MAT_D = ProjectiveMat(0, (0, 1, 0, 0, 0, 0, 0, -1))
 
 
 def generator_matrices() -> dict:

@@ -223,6 +223,31 @@ def test_witness_preconditions():
             F.separation_witness(parse_omega(stabilizing), (), (1,), 1)
 
 
+@pytest.mark.parametrize("J, Jp, i", [((), (0,), 0), ((), (0, 1), 1), ((0,), (0, 1), 1)])
+def test_witness_refuses_level_zero(J, Jp, i):
+    # F^0(H) is H itself, with no portrait to read the witness off
+    with pytest.raises(ValueError, match="levels in J must be positive"):
+        F.separation_witness(OM, J, Jp, i)
+
+
+@pytest.mark.parametrize("J, Jp, i, depths", [
+    ((), (1, 2), 1, [1, 2]),
+    ((1,), (1, 2), 2, [1, 2, 3]),
+])
+def test_witness_builds_each_decorated_tower_once(monkeypatch, J, Jp, i, depths):
+    # level i + 1 serves both as a level of Jp and as "one level deeper"
+    built = []
+
+    def counting(omega, k, base):
+        if isinstance(base, MatrixHGroup):
+            built.append(k)
+        return iterate_functor(omega, k, base)
+
+    monkeypatch.setattr(F, "iterate_functor", counting)
+    assert F.separation_witness(OM, J, Jp, i)["ok"]
+    assert sorted(built) == depths
+
+
 def test_kernel_section_small_cases():
     gam = product([grig(OM, 3), grig(OM, 1)], ["finite", "tail"])
     ks = F.finite_kernel_section(gam, 2)

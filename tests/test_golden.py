@@ -1,15 +1,23 @@
 """Byte-identical CLI output on a fixed set of commands.
 
 Each command runs in-process with ``--json -`` and its whole stdout is
-compared by sha256 with a pinned hash.  A versioned change to one of these
-outputs re-pins its hash and says so in CHANGES.md.
+compared by sha256 with a pinned hash; one more pin covers the DOT text of
+a small decorated ball.  A versioned change to one of these outputs re-pins
+its hash and says so in CHANGES.md: the failure message prints the new pin.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from griglab.cli import main
+from griglab.cayley import bfs_ball
+from griglab.cli import main, parse_group_expr
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 GOLDEN = [
     (["estimate", "free(2)", "rho", "--n", "12"],
@@ -50,11 +58,23 @@ GOLDEN = [
      "e5295726065071a46867d49132980fd2c1147cb93ef9e383223e331b6d4f8f19"),
     (["sweep", "eta-witness", "{}", "{1}", "{2}"],
      "64f684169890ff69e7e940bf6910f0d3445570abcd77619969aa88968a485aa3"),
+    (["verify", "all"],
+     "6b664cb3f33729357719a909f327fb0116a7136782006bb44494bf5bbb74a57a"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_stdout_is_byte_identical(argv, digest, capsys):
     assert main(argv + ["--json", "-"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    got = sha256(capsys.readouterr().out)
+    assert got == digest, f'stdout changed; new pin:\n    ({json.dumps(argv)},\n     "{got}"),'
+
+
+def test_decorated_ball_dot_is_byte_identical():
+    # 11 vertices, every matrix leaf printed through describe_element
+    expr = "functor((012)*, 1, matrix_h())"
+    ball = bfs_ball(parse_group_expr(expr), 2)
+    assert ball.size == 11
+    got = sha256(ball.to_dot())
+    digest = "535388ad7bd82b4fafc7bac04ad5f7170505a3064997917efbb383f378a0d083"
+    assert got == digest, f'to_dot of bfs_ball({expr}, 2) changed; new digest: "{got}"'

@@ -12,22 +12,10 @@ from griglab import words as W
 from griglab.family import separation_witness
 
 
-def as_fractions(x: M.GaussianDyadic) -> tuple:
-    return (Fraction(x.re_num, 2**x.exp), Fraction(x.im_num, 2**x.exp))
-
-
-# ------------------------------------------------------- gaussian dyadics
-
-
-def test_normalization():
-    assert M.gd(2, 0, 1) == M.gd(1, 0, 0)
-    assert M.gd(4, 8, 3) == M.gd(1, 2, 1)
-    assert M.gd(0, 0, 7) == M.gd(0, 0, 0)
-    assert M.gd(6, 4, 1) == M.gd(3, 2, 0)
-    x = M.gd(3, 2, 4)
-    assert (x.re_num % 2, x.im_num % 2) != (0, 0) or x.exp == 0
-    with pytest.raises(ValueError):
-        M.GaussianDyadic(1, 0, -1)
+def frac_entries(m: M.ProjectiveMat) -> list:
+    """The four entries as (re, im) Fraction pairs, read off the key."""
+    e, *ints = m._key
+    return [(Fraction(ints[j], 2**e), Fraction(ints[j + 1], 2**e)) for j in range(0, 8, 2)]
 
 
 # ------------------------------------------------------- projective layer
@@ -35,18 +23,19 @@ def test_normalization():
 
 def test_canonical_sign():
     m = M.ProjectiveMat.from_ints([[-1, 2], [2, -5]])
-    assert m.m00 == M.gd(1)
-    assert m.m01 == M.gd(-2)
+    assert m._key == (0, 1, 0, -2, 0, -2, 0, 5, 0)
     n = M.ProjectiveMat.from_ints([[1, -2], [-2, 5]])
     assert m == n
     assert hash(m) == hash(n)
 
 
 def test_determinant_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"determinant must be one, got \(2\+0i\)$"):
         M.ProjectiveMat.from_ints([[1, 0], [0, 2]])
-    with pytest.raises(ValueError):
-        M.ProjectiveMat(M.GD_ZERO, M.GD_ZERO, M.GD_ZERO, M.GD_ZERO)
+    with pytest.raises(ValueError, match="zero matrix"):
+        M.ProjectiveMat(0, (0,) * 8)
+    with pytest.raises(ValueError, match="exp must be >= 0"):
+        M.ProjectiveMat(-1, (1, 0, 0, 0, 0, 0, 1, 0))
 
 
 def test_canonicaliser_rejects_a_non_unit_determinant():
@@ -58,8 +47,11 @@ def test_canonicaliser_rejects_a_non_unit_determinant():
         M.MAT_A @ doubled
     with pytest.raises(ValueError, match="determinant must be one"):
         doubled.inverse()
-    with pytest.raises(ValueError, match="determinant must be one"):
+    # the determinant prints with its smallest exponent
+    with pytest.raises(ValueError, match=r"got \(1\+0i\)/2\^2$"):
         M._canonical(1, (1, 0, 0, 0, 0, 0, 1, 0))
+    with pytest.raises(ValueError, match=r"got \(1\+3i\)/2\^5$"):
+        M._canonical(3, (2, 6, 0, 0, 0, 0, 1, 0))
 
 
 # the printed forms below reach users through describe_element and the
@@ -106,10 +98,6 @@ def test_witness_leaf_printed_form_pinned(i):
 # ------------------------------------------------------- fraction oracle
 
 
-def frac_entries(m: M.ProjectiveMat) -> list:
-    return [as_fractions(x) for x in m.entries]
-
-
 def frac_product(x: list, y: list) -> list:
     def mul(p, q):
         return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
@@ -143,10 +131,14 @@ def test_products_against_fraction_oracle():
         assert same_up_to_sign(frac_entries(m), want), w
         assert m.inverse() @ m == M.MAT_ID
         assert m @ m.inverse() == M.MAT_ID
-        rebuilt = M.ProjectiveMat(m.m00, m.m01, m.m10, m.m11)
-        assert rebuilt == m
+        e, *ints = m._key
+        rebuilt = M.ProjectiveMat(e, ints)
+        assert rebuilt._key == m._key
         assert hash(rebuilt) == hash(m)
         assert repr(rebuilt) == repr(m)
+        # a spare factor of two and the opposite sign canonicalise away
+        scaled = M.ProjectiveMat(e + 1, [-2 * x for x in ints])
+        assert scaled._key == m._key
 
 
 def test_matrix_inverse_and_products():
@@ -182,7 +174,7 @@ def test_verify_relations_pass():
 def test_verify_relations_negative_control():
     gens = dict(M.generator_matrices())
     # a deliberate corruption that keeps determinant one
-    gens["b"] = M.ProjectiveMat(M.GD_ONE, M.GD_I, M.GD_I, M.GD_ZERO)
+    gens["b"] = M.ProjectiveMat(0, (1, 0, 0, 1, 0, 1, 0, 0))
     rep = M.verify_relations(gens)
     assert rep["b^2"] is False
     assert rep["bcd"] is False
