@@ -9,9 +9,13 @@ integers or rationals, never floats.
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import threading
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -382,7 +386,8 @@ class CountSeries:
     values: list  # exact ints, index = n
 
     def __post_init__(self):
-        assert self.kind in ("cogrowth", "growth", "saw")
+        if self.kind not in ("cogrowth", "growth", "saw"):
+            raise ValueError(f"unknown count series kind {self.kind!r}")
 
 
 def walk_counts(ball: CayleyBall, n_max: int) -> Iterator[np.ndarray]:
@@ -449,6 +454,88 @@ def growth(g: MarkedGroup, n_max: int, ball: CayleyBall | None = None) -> CountS
     return CountSeries("growth", [ball.ball_size(r) for r in range(n_max + 1)])
 
 
+# A fork whose child pickles a small result back down a pipe and exits
+# takes about 3 ms with numpy and griglab loaded (2-core x86-64 VM).  A step
+# (a uniform a percolation trial reads, a walk the SAW search may count)
+# takes about 0.1 us, so work below this floor runs for under about 20 ms
+# serially, and splitting it would save little more than the fork costs.
+_FORK_FLOOR = 200_000
+
+
+def _forked_map(fn, items, work: int) -> list:
+    """[fn(part) for part in parts], where parts are contiguous slices of the
+    sequence ``items``, one per CPU this process may run on: one part runs
+    here and each other part in a forked child, which sends its pickled
+    result back down a pipe and leaves by os._exit.  ``work`` estimates the
+    steps all parts take together.  A single part, all of ``items``, runs
+    here when the platform has no fork or CPU affinity, when another thread
+    is alive (a forked child holds only the forking thread), when one CPU is
+    available, or when ``work`` is below _FORK_FLOOR.  Results come back in
+    part order, so a caller that joins them gets what one part would give.
+
+    Every child is reaped before this returns or raises: a child that fails
+    raises RuntimeError, with its traceback, once all are reaped, and an
+    exception here kills the children first.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(cpus, len(items))
+    if (n < 2 or work < _FORK_FLOOR or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [fn(items)]
+    cuts = [len(items) * i // n for i in range(n + 1)]
+    parts = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    pids, pipes = [], []
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _forked_child(fn, part, w)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        results = [fn(parts[0])]
+        sent = [pipe.read() for pipe in pipes]
+    except BaseException:
+        import signal  # the error path alone needs it
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    for pid, data in zip(pids, sent):
+        if not data:
+            raise RuntimeError(f"forked worker {pid} exited without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise RuntimeError(f"forked worker {pid} failed:\n{value}")
+        results.append(value)
+    return results
+
+
+def _forked_child(fn, part, fd):
+    """Run in a child of _forked_map: send (True, fn(part)) or (False,
+    traceback text) down fd, pickled, and exit without returning to the
+    caller's stack or running its exit handlers."""
+    try:
+        try:
+            out = (True, fn(part))
+        except BaseException:
+            import traceback  # the error path alone needs it
+
+            out = (False, traceback.format_exc())
+        with os.fdopen(fd, "wb") as f:
+            f.write(pickle.dumps(out))
+    finally:
+        os._exit(0)
+
+
 _SAW_CHUNK = 1024  # walks extended together: bounds the frontier's memory
 
 
@@ -488,6 +575,20 @@ def _saw_children(nb, paths, counts, n_max):
             yield np.column_stack((paths[r], cand[r, c]))
 
 
+def _saw_search(nb, walks, n_max) -> list:
+    """Counts, by length, of the self-avoiding extensions of the walks
+    ``walks`` of one length up to length n_max, searched depth-first."""
+    counts = [0] * (n_max + 1)
+    todo = [_saw_children(nb, walks, counts, n_max)]
+    while todo:
+        for paths in todo[-1]:
+            todo.append(_saw_children(nb, paths, counts, n_max))
+            break
+        else:  # level exhausted: backtrack
+            todo.pop()
+    return counts
+
+
 def saw_count(g: MarkedGroup, n_max: int) -> CountSeries:
     """Exact self-avoiding walk counts v(0..n_max) from the identity.
 
@@ -499,18 +600,26 @@ def saw_count(g: MarkedGroup, n_max: int) -> CountSeries:
     length is extended by one step at once and its extensions are searched
     depth-first, chunk by chunk, so memory stays bounded; the walks of
     length n_max - 1 and n_max are counted, never built.
+
+    The subtrees of the first-level walks are searched in contiguous groups,
+    one per CPU this process may run on, in forked children (_forked_map);
+    the search runs in this process alone where there is no fork, another
+    thread is alive, one CPU is available, or the bound v(1) (k - 1)^(n_max
+    - 1) on the walks counted is below the fork floor.  The counts are
+    integer sums over the groups, the same however they are split.
     """
     if n_max < 0:
         raise SettingError("n_max must be >= 0")
     nb = _neighbor_table(bfs_ball(g, n_max).cells)
     counts = [1] + [0] * n_max
-    todo = [_saw_children(nb, np.zeros((1, 1), np.int64), counts, n_max)] if n_max else []
-    while todo:
-        for paths in todo[-1]:
-            todo.append(_saw_children(nb, paths, counts, n_max))
-            break
-        else:  # level exhausted: backtrack
-            todo.pop()
+    # the root's step counts v(1), and v(2) at n_max = 2; past that it
+    # yields the first-level walks
+    first = list(_saw_children(nb, np.zeros((1, 1), np.int64), counts, n_max)) if n_max else []
+    if first:
+        walks = np.concatenate(first)
+        work = len(walks) * (g.k - 1) ** (n_max - 1)
+        for part in _forked_map(lambda w: _saw_search(nb, w, n_max), walks, work):
+            counts = list(map(add, counts, part))
     return CountSeries("saw", counts)
 
 

@@ -521,7 +521,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     estimate_options(e)
     e.add_argument(
         "--threads", type=int, default=0,
-        help="accepted for compatibility; trials run serially",
+        help="accepted for compatibility and ignored: percolation trials and "
+        "the SAW search split across forked children, one per available CPU",
     )
     common(e)
 

@@ -18,6 +18,7 @@ import numpy as np
 from .cayley import (
     CayleyBall,
     SettingError,
+    _forked_map,
     bfs_ball,
     cheeger_settings,
     cheeger_upper,
@@ -476,6 +477,13 @@ def percolation_pstars(
     that ball (site) from a Philox stream keyed by (seed, t), so it does not
     depend on the trial count; the trials re-key one Philox (_rekeyed).
     The key takes a seed in [0, 2^63).
+
+    The trials run in contiguous slices, one per CPU this process may run
+    on, in forked children (_forked_map); they run in this process alone
+    where there is no fork, another thread is alive, one CPU is available,
+    or trials * (uniforms per trial) is below the fork floor.  Each trial
+    keeps its (seed, t) stream, so the array is the same byte for byte
+    however the trials are split.
     """
     _percolation_settings(mode, radius, trials, seed)
     ball = bfs_ball(g, radius)
@@ -493,11 +501,15 @@ def percolation_pstars(
         n, invade = len(links), _site_pstar
     sphere_start = ball.layer_offsets[radius]
     gen = np.random.Generator(np.random.Philox(0))  # numpy.random loads lazily
-    # a memoryview makes a float only for each uniform the invasion reads
-    return np.array([
-        invade(links, sphere_start, memoryview(_rekeyed(gen, seed, t).random(n)))
-        for t in range(trials)
-    ])
+
+    def run(ts):
+        # a memoryview makes a float only for each uniform the invasion reads
+        return np.array([
+            invade(links, sphere_start, memoryview(_rekeyed(gen, seed, t).random(n)))
+            for t in ts
+        ])
+
+    return np.concatenate(_forked_map(run, range(trials), trials * n))
 
 
 def _wilson_ci(hits: int, n: int, z: float = 1.96) -> tuple:

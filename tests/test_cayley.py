@@ -633,6 +633,12 @@ def test_growth_submultiplicative():
             assert b[n + m] <= b[n] * b[m]
 
 
+def test_count_series_refuses_an_unknown_kind():
+    # a check that raises, so that it holds under python -O too
+    with pytest.raises(ValueError, match="kind"):
+        cayley.CountSeries("walks", [1])
+
+
 def test_saw_grid_frozen():
     assert saw_count(GridGroup(2), 5).values == [1, 4, 12, 36, 100, 284]
 
