@@ -42,12 +42,6 @@ class BallBudgetError(RuntimeError):
         )
 
 
-class SettingError(ValueError):
-    """A setting out of its range whatever the group (a length, a radius, a
-    seed), unlike a refusal that names the group, such as a radius past its
-    faithful radius."""
-
-
 @dataclass
 class CayleyBall:
     radius: int
@@ -333,7 +327,7 @@ def bfs_ball(g: MarkedGroup, n: int) -> CayleyBall:
     DEFAULT_VERTEX_BUDGET vertices.
     """
     if n < 0:
-        raise SettingError("radius must be >= 0")
+        raise ValueError("radius must be >= 0")
     if g.faithful_radius is not None and n > g.faithful_radius:
         raise ValueError(
             f"radius {n} exceeds the query radius {g.faithful_radius} "
@@ -382,12 +376,7 @@ def running_bound(values: Iterable, direction: str) -> list:
 
 @dataclass
 class CountSeries:
-    kind: str  # cogrowth | growth | saw
     values: list  # exact ints, index = n
-
-    def __post_init__(self):
-        if self.kind not in ("cogrowth", "growth", "saw"):
-            raise ValueError(f"unknown count series kind {self.kind!r}")
 
 
 def walk_counts(ball: CayleyBall, n_max: int) -> Iterator[np.ndarray]:
@@ -442,16 +431,16 @@ def cogrowth(g: MarkedGroup, n_max: int, ball: CayleyBall | None = None) -> Coun
     radius n/2, so the dynamic program runs on bfs_ball(g, n_max/2).
     """
     if n_max < 0 or n_max % 2 != 0:
-        raise SettingError("n_max must be an even nonnegative integer")
+        raise ValueError("n_max must be an even nonnegative integer")
     ball = ensure_ball(g, n_max // 2, ball)
     values = [int(c[0]) for c in walk_counts(ball, n_max)]
-    return CountSeries("cogrowth", values)
+    return CountSeries(values)
 
 
 def growth(g: MarkedGroup, n_max: int, ball: CayleyBall | None = None) -> CountSeries:
     """Exact ball sizes b(0..n_max)."""
     ball = ensure_ball(g, n_max, ball)
-    return CountSeries("growth", [ball.ball_size(r) for r in range(n_max + 1)])
+    return CountSeries([ball.ball_size(r) for r in range(n_max + 1)])
 
 
 # A fork whose child pickles a small result back down a pipe and exits
@@ -473,8 +462,9 @@ def _forked_map(fn, items, work: int) -> list:
     available, or when ``work`` is below _FORK_FLOOR.  Results come back in
     part order, so a caller that joins them gets what one part would give.
 
-    Every child is reaped before this returns or raises: a child that fails
-    raises RuntimeError, with its traceback, once all are reaped, and an
+    Every child is reaped before this returns or raises: a child's
+    exception is raised here once all are reaped, chained from a
+    RuntimeError that names the child and carries its traceback, and an
     exception here kills the children first.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -514,24 +504,32 @@ def _forked_map(fn, items, work: int) -> list:
             raise RuntimeError(f"forked worker {pid} exited without a result")
         ok, value = pickle.loads(data)
         if not ok:
-            raise RuntimeError(f"forked worker {pid} failed:\n{value}")
+            exc, text = value
+            raise exc from RuntimeError(f"forked worker {pid} failed:\n{text}")
         results.append(value)
     return results
 
 
 def _forked_child(fn, part, fd):
     """Run in a child of _forked_map: send (True, fn(part)) or (False,
-    traceback text) down fd, pickled, and exit without returning to the
-    caller's stack or running its exit handlers."""
+    (exception, traceback text)) down fd, pickled, and exit without
+    returning to the caller's stack or running its exit handlers.  An
+    exception that does not survive a pickle round trip is sent as a
+    RuntimeError holding the traceback text."""
     try:
         try:
-            out = (True, fn(part))
-        except BaseException:
+            data = pickle.dumps((True, fn(part)))
+        except BaseException as exc:
             import traceback  # the error path alone needs it
 
-            out = (False, traceback.format_exc())
+            text = traceback.format_exc()
+            try:
+                data = pickle.dumps((False, (exc, text)))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, (RuntimeError(text), text)))
         with os.fdopen(fd, "wb") as f:
-            f.write(pickle.dumps(out))
+            f.write(data)
     finally:
         os._exit(0)
 
@@ -609,7 +607,7 @@ def saw_count(g: MarkedGroup, n_max: int) -> CountSeries:
     integer sums over the groups, the same however they are split.
     """
     if n_max < 0:
-        raise SettingError("n_max must be >= 0")
+        raise ValueError("n_max must be >= 0")
     nb = _neighbor_table(bfs_ball(g, n_max).cells)
     counts = [1] + [0] * n_max
     # the root's step counts v(1), and v(2) at n_max = 2; past that it
@@ -620,24 +618,10 @@ def saw_count(g: MarkedGroup, n_max: int) -> CountSeries:
         work = len(walks) * (g.k - 1) ** (n_max - 1)
         for part in _forked_map(lambda w: _saw_search(nb, w, n_max), walks, work):
             counts = list(map(add, counts, part))
-    return CountSeries("saw", counts)
+    return CountSeries(counts)
 
 
 # --------------------------------------------------------------- cheeger
-
-
-def boundary_ratio(g: MarkedGroup, X: Iterable) -> Fraction:
-    """|edge boundary| / (k |X|) for a finite set X of elements, exact."""
-    X = set(X)
-    if not X:
-        raise ValueError("need a nonempty set")
-    gens = g.generators()
-    out = 0
-    for x in X:
-        for s in range(g.k):
-            if g.mul(x, gens[s]) not in X:
-                out += 1
-    return Fraction(out, g.k * len(X))
 
 
 def _boundary(rows: list, X: set) -> int:
@@ -654,11 +638,11 @@ def _ball_ratios(g, n_max):
 
 
 def _box_ratios(g, n_max):
-    # axis-aligned boxes for grid groups; elements are integer tuples
+    # the box [0, s)^d of a grid group has s^(d-1) points on each of its 2d
+    # faces, one edge leaving each, against 2d s^d edge ends: ratio 1/s
     if not isinstance(g, GridGroup):
         raise ValueError("boxes strategy needs a grid group")
-    for s in range(1, n_max + 1):
-        yield boundary_ratio(g, itertools.product(range(s), repeat=g.dim))
+    return (Fraction(1, s) for s in range(1, n_max + 1))
 
 
 def _greedy_ratios(g, n_max):
@@ -686,13 +670,13 @@ STRATEGIES = {"balls": _ball_ratios, "boxes": _box_ratios, "greedy": _greedy_rat
 
 
 def cheeger_settings(candidates: str, n_max: int) -> None:
-    """cheeger_upper's refusals that hold whatever the group (SettingError)."""
+    """cheeger_upper's refusals that hold whatever the group."""
     if candidates not in STRATEGIES:
-        raise SettingError(f"unknown strategy {candidates!r}")
+        raise ValueError(f"unknown strategy {candidates!r}")
     if n_max < 0:
-        raise SettingError("n_max must be >= 0")
+        raise ValueError("n_max must be >= 0")
     if candidates == "boxes" and n_max < 1:
-        raise SettingError("boxes strategy needs n_max >= 1")  # the smallest box has side 1
+        raise ValueError("boxes strategy needs n_max >= 1")  # the smallest box has side 1
 
 
 def cheeger_upper(
@@ -703,8 +687,8 @@ def cheeger_upper(
     Evaluates the exact boundary ratio over a family of candidate sets
     and returns the running minimum, so every prefix is a valid certified
     upper-bound sequence.  "balls" counts boundary edges on one bfs_ball's
-    adjacency, "greedy" on a ball grown with its set; "boxes" multiplies
-    out via boundary_ratio.
+    adjacency, "greedy" on a ball grown with its set; "boxes" reads the
+    exact ratio 1/s of the grid box of side s.
     """
     cheeger_settings(candidates, n_max)
     return running_bound(STRATEGIES[candidates](g, n_max), "upper")

@@ -41,7 +41,7 @@ from .marked import (
     MatrixHGroup,
     product,
 )
-from .matrixh import generator_matrices, relation_report
+from .matrixh import relation_report
 from .words import FIRST_OMEGA, OMEGA, OmegaWord, eta_word, parse_omega
 from .wreath import (
     apply_functor,
@@ -200,7 +200,7 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
 
 
 def suite_matrix_relations() -> list:
-    rep = relation_report(generator_matrices())
+    rep = relation_report()
     return [_check(name, ok) for name, ok in rep.items()]
 
 
@@ -240,7 +240,7 @@ def suite_eta(k: int = 1, omega: OmegaWord = FIRST_OMEGA) -> list:
         checks.append(
             _check(
                 f"eta_{k} has identity portrait with {len(leaves)} decorated leaf",
-                portrait(x).bits == 0 and len(leaves) == 1,
+                portrait(x) == 0 and len(leaves) == 1,
             )
         )
     return checks
@@ -328,7 +328,7 @@ def _call(row, *args, flags):
 
 
 def _check_settings(name: str, flags) -> None:
-    """Raise SettingError when the flags hold a value that the estimator row
+    """Raise ValueError when the flags hold a value that the estimator row
     ``name`` refuses whatever the group; unset flags are at their defaults."""
     fn, fixed, reads = _ESTIMATES[name]
     settings = {

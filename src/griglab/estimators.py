@@ -17,7 +17,6 @@ import numpy as np
 
 from .cayley import (
     CayleyBall,
-    SettingError,
     _forked_map,
     bfs_ball,
     cheeger_settings,
@@ -207,7 +206,7 @@ def _walk_laws(g: MarkedGroup, n: int, ball: CayleyBall | None, method: str):
 
 def walk_distribution(g: MarkedGroup, n: int) -> WalkDistribution:
     if n < 0:
-        raise SettingError("n must be >= 0")
+        raise ValueError("n must be >= 0")
     for law in _walk_laws(g, n, None, "ball"):
         pass  # keep the last step
     return replace(law, counts=law.counts.tolist(), distances=law.distances.tolist())
@@ -223,7 +222,7 @@ def _walk_method(g: MarkedGroup, method: str, parameter: str, ball: CayleyBall |
     if method == "auto":
         return "radial" if ball is None and _radial_chain(g) else "ball"
     if method not in ("radial", "ball"):
-        raise SettingError(f"unknown {parameter} method: {method}")
+        raise ValueError(f"unknown {parameter} method: {method}")
     if method == "radial" and not _radial_chain(g):
         raise ValueError(f"radial {parameter} needs a group with a radial chain")
     return method
@@ -241,7 +240,7 @@ def _root(c: int, n: int) -> float:
 
 def _rho_settings(n_max):
     if n_max < 4 or n_max % 2 != 0:
-        raise SettingError("n_max must be an even integer >= 4")
+        raise ValueError("n_max must be an even integer >= 4")
 
 
 def spectral_radius(
@@ -299,7 +298,7 @@ def spectral_radius(
 
 def _entropy_settings(n_max):
     if n_max < 1:
-        raise SettingError("n_max must be >= 1")
+        raise ValueError("n_max must be >= 1")
 
 
 def entropy(
@@ -344,7 +343,7 @@ _LAW_SOURCES = {"radial": "the distance recursion", "ball": "the walk distributi
 
 def _speed_settings(n):
     if n < 1:
-        raise SettingError("n must be >= 1")
+        raise ValueError("n must be >= 1")
 
 
 def speed(g: MarkedGroup, n: int = 16) -> EstimateReport:
@@ -456,13 +455,13 @@ def _rekeyed(gen, seed: int, t: int):
 
 def _percolation_settings(mode, radius, trials, seed):
     if mode not in ("site", "bond"):
-        raise SettingError("mode must be 'site' or 'bond'")
+        raise ValueError("mode must be 'site' or 'bond'")
     if radius < 1:
-        raise SettingError("radius must be >= 1")
+        raise ValueError("radius must be >= 1")
     if trials < 1:
-        raise SettingError("trials must be >= 1")
+        raise ValueError("trials must be >= 1")
     if not 0 <= seed < 2**63:
-        raise SettingError("seed must be in [0, 2^63)")
+        raise ValueError("seed must be in [0, 2^63)")
 
 
 def percolation_pstars(
@@ -512,7 +511,8 @@ def percolation_pstars(
     return np.concatenate(_forked_map(run, range(trials), trials * n))
 
 
-def _wilson_ci(hits: int, n: int, z: float = 1.96) -> tuple:
+def _wilson_ci(hits: int, n: int) -> tuple:
+    z = 1.96  # the normal quantile of a 95% two-sided interval
     if n == 0:
         return (0.0, 1.0)
     phat = hits / n
@@ -597,7 +597,7 @@ def percolation(
 
 def _mu_settings(n_max):
     if n_max < 2:
-        raise SettingError("n_max must be >= 2")
+        raise ValueError("n_max must be >= 2")
 
 
 def connective_constant(g: MarkedGroup, n_max: int = 10) -> EstimateReport:
@@ -652,7 +652,7 @@ def cheeger_report(g: MarkedGroup, candidates: str = "balls", n_max: int = 6) ->
 
 def _growth_settings(n_max):
     if n_max < 0:
-        raise SettingError("radius must be >= 0")  # bfs_ball's refusal
+        raise ValueError("radius must be >= 0")  # bfs_ball's refusal
 
 
 def growth_report(g: MarkedGroup, n_max: int = 8) -> EstimateReport:
@@ -673,7 +673,7 @@ def growth_report(g: MarkedGroup, n_max: int = 8) -> EstimateReport:
     )
 
 
-# each estimator's refusals of settings that no group accepts (SettingError),
+# each estimator's refusals of settings that no group accepts (ValueError),
 # by name: the estimator runs them first, and sweep runs them once before any
 # row, on the estimator's keyword settings
 SETTING_CHECKS = {

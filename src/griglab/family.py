@@ -149,7 +149,7 @@ def separation_witness(
 
     v = Fi.evaluate(w)
     nontrivial = v != Fi.identity()
-    pr = portrait(v)
+    portrait_trivial = portrait(v) == 0
     leaves = nontrivial_leaves(v, H.identity())
     leaf_report = [
         {"address": "".join(map(str, addr)), "leaf": H.describe_element(x)}
@@ -161,7 +161,7 @@ def separation_witness(
         and all(higher_trivial.values())
         and deeper_trivial
         and nontrivial
-        and pr.is_trivial
+        and portrait_trivial
         and len(leaves) == 1
         and leaves[0][1] == expected_leaf
     )
@@ -176,7 +176,7 @@ def separation_witness(
         "higher_decorated_trivial": higher_trivial,
         "trivial_one_level_deeper": deeper_trivial,
         "nontrivial_at_level_i": nontrivial,
-        "portrait_trivial_at_level_i": pr.is_trivial,
+        "portrait_trivial_at_level_i": portrait_trivial,
         "witness_leaves": leaf_report,
         "leaf_matches_twisted_relator": bool(leaves)
         and leaves[0][1] == expected_leaf,

@@ -143,8 +143,8 @@ def generator_matrices() -> dict:
     return {"a": MAT_A, "b": MAT_B, "c": MAT_C, "d": MAT_D}
 
 
-def word_to_matrix(w: WordLike, gens: Mapping | None = None) -> ProjectiveMat:
-    table = generator_matrices() if gens is None else gens
+def word_to_matrix(w: WordLike) -> ProjectiveMat:
+    table = generator_matrices()
     out = MAT_ID
     for ch in _letters(w):
         out = out @ table[ch]
@@ -166,14 +166,14 @@ def verify_relations(gens: Mapping) -> dict:
 _POWER_LIMIT = 64  # powers of ad checked by the infinite-order certificate
 
 
-def relation_report(gens: Mapping | None = None) -> dict:
+def relation_report() -> dict:
     """Defining relations plus the distinguished exact identities.
 
     Includes the infinite-order certificate for the ad product (no power
     up to 64 is the identity) and the exact forms of (ad)^4 and of the
     nested-commutator image.
     """
-    table = generator_matrices() if gens is None else gens
+    table = generator_matrices()
     report = dict(verify_relations(table))
     ad = table["a"] @ table["d"]
     p = MAT_ID
@@ -184,14 +184,9 @@ def relation_report(gens: Mapping | None = None) -> dict:
             order_free = False
             break
     report[f"(ad)^m != 1 for m <= {_POWER_LIMIT}"] = order_free
-    report["(ad)^4 exact"] = (
-        word_to_matrix("ad", table) @ word_to_matrix("ad", table)
-        @ word_to_matrix("ad", table) @ word_to_matrix("ad", table)
-        == ProjectiveMat.from_ints([[1, -1], [0, 1]])
-    )
-    report["nested commutator exact"] = word_to_matrix(
-        base_relator(), table
-    ) == ProjectiveMat.from_ints([[-1, 2], [2, -5]])
+    report["(ad)^4 exact"] = word_to_matrix("ad" * 4) == ProjectiveMat.from_ints([[1, -1], [0, 1]])
+    commutator = ProjectiveMat.from_ints([[-1, 2], [2, -5]])
+    report["nested commutator exact"] = word_to_matrix(base_relator()) == commutator
     report["c and ad generate a real subgroup (sampled)"] = _real_subgroup_probe(table)
     return report
 

@@ -41,7 +41,6 @@ groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -119,24 +118,10 @@ def compose(
     return got
 
 
-@dataclass(frozen=True)
-class Portrait:
-    """Swap bits of a decorated element, level by level.
-
-    ``bits`` packs the internal nodes in level order: the root is bit 0,
-    level L starts at bit 2^L - 1, nodes within a level in binary address
-    order.
-    """
-
-    depth: int
-    bits: int
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.bits == 0
-
-
-def portrait(g: DecoratedElement) -> Portrait:
+def portrait(g: DecoratedElement) -> int:
+    """Swap bits of a decorated element, level by level, packed in an int
+    that is 0 exactly when every swap bit is: the root is bit 0, level L
+    starts at bit 2^L - 1, nodes within a level in binary address order."""
     bits = 0
     pos = 0
     level = [g]
@@ -148,7 +133,7 @@ def portrait(g: DecoratedElement) -> Portrait:
             nxt.append(e.left)
             nxt.append(e.right)
         level = nxt
-    return Portrait(g.depth, bits)
+    return bits
 
 
 def nontrivial_leaves(g: DecoratedElement, base_identity) -> list:
@@ -264,13 +249,12 @@ class WreathGroup(MarkedGroup):
         return leaf(self.base.evaluate(tuple(map(words.LETTERS.index, section))))
 
     def describe_element(self, x):
-        pr = portrait(x)
         nt = nontrivial_leaves(x, self.leaf_base.identity())
         leaf_txt = ", ".join(
             "".join(map(str, addr)) + ": " + self.leaf_base.describe_element(v)
             for addr, v in nt
         )
-        return f"portrait {pr.bits:#x} depth {pr.depth}; leaves {{{leaf_txt}}}"
+        return f"portrait {portrait(x):#x} depth {x.depth}; leaves {{{leaf_txt}}}"
 
 
 def apply_functor(letter: int, base: MarkedGroup) -> WreathGroup:

@@ -16,7 +16,6 @@ from griglab.cayley import (
     UNKNOWN,
     BallBudgetError,
     bfs_ball,
-    boundary_ratio,
     cheeger_upper,
     cogrowth,
     ensure_ball,
@@ -32,7 +31,6 @@ from griglab.marked import (
     GammaFree,
     GridGroup,
     MarkedGroup,
-    TrivialGroup,
 )
 from griglab.words import FIRST_OMEGA
 from griglab.wreath import grig
@@ -633,12 +631,6 @@ def test_growth_submultiplicative():
             assert b[n + m] <= b[n] * b[m]
 
 
-def test_count_series_refuses_an_unknown_kind():
-    # a check that raises, so that it holds under python -O too
-    with pytest.raises(ValueError, match="kind"):
-        cayley.CountSeries("walks", [1])
-
-
 def test_saw_grid_frozen():
     assert saw_count(GridGroup(2), 5).values == [1, 4, 12, 36, 100, 284]
 
@@ -765,18 +757,10 @@ def test_saw_first_term_counts_distinct_neighbors():
     assert saw_count(GammaFree(), 1).values[1] == 4
 
 
-def test_boundary_ratio_singleton():
-    assert boundary_ratio(GammaFree(), [GammaFree().identity()]) == 1
-    t = TrivialGroup()
-    assert boundary_ratio(t, [t.identity()]) == 0
-
-
-def test_boundary_ratio_matches_hand_count():
-    g = GridGroup(1)
-    b = bfs_ball(g, 3)
-    seg = [b.vertices[i] for i in range(b.size) if abs(b.vertices[i][0]) <= 1]
-    # segment {-1,0,1}: 2 outgoing edges out of 3*2
-    assert boundary_ratio(g, seg) == Fraction(2, 6)
+@pytest.mark.parametrize("d, n", [(1, 9), (2, 8), (3, 5), (4, 3)])
+def test_cheeger_boxes_match_multiplied_out_boxes(d, n):
+    g = GridGroup(d)
+    assert cheeger_upper(g, "boxes", n) == reference_cheeger(reference_box_candidates, g, n)
 
 
 def test_cheeger_free_balls_formula():
@@ -810,6 +794,21 @@ def test_cheeger_n_max_zero_is_the_identity_alone():
             cheeger_upper(GridGroup(2), strategy, -1)
     with pytest.raises(ValueError):  # the smallest box has side 1
         cheeger_upper(GridGroup(2), "boxes", 0)
+
+
+def boundary_ratio(g, X):
+    """|edge boundary| / (k |X|) for a finite set X of elements, exact, by
+    multiplying every element of X by every generator."""
+    X = set(X)
+    gens = g.generators()
+    out = sum(g.mul(x, gens[s]) not in X for x in X for s in range(g.k))
+    return Fraction(out, g.k * len(X))
+
+
+def reference_box_candidates(g, n_max):
+    """The boxes [0, s)^d, s = 1..n_max, as element lists."""
+    for s in range(1, n_max + 1):
+        yield list(itertools.product(range(s), repeat=g.dim))
 
 
 def reference_ball_candidates(g, n_max):

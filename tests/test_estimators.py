@@ -338,16 +338,21 @@ def test_ball_estimators_refuse_a_ball_of_another_group():
 def test_ball_estimators_multiply_only_inside_bfs_ball(monkeypatch):
     """Cheeger balls and percolation read one closed bfs_ball, ball speed
     and SAW counts one left open, greedy Cheeger only the closed balls it
-    grows, and none multiplies anything beyond them."""
-    g = grig(FIRST_OMEGA, 5)
+    grows, and none multiplies anything beyond them; Cheeger boxes multiply
+    nothing at all."""
     calls = [0]
-    mul = g.mul
 
-    def counted(x, y):
-        calls[0] += 1
-        return mul(x, y)
+    def counting(group):
+        mul = group.mul
 
-    g.mul = counted
+        def counted(x, y):
+            calls[0] += 1
+            return mul(x, y)
+
+        group.mul = counted
+        return group
+
+    g = counting(grig(FIRST_OMEGA, 5))
 
     def muls(run):
         calls[0] = 0
@@ -372,6 +377,7 @@ def test_ball_estimators_multiply_only_inside_bfs_ball(monkeypatch):
     greedy = muls(lambda: cheeger_upper(g, "greedy", 20))
     monkeypatch.undo()
     assert radii and greedy <= sum(muls(lambda: bfs_ball(g, r).adjacency) for r in radii)
+    assert muls(lambda: cheeger_upper(counting(GridGroup(2)), "boxes", 8)) == 0
 
 
 # ------------------------------------------------------------------- percolation

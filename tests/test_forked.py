@@ -14,7 +14,7 @@ import pytest
 
 from griglab import cayley, estimators
 from griglab.cayley import saw_count
-from griglab.cli import parse_group_expr
+from griglab.cli import main, parse_group_expr
 from griglab.estimators import percolation_pstars
 
 # (group, radius): a gj member is faithful to its query radius, 4 here
@@ -101,10 +101,49 @@ def test_a_failing_child_raises_here_and_is_reaped(monkeypatch, forks):
         return invade(links, sphere_start, u)
 
     monkeypatch.setattr(estimators, "_invasion_pstar", fails_in_child)
-    with pytest.raises(RuntimeError, match="trial failed in the child"):
+    with pytest.raises(ValueError, match="trial failed in the child") as info:
         percolation_pstars(parse_group_expr("grid(2)"), "bond", 4, 10)
+    # chained from a RuntimeError that names the child and holds its traceback
+    cause = info.value.__cause__
+    assert isinstance(cause, RuntimeError)
+    assert "forked worker" in str(cause) and "fails_in_child" in str(cause)
     assert forks[0] == 1
     assert_no_children()
+
+
+def test_an_exception_that_does_not_pickle_comes_back_as_runtime_error(monkeypatch, forks):
+    use_cpus(monkeypatch, 2)
+    parent, invade = os.getpid(), estimators._invasion_pstar
+
+    class Unpicklable(Exception):
+        pass  # a local class: pickle cannot find it by name
+
+    def fails_in_child(links, sphere_start, u):
+        if os.getpid() != parent:
+            raise Unpicklable("local failure")
+        return invade(links, sphere_start, u)
+
+    monkeypatch.setattr(estimators, "_invasion_pstar", fails_in_child)
+    with pytest.raises(RuntimeError, match="Unpicklable: local failure"):
+        percolation_pstars(parse_group_expr("grid(2)"), "bond", 4, 10)
+    assert_no_children()
+
+
+def test_a_memory_error_in_a_child_exits_3_as_in_the_parent(monkeypatch, forks, capsys):
+    use_cpus(monkeypatch, 2)
+    parent, invade = os.getpid(), estimators._invasion_pstar
+    argv = ["estimate", "grid(2)", "pc-bond", "--R", "4", "--trials", "10"]
+    for where in ("child", "parent"):
+
+        def out_of_memory(links, sphere_start, u):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise MemoryError
+            return invade(links, sphere_start, u)
+
+        monkeypatch.setattr(estimators, "_invasion_pstar", out_of_memory)
+        assert main(argv) == 3, where
+        assert "resource limit: out of memory" in capsys.readouterr().err
+        assert_no_children()
 
 
 def test_a_failure_here_kills_and_reaps_the_children(monkeypatch, forks):
