@@ -41,6 +41,10 @@ class BallBudgetError(RuntimeError):
             f"vertex budget {budget} exceeded; completed radius {achieved_radius}"
         )
 
+    def __reduce__(self):
+        # args holds only the message, so pickle rebuilds from the fields
+        return type(self), (self.achieved_radius, self.budget)
+
 
 @dataclass
 class CayleyBall:
@@ -132,7 +136,8 @@ class CayleyBall:
 
         Ordered by symbol (the lower index of each inverse pair), then by u
         ascending: percolation draws one uniform per edge in this order.
-        Self-loops are dropped.  Each inverse pair of symbols, and each
+        Self-loops are dropped: only a symbol naming the identity makes one,
+        and it is its own inverse.  Each inverse pair of symbols, and each
         involution, adds its own edges, so parallel edges stay distinct.
         """
         adj = self.adjacency
@@ -143,7 +148,7 @@ class CayleyBall:
             if si < s:
                 continue  # partner symbol already emitted these
             # an involution sees each edge from both ends: keep v > u
-            keep = col > u if si == s else (col != OUTSIDE) & (col != u)
+            keep = col > u if si == s else col != OUTSIDE
             out.extend(zip(u[keep].tolist(), col[keep].tolist()))
         return out
 
@@ -679,9 +684,7 @@ def cheeger_settings(candidates: str, n_max: int) -> None:
         raise ValueError("boxes strategy needs n_max >= 1")  # the smallest box has side 1
 
 
-def cheeger_upper(
-    g: MarkedGroup, candidates: str = "balls", n_max: int = 6
-) -> list:
+def cheeger_upper(g: MarkedGroup, candidates: str, n_max: int) -> list:
     """Decreasing certified upper bounds on the isoperimetric constant.
 
     Evaluates the exact boundary ratio over a family of candidate sets

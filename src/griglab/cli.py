@@ -14,6 +14,7 @@ carry runtime as null, the wall-clock number goes to stderr.
 
 import argparse
 import inspect
+import io
 import json
 import re
 import sys
@@ -234,8 +235,8 @@ def suite_eta(k: int = 1, omega: OmegaWord = FIRST_OMEGA) -> list:
         checks.append(_check("eta_0 nontrivial in the matrix group", not H.is_trivial_word(w)))
     else:
         Fk = iterate_functor(omega, k, H)
-        x = Fk.evaluate(Fk.parse(w))
-        leaves = nontrivial_leaves(x, Fk.leaf_base.identity())
+        x = Fk.evaluate(w)
+        leaves = nontrivial_leaves(x, H.identity())
         checks.append(_check(f"eta_{k} nontrivial at level {k}", x != Fk.identity()))
         checks.append(
             _check(
@@ -391,18 +392,14 @@ def run_sweep(args) -> dict:
 
 # -------------------------------------------------------------------- emission
 
-def _csv_escape(v) -> str:
-    s = "" if v is None else str(v)
-    if any(ch in s for ch in ",\"\n"):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
+def _rows_to_csv(header: list, rows) -> str:
+    import csv  # only a CSV report needs it
 
-
-def _rows_to_csv(header: list, rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_escape(x) for x in row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def to_csv(blob: dict) -> str:
@@ -423,12 +420,8 @@ def to_csv(blob: dict) -> str:
             [n] + [series[c][i] for c in cols] for i, n in enumerate(series["n"])
         ]
         return _rows_to_csv(["n"] + cols, rows)
-    if "step" in series:
-        rows = [
-            (s, b) for s, b in zip(series["step"], series["bound"])
-        ]
-        return _rows_to_csv(["step", "bound"], rows)
-    return _rows_to_csv(["estimate"], [[blob.get("estimate")]])
+    # the one series left, cheeger's, counts steps
+    return _rows_to_csv(["step", "bound"], zip(series["step"], series["bound"]))
 
 
 def _emit(blob: dict, args):

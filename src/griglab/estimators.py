@@ -45,18 +45,9 @@ class EstimateReport:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "parameter": self.parameter,
-            "group": self.group,
-            "estimate": self.estimate,
-            "certified": self.certified,
-            "ci": list(self.ci) if self.ci is not None else None,
-            "parameters": self.parameters,
-            "series": self.series,
-            "notes": self.notes,
-            "runtime_seconds": None,  # wall time goes to stderr, not the report
-        }
+        # the fields in order, not copied (asdict would deep-copy every
+        # series cell); wall time goes to stderr, not the report
+        return {"schema": SCHEMA, **vars(self), "runtime_seconds": None}
 
 
 # ---------------------------------------------------------------- radial chains
@@ -122,9 +113,10 @@ class WalkDistribution:
     it reaches equally often: counts[i] length-n symbol words end at each
     point of class i (a distance and type of a radial chain, or one vertex
     of ball when sizes is None), at distance distances[i]; the class has
-    sizes[i] points.  The total is k^n, so probabilities are exact Fractions.
-    A ball law's counts and distances may be the numpy arrays of walk_counts
-    and ball.dist; its sums then read only the vertices the walk reaches.
+    sizes[i] points.  The total is k^n, so the mean distance is an exact
+    Fraction.  A ball law's counts and distances may be the numpy arrays of
+    walk_counts and ball.dist; its sums then read only the vertices the walk
+    reaches.
     """
 
     group: MarkedGroup
@@ -137,9 +129,6 @@ class WalkDistribution:
     @property
     def total(self) -> int:
         return self.group.k ** self.n
-
-    def prob(self, i: int) -> Fraction:
-        return Fraction(int(self.counts[i]), self.total)
 
     def _ball_counts(self) -> np.ndarray:
         # a list of counts past int64 must not become float64
@@ -268,17 +257,14 @@ def spectral_radius(
     certified_seq = running_bound(roots, "lower")
     best = certified_seq[-1]
     notes = ["certified lower bounds use exact integer return counts"]
-    c_hi, c_lo = values[n_max], values[n_max - 2]
-    if c_lo > 0 and c_hi > 0:
-        m = n_max // 2
-        delta = math.log(c_hi) - math.log(c_lo)
-        log_krho = (delta + 1.5 * math.log(m / (m - 1))) / 2.0
-        raw = math.exp(log_krho) / k
-        estimate = min(max(raw, best), 1.0)
-        if estimate != raw:
-            notes.append(f"extrapolated {raw:.6g} clamped into [certified lower bound, 1]")
-    else:
-        estimate = None
+    # every even count is >= 1: the marking is symmetric, so (s s^-1)^(n/2) returns
+    m = n_max // 2
+    delta = math.log(values[n_max]) - math.log(values[n_max - 2])
+    log_krho = (delta + 1.5 * math.log(m / (m - 1))) / 2.0
+    raw = math.exp(log_krho) / k
+    estimate = min(max(raw, best), 1.0)
+    if estimate != raw:
+        notes.append(f"extrapolated {raw:.6g} clamped into [certified lower bound, 1]")
     return EstimateReport(
         parameter="rho",
         group=g.label,
@@ -613,7 +599,7 @@ def connective_constant(g: MarkedGroup, n_max: int = 10) -> EstimateReport:
     bounds = [v[n] ** (1.0 / n) if v[n] > 0 else math.inf for n in ns]
     certified_seq = [b if b < math.inf else 0.0 for b in running_bound(bounds, "upper")]
     notes = []
-    if v[n_max] > 0 and v[n_max - 1] > 0:
+    if v[n_max] > 0:  # so is v[n_max - 1]: a prefix of a self-avoiding walk is one
         estimate = v[n_max] / v[n_max - 1]
         certified = {"value": certified_seq[-1], "direction": "upper"}
     else:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .cayley import bfs_ball
 from .marked import MatrixHGroup, ProductGroup, product
 from .words import OmegaWord, eta_word, phi_twist, base_relator
 from .wreath import (
@@ -198,7 +199,5 @@ def is_kernel_section_element(gamma: ProductGroup, x) -> bool:
 
 def finite_kernel_section(gamma: ProductGroup, n: int) -> set:
     """Elements within radius n that vanish in the tail but not overall."""
-    from .cayley import bfs_ball
-
     ball = bfs_ball(gamma, n)
     return {x for x in ball.vertices if is_kernel_section_element(gamma, x)}

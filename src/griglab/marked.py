@@ -119,9 +119,7 @@ class TrivialGroup(MarkedGroup):
     """One-element group carrying the standard four-symbol marking."""
 
     symbols = ("a", "b", "c", "d")
-
-    def __init__(self):
-        self.label = "trivial"
+    label = "trivial"
 
     def identity(self):
         return "e"
@@ -141,9 +139,7 @@ class GammaFree(MarkedGroup):
     """
 
     symbols = ("a", "b", "c", "d")
-
-    def __init__(self):
-        self.label = "gamma_free()"
+    label = "gamma_free()"
 
     def identity(self):
         return ()
@@ -156,10 +152,7 @@ class GammaFree(MarkedGroup):
         return words.reduce_onto(x, y)
 
     def evaluate(self, w):
-        if isinstance(w, str):
-            return words.reduce(w)
-        idx = self.parse(w)
-        return words.reduce(tuple(self.symbols[i] for i in idx))
+        return words.reduce(tuple(self.symbols[i] for i in self.parse(w)))
 
     def describe_element(self, x):
         return words.word_str(x)
@@ -189,10 +182,8 @@ class MatrixHGroup(MarkedGroup):
     """Exact projective-matrix realization of the four involutions."""
 
     symbols = ("a", "b", "c", "d")
-
-    def __init__(self):
-        self.label = "matrix_h()"
-        self._gens = [matrixh.generator_matrices()[s] for s in self.symbols]
+    label = "matrix_h()"
+    _gens = [matrixh.generator_matrices()[s] for s in symbols]
 
     def identity(self):
         return matrixh.MAT_ID

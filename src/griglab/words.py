@@ -178,7 +178,7 @@ class OmegaWord:
             return int(self.pre[j])
         return int(self.period[(j - len(self.pre)) % len(self.period)])
 
-    def shift(self, m: int = 1) -> "OmegaWord":
+    def shift(self, m: int) -> "OmegaWord":
         """Drop the first m letters."""
         if m < 0:
             raise ValueError("shift must be >= 0")
@@ -186,9 +186,6 @@ class OmegaWord:
             return OmegaWord(self.pre[m:], self.period)
         r = (m - len(self.pre)) % len(self.period)
         return OmegaWord("", self.period[r:] + self.period[:r])
-
-    def prefix(self, n: int) -> tuple:
-        return tuple(self.letter(i) for i in range(1, n + 1))
 
     @property
     def is_stabilizing(self) -> bool:

@@ -74,7 +74,7 @@ def leaf(value) -> DecoratedElement:
     key = (0, value)
     got = _POOL.get(key)
     if got is None:
-        got = _POOL.setdefault(key, DecoratedElement(0, 0, None, None, value))
+        got = _POOL[key] = DecoratedElement(0, 0, None, None, value)
     return got
 
 
@@ -84,9 +84,7 @@ def node(swap: int, left: DecoratedElement, right: DecoratedElement) -> Decorate
     key = (1, swap, left, right)
     got = _POOL.get(key)
     if got is None:
-        got = _POOL.setdefault(
-            key, DecoratedElement(left.depth + 1, swap, left, right, None)
-        )
+        got = _POOL[key] = DecoratedElement(left.depth + 1, swap, left, right, None)
     return got
 
 
@@ -125,7 +123,7 @@ def portrait(g: DecoratedElement) -> int:
     bits = 0
     pos = 0
     level = [g]
-    while level and level[0].depth > 0:
+    while level[0].depth > 0:
         nxt = []
         for e in level:
             bits |= e.swap << pos
@@ -177,14 +175,10 @@ class WreathGroup(MarkedGroup):
         if isinstance(base, WreathGroup):
             self.leaf_base = base.leaf_base
             self._memo = base._memo
-            self.depth = base.depth + 1
-            self.omega_prefix = (letter,) + base.omega_prefix
             wrap = lambda e: e
         else:
             self.leaf_base = base
             self._memo = {}  # (g, h) -> g h for every tree of the tower
-            self.depth = 1
-            self.omega_prefix = (letter,)
             wrap = leaf
         a, b, c, d = (wrap(base.generator(i)) for i in range(4))
         e = wrap(base.identity())

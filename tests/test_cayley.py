@@ -3,6 +3,7 @@
 import copy
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -112,6 +113,14 @@ def test_ball_budget_error(monkeypatch):
         bfs_ball(FreeGroup(2), 8)
     assert ei.value.achieved_radius == 2
     assert ei.value.budget == 50
+
+
+def test_ball_budget_error_survives_a_pickle_round_trip():
+    # a forked child sends its exception back pickled
+    got = pickle.loads(pickle.dumps(BallBudgetError(3, 10)))
+    assert type(got) is BallBudgetError
+    assert (got.achieved_radius, got.budget) == (3, 10)
+    assert str(got) == "vertex budget 10 exceeded; completed radius 3"
 
 
 def test_ball_closes_on_finite_group():
@@ -320,6 +329,8 @@ GRAPH_CASES = [
     ("grid(2)", 6),
     ("cycle(6)", 6),
     ("cycle(2)", 2),
+    ("cycle(5)", 3),
+    ("cycle(1)", 2),  # both symbols are the identity: self-loops only
     ("grig((012)*, 2)", 3),
     ("matrix_h()", 4),
     ("grig((012)*, 4)", 6),
@@ -351,6 +362,7 @@ def test_edges_and_neighbors_match_the_adjacency(expr, n):
     directed = sum(v not in (OUTSIDE, u) for row in rows for u, v in enumerate(row))
     edges = b.edges()
     assert 2 * len(edges) == directed
+    assert all(u != v for u, v in edges)
     assert all(any(row[u] == v for row in rows) for u, v in edges)
 
 

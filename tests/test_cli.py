@@ -30,9 +30,9 @@ def test_parse_simple_constructors():
 
 def test_parse_tower_constructors():
     g = parse_group_expr("grig((012)*, 3)")
-    assert g.depth == 3
+    assert g.identity().depth == 3
     f = parse_group_expr("functor((012)*, 2, matrix_h())")
-    assert f.depth == 2
+    assert f.identity().depth == 2
     gj = parse_group_expr("gj((012)*, {1,3}, 4)")
     assert isinstance(gj, ProductGroup)
     assert gj.gj_spec.J == (1, 3)
@@ -49,7 +49,7 @@ def test_parse_product_and_whitespace():
 def test_parse_omega_forms():
     a = parse_group_expr("grig((01)*, 2)")
     b = parse_group_expr("grig(01|01, 2)")
-    assert a.omega_prefix == b.omega_prefix
+    assert (a.letter, a.base.letter) == (b.letter, b.base.letter) == (0, 1)
 
 
 @pytest.mark.parametrize("form", ["(012)*", "21|0", "|012", "012"])

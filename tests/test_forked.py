@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from griglab import cayley, estimators
-from griglab.cayley import saw_count
+from griglab.cayley import BallBudgetError, saw_count
 from griglab.cli import main, parse_group_expr
 from griglab.estimators import percolation_pstars
 
@@ -129,21 +129,34 @@ def test_an_exception_that_does_not_pickle_comes_back_as_runtime_error(monkeypat
     assert_no_children()
 
 
-def test_a_memory_error_in_a_child_exits_3_as_in_the_parent(monkeypatch, forks, capsys):
+def exits_3_in_child_and_parent(monkeypatch, capsys, exc, message):
+    """The CLI exits 3 with ``message`` when one trial raises ``exc`` in a
+    forked child, and again when it raises it in this process."""
     use_cpus(monkeypatch, 2)
     parent, invade = os.getpid(), estimators._invasion_pstar
     argv = ["estimate", "grid(2)", "pc-bond", "--R", "4", "--trials", "10"]
     for where in ("child", "parent"):
 
-        def out_of_memory(links, sphere_start, u):
+        def fails(links, sphere_start, u):
             if (os.getpid() == parent) == (where == "parent"):
-                raise MemoryError
+                raise exc
             return invade(links, sphere_start, u)
 
-        monkeypatch.setattr(estimators, "_invasion_pstar", out_of_memory)
+        monkeypatch.setattr(estimators, "_invasion_pstar", fails)
         assert main(argv) == 3, where
-        assert "resource limit: out of memory" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert_no_children()
+
+
+def test_a_memory_error_in_a_child_exits_3_as_in_the_parent(monkeypatch, forks, capsys):
+    exits_3_in_child_and_parent(monkeypatch, capsys, MemoryError, "resource limit: out of memory")
+
+
+def test_a_ball_budget_error_in_a_child_exits_3_as_in_the_parent(monkeypatch, forks, capsys):
+    exits_3_in_child_and_parent(
+        monkeypatch, capsys, BallBudgetError(3, 10),
+        "resource limit: ball budget 10 reached at radius 3",
+    )
 
 
 def test_a_failure_here_kills_and_reaps_the_children(monkeypatch, forks):

@@ -1,8 +1,8 @@
 """Byte-identical CLI output on a fixed set of commands.
 
-Each command runs in-process with ``--json -`` and its whole stdout is
-compared by sha256 with a pinned hash; one more pin covers the DOT text of
-a small decorated ball.  A versioned change to one of these outputs re-pins
+Each command runs in-process with ``--json -`` or ``--csv -`` and its whole
+stdout is compared by sha256 with a pinned hash; one more pin covers the
+DOT text of a small decorated ball.  A versioned change to one of these outputs re-pins
 its hash and says so in CHANGES.md: the failure message prints the new pin.
 """
 
@@ -68,6 +68,35 @@ def test_stdout_is_byte_identical(argv, digest, capsys):
     assert main(argv + ["--json", "-"]) == 0
     got = sha256(capsys.readouterr().out)
     assert got == digest, f'stdout changed; new pin:\n    ({json.dumps(argv)},\n     "{got}"),'
+
+
+# the CSV writer's cases: a quoted label and an error row, list cells that
+# hold commas, a curve, a null cell, steps, an empty curve and no rows
+CSV_GOLDEN = [
+    (["verify", "matrix-relations"],
+     "7dfa53ee3beb12e22457434d80ff544ad1a2f7c8fb1c0c11d80ebab6c001e320"),
+    (["sweep", "rho", "free(2)", "product(free(2), free(2))", "bad(", "--n", "8"],
+     "011ae8f2d5a499c31631366764ed3ab3694806713fe8d6e15f4eb6e1c6cbc895"),
+    (["sweep", "eta-witness", "{}", "{1}", "{1,2}"],
+     "18c30017883393198d13ac07937191659a810ea69faa2a038d050c3db7013fca"),
+    (["estimate", "grid(2)", "pc-bond", "--R", "6", "--trials", "20", "--seed", "1"],
+     "bb9599a593a8f6ae74093051e0fb2688338fed403d36429507850fedffb6855e"),
+    (["estimate", "free(2)", "growth", "--n", "4"],
+     "332d3f9e58d60746f3d962bc94140a0d6c04c699900255bed08636a41cd1ca83"),
+    (["estimate", "gamma_free()", "cheeger", "--candidates", "greedy", "--n", "6"],
+     "18e5c489ebec40cf0ece9729e2ac71e657a0d111fb4fa424c9f4db3873f634d5"),
+    (["estimate", "cycle(3)", "pc-site", "--R", "4", "--trials", "5"],
+     "e1927e092981f28d72ea734555b08bf10fb3e7b71ca3ac4562c9aef3724d5e46"),
+    (["sweep", "mu", "--n", "4"],
+     "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CSV_GOLDEN, ids=[" ".join(a) for a, _ in CSV_GOLDEN])
+def test_csv_stdout_is_byte_identical(argv, digest, capsys):
+    assert main(argv + ["--csv", "-"]) == 0
+    got = sha256(capsys.readouterr().out)
+    assert got == digest, f'CSV stdout changed; new pin:\n    ({json.dumps(argv)},\n     "{got}"),'
 
 
 def test_decorated_ball_dot_is_byte_identical():

@@ -196,10 +196,10 @@ def test_omega_with_preperiod():
 
 def test_omega_shift():
     om = W.OmegaWord("21", "012")
-    assert om.shift(1).prefix(5) == (1, 0, 1, 2, 0)
-    assert om.shift(2).prefix(5) == (0, 1, 2, 0, 1)
-    assert om.shift(4).prefix(4) == (2, 0, 1, 2)
-    assert W.FIRST_OMEGA.shift(3).prefix(3) == (0, 1, 2)
+    assert om.shift(1) == W.OmegaWord("1", "012")
+    assert om.shift(2) == W.OmegaWord("", "012")
+    assert om.shift(4) == W.OmegaWord("", "201")
+    assert W.FIRST_OMEGA.shift(3) == W.FIRST_OMEGA
 
 
 def test_parse_omega():

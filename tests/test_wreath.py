@@ -111,11 +111,12 @@ def test_functor_rejects_wrong_marking():
 def test_depth_and_letters_track_base():
     H = MatrixHGroup()
     g1 = Wr.apply_functor(2, H)
-    assert g1.depth == 1 and g1.omega_prefix == (2,)
+    assert g1.identity().depth == 1 and (g1.letter, g1.base) == (2, H)
     g2 = Wr.apply_functor(0, g1)
-    assert g2.depth == 2 and g2.omega_prefix == (0, 2)
+    assert g2.identity().depth == 2 and (g2.letter, g2.base) == (0, g1)
     t = Wr.iterate_functor(OM, 3, H)
-    assert t.depth == 3 and t.omega_prefix == (0, 1, 2)
+    assert t.identity().depth == 3
+    assert (t.letter, t.base.letter, t.base.base.letter, t.base.base.base) == (0, 1, 2, H)
 
 
 # ------------------------------------------------------------ composition
@@ -230,7 +231,7 @@ def test_inverse_symbols_of_a_tower_visit_each_subtree_once(monkeypatch):
         assert bfs_ball(g, 0).inverse == (0, 1, 2, 3)
         # the generator products walk a DAG of about two nodes per level,
         # not trees of 2^depth leaves
-        assert calls <= 9 * g.depth, (g.label, calls)
+        assert calls <= 9 * g.identity().depth, (g.label, calls)
     monkeypatch.undo()
     assert bfs_ball(Wr.grig(OM, 8), 3).layer_sizes() == [1, 4, 6, 12]
 
