@@ -32,7 +32,7 @@ from .estimators import (
     spectral_radius,
     speed,
 )
-from .family import GJSpec, build_GJ, separation_witness, truncation_level
+from .family import GJSpec, WitnessTable, build_GJ, truncation_level
 from .marked import (
     CyclicGroup,
     FreeGroup,
@@ -43,15 +43,8 @@ from .marked import (
     product,
 )
 from .matrixh import relation_report
-from .words import FIRST_OMEGA, OMEGA, OmegaWord, eta_word, parse_omega
-from .wreath import (
-    apply_functor,
-    ball_agreement_radius,
-    grig,
-    iterate_functor,
-    nontrivial_leaves,
-    portrait,
-)
+from .words import FIRST_OMEGA, OMEGA, OmegaWord, parse_omega
+from .wreath import apply_functor, ball_agreement_radius, grig, iterate_functor
 
 VERIFY_SCHEMA = "griglab/verify/1"
 SWEEP_SCHEMA = "griglab/sweep/1"
@@ -83,11 +76,17 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
 
-    def take(self, ch: str):
+    def accept(self, ch: str) -> bool:
+        """Step over ``ch`` if it comes next, after any blanks."""
         self.ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+        if self.text.startswith(ch, self.pos):
+            self.pos += 1
+            return True
+        return False
+
+    def take(self, ch: str):
+        if not self.accept(ch):
             self.fail(f"expected '{ch}'")
-        self.pos += 1
 
     def match(self, rx):
         self.ws()
@@ -111,21 +110,13 @@ class _Parser:
     def parse_set(self) -> tuple:
         self.take("{")
         vals = []
-        self.ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "}":
-            self.pos += 1
-            return ()
-        while True:
-            vals.append(self.parse_int())
-            if vals[-1] < 1:
-                self.fail("levels must be positive")
-            self.ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-                continue
-            break
-        self.take("}")
-        return tuple(vals)
+        if not self.accept("}"):
+            while not vals or self.accept(","):
+                vals.append(self.parse_int())
+                if vals[-1] < 1:
+                    self.fail("levels must be positive")
+            self.take("}")
+        return tuple(sorted(set(vals)))  # as GJSpec keeps J
 
     def parse_expr(self) -> MarkedGroup:
         m = self.match(_NAME)
@@ -173,9 +164,7 @@ class _Parser:
             return build_GJ(GJSpec(om, J, radius))
         if name == "product":
             factors = [self.parse_expr()]
-            self.ws()
-            while self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
+            while self.accept(","):
                 factors.append(self.parse_expr())
             return product(factors)
         self.fail(f"unknown constructor '{name}'")
@@ -223,28 +212,19 @@ def suite_contraction(m: int = 2, omega: OmegaWord = FIRST_OMEGA) -> list:
 
 
 def suite_eta(k: int = 1, omega: OmegaWord = FIRST_OMEGA) -> list:
-    w = eta_word(omega, k)
-    H = MatrixHGroup()
-    deeper = iterate_functor(omega, k + 1, H)
-    plain = grig(omega, k)
+    table = WitnessTable(omega)
     checks = [
-        _check(f"eta_{k} trivial one functor level deeper", deeper.is_trivial_word(w)),
-        _check(f"eta_{k} trivial in the level-{k} plain group", plain.is_trivial_word(w)),
+        _check(f"eta_{k} trivial one functor level deeper", table.trivial(k, k + 1)),
+        _check(f"eta_{k} trivial in the level-{k} plain group", table.trivial(k, k, False)),
     ]
-    if k == 0:
-        checks.append(_check("eta_0 nontrivial in the matrix group", not H.is_trivial_word(w)))
-    else:
-        Fk = iterate_functor(omega, k, H)
-        x = Fk.evaluate(w)
-        leaves = nontrivial_leaves(x, H.identity())
-        checks.append(_check(f"eta_{k} nontrivial at level {k}", x != Fk.identity()))
-        checks.append(
-            _check(
-                f"eta_{k} has identity portrait with {len(leaves)} decorated leaf",
-                portrait(x) == 0 and len(leaves) == 1,
-            )
-        )
-    return checks
+    if k == 0:  # level 0 of the tower, F^0(H), is the matrix group H
+        return checks + [_check("eta_0 nontrivial in the matrix group", not table.trivial(0, 0))]
+    nontrivial, portrait_trivial, leaves = table.level(k)
+    return checks + [
+        _check(f"eta_{k} nontrivial at level {k}", nontrivial),
+        _check(f"eta_{k} has identity portrait with {len(leaves)} decorated leaf",
+               portrait_trivial and len(leaves) == 1),
+    ]
 
 
 def suite_product_compat(omega: OmegaWord = FIRST_OMEGA) -> list:
@@ -265,19 +245,15 @@ def suite_product_compat(omega: OmegaWord = FIRST_OMEGA) -> list:
 
 def _witness_matrix(specs: list, omega: OmegaWord = FIRST_OMEGA) -> list:
     """Rows for every ordered proper-subset pair of the listed J sets."""
-    rows = []
     for J in specs:
-        for Jp in specs:
-            if not (set(J) < set(Jp)):
-                continue
-            row = {"J": list(J), "J_prime": list(Jp), "witness_i": None, "ok": False}
-            for i in sorted(set(Jp) - set(J)):
-                rep = separation_witness(omega, J, Jp, i)
-                if rep["ok"]:
-                    row["witness_i"] = i
-                    row["ok"] = True
-                    break
-            rows.append(row)
+        if specs.count(J) > 1:
+            raise ValueError(f"the set {{{','.join(map(str, J))}}} is given twice")
+    table, rows = WitnessTable(omega), []  # one table answers every row
+    for J in specs:
+        for Jp in (Jp for Jp in specs if set(J) < set(Jp)):
+            diff = sorted(set(Jp) - set(J))
+            i = next((i for i in diff if table.report(J, Jp, i)["ok"]), None)
+            rows.append({"J": list(J), "J_prime": list(Jp), "witness_i": i, "ok": i is not None})
     return rows
 
 
@@ -409,7 +385,9 @@ def to_csv(blob: dict) -> str:
             [(c["name"], int(c["ok"]), c["detail"]) for c in blob["checks"]],
         )
     if blob["schema"] == SWEEP_SCHEMA:
-        keys = sorted({k for row in blob["rows"] for k in row})
+        keys = sorted({k for row in blob["rows"] for k in row}) or (
+            ["J", "J_prime", "ok", "witness_i"] if blob["parameter"] == "eta-witness"
+            else ["certified", "estimate", "group", "parameter"])  # no rows: the header alone
         return _rows_to_csv(keys, [[row.get(k) for k in keys] for row in blob["rows"]])
     series = blob.get("series", {})
     if "curve" in series:

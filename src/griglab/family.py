@@ -110,9 +110,92 @@ def build_GJ(spec: GJSpec) -> ProductGroup:
     return g
 
 
-def separation_witness(
-    omega: OmegaWord, J: Iterable, Jp: Iterable, i: int
-) -> dict:
+class WitnessTable:
+    """The separating words eta_i against the levels j of one omega.
+
+    Each eta_i, plain level grig(omega, j) and decorated tower F^j(H) is
+    built once, eta_i is evaluated in each at most once, and the level-i
+    leaf check runs once per i.  A table serves one call and dies with it.
+    """
+
+    def __init__(self, omega: OmegaWord):
+        self.omega = omega
+        self.H = MatrixHGroup()
+        self._memo = {}
+
+    def _get(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def word(self, i: int):
+        return self._get(("eta", i), lambda: eta_word(self.omega, i))
+
+    def group(self, j: int, decorated: bool):
+        if decorated:
+            return self._get(("F", j), lambda: iterate_functor(self.omega, j, self.H))
+        return self._get(("grig", j), lambda: grig(self.omega, j))
+
+    def value(self, i: int, j: int, decorated: bool = True):
+        w = self.word(i)
+        return self._get((i, j, decorated), lambda: self.group(j, decorated).evaluate(w))
+
+    def trivial(self, i: int, j: int, decorated: bool = True) -> bool:
+        return self.value(i, j, decorated) == self.group(j, decorated).identity()
+
+    def level(self, i: int) -> tuple:
+        """(nontrivial, identity portrait, nontrivial leaves) of eta_i in F^i(H)."""
+        x = self.value(i, i)
+        return self._get(("level", i), lambda: (
+            not self.trivial(i, i), portrait(x) == 0, nontrivial_leaves(x, self.H.identity())))
+
+    def leaf_matches(self, i: int) -> bool:
+        """Whether eta_i's first leaf in F^i(H) is the relator twisted by letter i + 1."""
+        leaves, twist = self.level(i)[2], -self.omega.letter(i + 1)
+        return self._get(("relator", i), lambda: bool(leaves)
+                         and leaves[0][1] == self.H.evaluate(phi_twist(base_relator(), twist)))
+
+    def report(self, J: Iterable, Jp: Iterable, i: int) -> dict:
+        """The griglab/witness/1 report of separation_witness(omega, J, Jp, i)."""
+        J, Jp = (tuple(sorted(set(int(x) for x in s))) for s in (J, Jp))
+        if not set(J) < set(Jp):
+            raise ValueError("need J a proper subset of Jp")
+        if Jp[0] < 1:  # the least level of J and Jp
+            raise ValueError("levels in J must be positive")
+        if i not in set(Jp) - set(J):
+            raise ValueError("witness level must lie in Jp minus J")
+        if self.omega.is_stabilizing:
+            raise ValueError("letter sequence must not stabilize")
+        # scan plain levels a bit past the family; i + 1 is "one level deeper"
+        plain = {j: self.trivial(i, j, False) for j in range(1, max(Jp) + 3)}
+        trivial = {j: self.trivial(i, j) for j in sorted({*Jp, i + 1} - {i})}
+        higher = {j: trivial[j] for j in Jp if j > i}
+        nontrivial, portrait_trivial, leaves = self.level(i)
+        matches = self.leaf_matches(i)
+        return {
+            "schema": "griglab/witness/1",
+            "omega": str(self.omega),
+            "J": list(J),
+            "Jp": list(Jp),
+            "i": i,
+            "word_length": len(self.word(i)),
+            "plain_components_trivial": plain,
+            "higher_decorated_trivial": higher,
+            "trivial_one_level_deeper": trivial[i + 1],
+            "nontrivial_at_level_i": nontrivial,
+            "portrait_trivial_at_level_i": portrait_trivial,
+            "witness_leaves": [
+                {"address": "".join(map(str, a)), "leaf": self.H.describe_element(x)}
+                for a, x in leaves
+            ],
+            "leaf_matches_twisted_relator": matches,
+            "lower_decorated_nontrivial_info": {j: not trivial[j] for j in Jp if j < i},
+            "ok": all(plain.values()) and all(higher.values()) and trivial[i + 1]
+            and nontrivial and portrait_trivial and len(leaves) == 1 and matches,
+        }
+
+
+def separation_witness(omega: OmegaWord, J: Iterable, Jp: Iterable, i: int) -> dict:
     """Check that the level-i separating word behaves as the family needs.
 
     Verifies: (1) the word is trivial in every decorated component above
@@ -120,70 +203,9 @@ def separation_witness(
     stand-in; (2) it is nontrivial in the level-i decorated component,
     where it has an identity portrait and a single nontrivial leaf.
     Lower decorated components are reported informationally; the
-    conditions do not involve them.
+    conditions do not involve them.  A sweep asks one WitnessTable.
     """
-    J = tuple(sorted(set(int(x) for x in J)))
-    Jp = tuple(sorted(set(int(x) for x in Jp)))
-    if not set(J) < set(Jp):
-        raise ValueError("need J a proper subset of Jp")
-    if Jp[0] < 1:  # the least level of J and Jp
-        raise ValueError("levels in J must be positive")
-    if i not in set(Jp) - set(J):
-        raise ValueError("witness level must lie in Jp minus J")
-    if omega.is_stabilizing:
-        raise ValueError("letter sequence must not stabilize")
-
-    H = MatrixHGroup()
-    w = eta_word(omega, i)
-    top = max(Jp) + 2  # scan plain levels a bit past the family
-    plain_trivial = {}
-    for j in range(1, top + 1):
-        Gj = grig(omega, j)
-        plain_trivial[j] = Gj.evaluate(w) == Gj.identity()
-    # one decorated tower per level: i + 1 may also be a level of Jp
-    towers = {j: iterate_functor(omega, j, H) for j in sorted({*Jp, i + 1})}
-    Fi = towers.pop(i)
-    trivial = {j: F.evaluate(w) == F.identity() for j, F in towers.items()}
-    higher_trivial = {j: trivial[j] for j in Jp if j > i}
-    lower_nontrivial = {j: not trivial[j] for j in Jp if j < i}
-    deeper_trivial = trivial[i + 1]
-
-    v = Fi.evaluate(w)
-    nontrivial = v != Fi.identity()
-    portrait_trivial = portrait(v) == 0
-    leaves = nontrivial_leaves(v, H.identity())
-    leaf_report = [
-        {"address": "".join(map(str, addr)), "leaf": H.describe_element(x)}
-        for addr, x in leaves
-    ]
-    expected_leaf = H.evaluate(phi_twist(base_relator(), -omega.letter(i + 1)))
-    ok = (
-        all(plain_trivial.values())
-        and all(higher_trivial.values())
-        and deeper_trivial
-        and nontrivial
-        and portrait_trivial
-        and len(leaves) == 1
-        and leaves[0][1] == expected_leaf
-    )
-    return {
-        "schema": "griglab/witness/1",
-        "omega": str(omega),
-        "J": list(J),
-        "Jp": list(Jp),
-        "i": i,
-        "word_length": len(w),
-        "plain_components_trivial": plain_trivial,
-        "higher_decorated_trivial": higher_trivial,
-        "trivial_one_level_deeper": deeper_trivial,
-        "nontrivial_at_level_i": nontrivial,
-        "portrait_trivial_at_level_i": portrait_trivial,
-        "witness_leaves": leaf_report,
-        "leaf_matches_twisted_relator": bool(leaves)
-        and leaves[0][1] == expected_leaf,
-        "lower_decorated_nontrivial_info": lower_nontrivial,
-        "ok": ok,
-    }
+    return WitnessTable(omega).report(J, Jp, i)
 
 
 def is_kernel_section_element(gamma: ProductGroup, x) -> bool:

@@ -479,6 +479,44 @@ def test_sweep_empty_family(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["rho"], "certified,estimate,group,parameter"),
+        (["pc-bond", "--R", "3"], "certified,estimate,group,parameter"),
+        (["eta-witness", "{1}", "{2}"], "J,J_prime,ok,witness_i"),  # no pair
+        (["eta-witness"], "J,J_prime,ok,witness_i"),
+    ],
+)
+def test_an_empty_sweep_csv_is_its_header(argv, header, capsys):
+    assert main(["sweep", *argv, "--csv", "-"]) == 0
+    assert capsys.readouterr().out == header + "\n"
+
+
+def test_sweep_rows_carry_sorted_distinct_sets(capsys):
+    assert main(["sweep", "eta-witness", "{1,1}", "{ 2 ,1,2}", "--json", "-"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["J"], row["J_prime"], row["witness_i"]) == ([1], [1, 2], 2)
+    # a gj member reads the same levels however its set is written
+    gj = parse_group_expr("gj((012)*, {3,1,3}, 4)")
+    assert (gj.gj_spec.J, gj.label) == ((1, 3), "gj((012)*, {1,3}, 4)")
+
+
+@pytest.mark.parametrize(
+    "sets, named",
+    [
+        (["{1,2}", "{2,1}", "{}"], "{1,2}"),
+        (["{}", "{1}", "{1,1}"], "{1}"),
+        (["{}", "{ }"], "{}"),
+    ],
+)
+def test_sweep_refuses_a_set_given_twice(sets, named, capsys):
+    assert main(["sweep", "eta-witness", *sets, "--json", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"usage error: the set {named} is given twice" in err
+
+
 def test_sweep_row_error_recorded(tmp_path):
     jp = tmp_path / "s.json"
     rc = main(["sweep", "growth", "free(2)", "nope(", "--n", "4", "--json", str(jp)])

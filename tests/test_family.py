@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from griglab import cli
 from griglab import family as F
 from griglab.cayley import OUTSIDE, bfs_ball
 from griglab.marked import MatrixHGroup, product
@@ -246,6 +247,51 @@ def test_witness_builds_each_decorated_tower_once(monkeypatch, J, Jp, i, depths)
     monkeypatch.setattr(F, "iterate_functor", counting)
     assert F.separation_witness(OM, J, Jp, i)["ok"]
     assert sorted(built) == depths
+
+
+SUBSETS = [J for r in range(4) for J in itertools.combinations((1, 2, 3), r)]
+WITNESS_QUERIES = [
+    (J, Jp, i)
+    for J in SUBSETS
+    for Jp in SUBSETS
+    if set(J) < set(Jp)
+    for i in sorted(set(Jp) - set(J))
+]
+
+
+@pytest.mark.parametrize("omega", ["(012)*", "(021)*", "(0112)*", "2|01"])
+def test_a_shared_witness_table_answers_as_a_fresh_witness(omega):
+    # every query first in reverse order, so each answer below comes out of
+    # a table that already holds the entries of all the others
+    om = parse_omega(omega)
+    assert len(WITNESS_QUERIES) == 27
+    table = F.WitnessTable(om)
+    for query in reversed(WITNESS_QUERIES):
+        table.report(*query)
+    for J, Jp, i in WITNESS_QUERIES:
+        assert table.report(J, Jp, i) == F.separation_witness(om, J, Jp, i)
+
+
+def test_a_sweep_builds_each_word_and_level_once(monkeypatch):
+    calls = {"eta": [], "grig": [], "tower": []}
+
+    def counter(name, f, arg):
+        def counted(*args):
+            calls[name].append(args[arg])
+            return f(*args)
+
+        return counted
+
+    # patched in family only, so the calls inside a tower are not counted
+    monkeypatch.setattr(F, "eta_word", counter("eta", eta_word, 1))
+    monkeypatch.setattr(F, "grig", counter("grig", grig, 1))
+    monkeypatch.setattr(F, "iterate_functor", counter("tower", iterate_functor, 1))
+    sets = ["{" + ",".join(map(str, J)) + "}" for J in SUBSETS]
+    assert cli.main(["sweep", "eta-witness", *sets]) == 0
+    # i in {1,2,3}; plain levels up to max J' + 2; towers up to i + 1
+    assert sorted(calls["eta"]) == [1, 2, 3]
+    assert sorted(calls["grig"]) == [1, 2, 3, 4, 5]
+    assert sorted(calls["tower"]) == [1, 2, 3, 4]
 
 
 def test_kernel_section_small_cases():

@@ -19,6 +19,8 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+ALL_SUBSETS = ["{}", "{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2,3}", "{1,2,3}"]
+
 GOLDEN = [
     (["estimate", "free(2)", "rho", "--n", "12"],
      "2bacdfcac7ae0cb0cf58ed5a0b1434a7139c0bdd3e3e81ca64c7e7a143eadb72"),
@@ -58,6 +60,9 @@ GOLDEN = [
      "e5295726065071a46867d49132980fd2c1147cb93ef9e383223e331b6d4f8f19"),
     (["sweep", "eta-witness", "{}", "{1}", "{2}"],
      "64f684169890ff69e7e940bf6910f0d3445570abcd77619969aa88968a485aa3"),
+    # every subset of {1,2,3}: 19 pairs read from one witness table
+    (["sweep", "eta-witness", *ALL_SUBSETS, "--omega", "(012)*"],
+     "e0d3a12ac10f2885851651f47a4032b21d73377dab2bab2c4d6c270dec95afca"),
     (["verify", "all"],
      "6b664cb3f33729357719a909f327fb0116a7136782006bb44494bf5bbb74a57a"),
 ]
@@ -71,7 +76,8 @@ def test_stdout_is_byte_identical(argv, digest, capsys):
 
 
 # the CSV writer's cases: a quoted label and an error row, list cells that
-# hold commas, a curve, a null cell, steps, an empty curve and no rows
+# hold commas, a curve, a null cell, steps, an empty curve and no rows (the
+# header alone)
 CSV_GOLDEN = [
     (["verify", "matrix-relations"],
      "7dfa53ee3beb12e22457434d80ff544ad1a2f7c8fb1c0c11d80ebab6c001e320"),
@@ -79,6 +85,8 @@ CSV_GOLDEN = [
      "011ae8f2d5a499c31631366764ed3ab3694806713fe8d6e15f4eb6e1c6cbc895"),
     (["sweep", "eta-witness", "{}", "{1}", "{1,2}"],
      "18c30017883393198d13ac07937191659a810ea69faa2a038d050c3db7013fca"),
+    (["sweep", "eta-witness", *ALL_SUBSETS, "--omega", "2|01"],
+     "cc2607dcb239a48d62915491c4be420610f1b2a481128233defcfb6cb35c5417"),
     (["estimate", "grid(2)", "pc-bond", "--R", "6", "--trials", "20", "--seed", "1"],
      "bb9599a593a8f6ae74093051e0fb2688338fed403d36429507850fedffb6855e"),
     (["estimate", "free(2)", "growth", "--n", "4"],
@@ -88,7 +96,7 @@ CSV_GOLDEN = [
     (["estimate", "cycle(3)", "pc-site", "--R", "4", "--trials", "5"],
      "e1927e092981f28d72ea734555b08bf10fb3e7b71ca3ac4562c9aef3724d5e46"),
     (["sweep", "mu", "--n", "4"],
-     "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+     "2661946d2de977387c9aa73dc8c3e965ba8f7b19cad655581b6793aad12b18bb"),
 ]
 
 
