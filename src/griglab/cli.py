@@ -13,6 +13,7 @@ carry runtime as null, the wall-clock number goes to stderr.
 """
 
 import argparse
+import functools
 import inspect
 import io
 import json
@@ -506,6 +507,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return ap
 
 
+# one parser per interpreter, built by the first main(); a --config run builds its own
+_parser = functools.cache(build_parser)
+
+
 def _flag_dests(ap: argparse.ArgumentParser, command: str) -> set:
     """Dests of the flags ``command`` takes: the only keys a config may set,
     since positionals and the subcommand itself come from argv alone."""
@@ -514,7 +519,7 @@ def _flag_dests(ap: argparse.ArgumentParser, command: str) -> set:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.config:
         try:

@@ -691,6 +691,60 @@ def test_module_entry_point():
     assert proc.stdout.startswith("griglab ")
 
 
+# ------------------------------------------------------ one parser per interpreter
+
+# the benchmark's family-witness and grid-lattice calls, at small sizes
+_OMEGA = ["--omega", "(021)*"]
+_REUSED = [
+    ["sweep", "eta-witness", "{}", "{1}", "{2}", "{1,2}", *_OMEGA],
+    ["verify", "eta", "--k", "3", *_OMEGA],
+    ["verify", "contraction", "--m", "3", *_OMEGA],
+    ["estimate", "grid(2)", "pc-bond", "--R", "8", "--trials", "20"],
+    ["estimate", "grid(2)", "pc-site", "--R", "8", "--trials", "20"],
+    ["estimate", "grid(2)", "mu", "--n", "6"],
+]
+
+
+def _runs(argvs, capsys) -> list:
+    """(exit code, stdout) of each argv, run in this interpreter."""
+    out = []
+    for argv in argvs:
+        rc = main(argv + ["--json", "-"])
+        out.append((rc, capsys.readouterr().out))
+    return out
+
+
+def test_main_builds_its_parser_once_and_a_reused_one_prints_the_same(monkeypatch, capsys):
+    cli._parser.cache_clear()
+    first = _runs(_REUSED, capsys)
+    assert [rc for rc, _ in first] == [0] * len(_REUSED)
+    assert _runs(_REUSED, capsys) == first
+    assert cli._parser.cache_info()[:2] == (2 * len(_REUSED) - 1, 1)  # (hits, builds)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    assert _runs(_REUSED, capsys) == first
+
+
+def test_a_config_run_leaves_the_shared_parser_at_its_defaults(tmp_path, capsys):
+    conf = tmp_path / "lab.conf"
+    conf.write_text("n=3\n")
+    argv = ["estimate", "free(2)", "growth"]
+    for extra, n_max in ((["--config", str(conf)], 3), ([], 8)):
+        ((rc, out),) = _runs([argv + extra], capsys)
+        assert rc == 0
+        assert json.loads(out)["parameters"]["n_max"] == n_max
+
+
+@pytest.mark.parametrize("bad, code", [(["--n", "abc"], 2), (["-h"], 0)])
+def test_a_usage_error_or_help_between_runs_changes_nothing(bad, code, capsys):
+    argv = ["estimate", "free(2)", "growth"]
+    before = _runs([argv], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + bad)
+    assert exc.value.code == code
+    capsys.readouterr()
+    assert _runs([argv], capsys) == before
+
+
 # ------------------------------------------------------ flags and their defaults
 
 _OUTPUT = {"--json", "--csv", "--config"}

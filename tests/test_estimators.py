@@ -618,7 +618,6 @@ def test_cli_runs_never_import_numpy_ma():
     # np.median, np.quantile and np.unique import numpy.ma on their first
     # call, and only a CSV report needs csv; one interpreter runs every
     # verify suite, the eta-witness sweep and every estimate parameter
-    src = str(Path(__file__).resolve().parents[1] / "src")
     code = """if True:
         import contextlib, io, sys
         from griglab.cli import main
@@ -639,11 +638,29 @@ def test_cli_runs_never_import_numpy_ma():
                 assert main(argv) == 0, argv
         print("numpy.ma" in sys.modules, "csv" in sys.modules)
     """
+    assert _fresh_interpreter(code) == "False False"
+
+
+def test_importing_the_cli_loads_no_numpy_random_and_builds_no_parser():
+    # numpy.random takes about 12 ms to import and the parser about 3.5 ms
+    # to build (2-core x86-64 VM); a process that only imports the CLI pays
+    # for neither
+    code = """if True:
+        import sys
+        import griglab.cli
+        print("numpy.random" in sys.modules, griglab.cli._parser.cache_info().currsize)
+    """
+    assert _fresh_interpreter(code) == "False 0"
+
+
+def _fresh_interpreter(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter on this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    return proc.stdout.strip()
 
 
 def test_report_json_is_deterministic():
