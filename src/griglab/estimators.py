@@ -112,11 +112,11 @@ class WalkDistribution:
     """Exact law of the simple random walk at time n, by classes of points
     it reaches equally often: counts[i] length-n symbol words end at each
     point of class i (a distance and type of a radial chain, or one vertex
-    of ball when sizes is None), at distance distances[i]; the class has
-    sizes[i] points.  The total is k^n, so the mean distance is an exact
-    Fraction.  A ball law's counts and distances may be the numpy arrays of
-    walk_counts and ball.dist; its sums then read only the vertices the walk
-    reaches.
+    of the radius-n ball when sizes is None), at distance distances[i]; the
+    class has sizes[i] points.  The total is k^n, so the mean distance is an
+    exact Fraction.  A ball law's counts and distances may be the numpy
+    arrays of walk_counts and ball.dist; its sums then read only the
+    vertices the walk reaches.
     """
 
     group: MarkedGroup
@@ -124,7 +124,6 @@ class WalkDistribution:
     counts: list
     distances: list
     sizes: list | None = None
-    ball: CayleyBall | None = None
 
     @property
     def total(self) -> int:
@@ -190,7 +189,7 @@ def _walk_laws(g: MarkedGroup, n: int, ball: CayleyBall | None, method: str):
         raise ValueError(f"k^n = {g.k}^{n} exceeds e^700, the float range of the ball method{hint}")
     ball = ensure_ball(g, n, ball)
     for t, counts in enumerate(walk_counts(ball, n)):
-        yield WalkDistribution(g, t, counts, ball.dist, ball=ball)
+        yield WalkDistribution(g, t, counts, ball.dist)
 
 
 def walk_distribution(g: MarkedGroup, n: int) -> WalkDistribution:
@@ -499,8 +498,6 @@ def percolation_pstars(
 
 def _wilson_ci(hits: int, n: int) -> tuple:
     z = 1.96  # the normal quantile of a 95% two-sided interval
-    if n == 0:
-        return (0.0, 1.0)
     phat = hits / n
     denom = 1 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

@@ -26,12 +26,7 @@ from typing import Iterable
 from .cayley import bfs_ball
 from .marked import MatrixHGroup, ProductGroup, product
 from .words import OmegaWord, eta_word, phi_twist, base_relator
-from .wreath import (
-    grig,
-    iterate_functor,
-    nontrivial_leaves,
-    portrait,
-)
+from .wreath import grig, iterate_functor, split
 
 def activation_margin(omega: OmegaWord) -> int:
     """Extra tree depth after which truncation cannot mask a generator.
@@ -113,9 +108,13 @@ def build_GJ(spec: GJSpec) -> ProductGroup:
 class WitnessTable:
     """The separating words eta_i against the levels j of one omega.
 
-    Each eta_i, plain level grig(omega, j) and decorated tower F^j(H) is
-    built once, eta_i is evaluated in each at most once, and the level-i
-    leaf check runs once per i.  A table serves one call and dies with it.
+    No tree is built.  A word's swap bits and leaves in a depth-j tower are
+    fixed by its sections: j rounds of ``split`` give its depth-j sections,
+    and whether a section above depth j swaps.  So eta_i is trivial in
+    grig(omega, j) when nothing above depth j swaps, and in F^j(H) when,
+    in addition, every depth-j section is trivial in H.  Each word is split
+    once per depth, and its depth-j sections are evaluated in H once.  A
+    table serves one call and dies with it.
     """
 
     def __init__(self, omega: OmegaWord):
@@ -131,23 +130,39 @@ class WitnessTable:
     def word(self, i: int):
         return self._get(("eta", i), lambda: eta_word(self.omega, i))
 
-    def group(self, j: int, decorated: bool):
-        if decorated:
-            return self._get(("F", j), lambda: iterate_functor(self.omega, j, self.H))
-        return self._get(("grig", j), lambda: grig(self.omega, j))
+    def sections(self, w, d: int) -> tuple:
+        """(swapped, sections) of the reduced word w at depth d: whether a
+        section above depth d swaps, and the nonempty depth-d sections as
+        (address, word) pairs in address order."""
+        ladder = self._get(("sections", w), lambda: [(False, [((), w)] if w else [])])
+        while len(ladder) <= d:
+            swapped, level = ladder[-1]
+            letter, deeper = self.omega.letter(len(ladder)), []
+            for address, u in level:
+                swap, *halves = split(u, letter)
+                swapped = swapped or swap == 1
+                deeper += [(address + (b,), v) for b, v in enumerate(halves) if v]
+            ladder.append((swapped, deeper))
+        return ladder[d]
 
-    def value(self, i: int, j: int, decorated: bool = True):
-        w = self.word(i)
-        return self._get((i, j, decorated), lambda: self.group(j, decorated).evaluate(w))
+    def leaves(self, w, j: int) -> list:
+        """(address, leaf value) pairs of the leaves of w in F^j(H) that
+        differ from the identity, in address order."""
+        def make():
+            values = ((a, self.H.evaluate(u)) for a, u in self.sections(w, j)[1])
+            return [(a, x) for a, x in values if x != self.H.identity()]
+
+        return self._get(("leaves", w, j), make)
 
     def trivial(self, i: int, j: int, decorated: bool = True) -> bool:
-        return self.value(i, j, decorated) == self.group(j, decorated).identity()
+        w = self.word(i)
+        return not self.sections(w, j)[0] and not (decorated and self.leaves(w, j))
 
     def level(self, i: int) -> tuple:
         """(nontrivial, identity portrait, nontrivial leaves) of eta_i in F^i(H)."""
-        x = self.value(i, i)
-        return self._get(("level", i), lambda: (
-            not self.trivial(i, i), portrait(x) == 0, nontrivial_leaves(x, self.H.identity())))
+        w = self.word(i)
+        swapped, leaves = self.sections(w, i)[0], self.leaves(w, i)
+        return swapped or bool(leaves), not swapped, leaves
 
     def leaf_matches(self, i: int) -> bool:
         """Whether eta_i's first leaf in F^i(H) is the relator twisted by letter i + 1."""

@@ -96,9 +96,8 @@ class MarkedGroup:
         """The element a word names: ``mul`` folded over its generators.
 
         A subclass may override this with an exact shortcut that returns
-        the same value (``GammaFree`` reduces the word, ``WreathGroup``
-        splits it into section words, ``ProductGroup`` evaluates it in
-        each factor).
+        the same value (``GammaFree`` reduces the word); towers and
+        products fold.
         """
         x = self.identity()
         for i in self.parse(w):
@@ -349,11 +348,6 @@ class ProductGroup(MarkedGroup):
 
     def mul(self, x, y):
         return tuple(g.mul(p, q) for g, p, q in zip(self.factors, x, y))
-
-    def evaluate(self, w):
-        # generated diagonally, so a word names its value in every factor
-        idx = self.parse(w)
-        return tuple(g.evaluate(idx) for g in self.factors)
 
     def component_triviality(self, x) -> list:
         return [p == g.identity() for g, p in zip(self.factors, x)]

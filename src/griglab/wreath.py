@@ -13,17 +13,17 @@ they are the same object.  Equality and hashing are therefore the
 default identity ones, and ball enumerations stay compact in memory.
 The intern pool is process-global and never shrinks.
 
-Words evaluate by sections, not by composing trees.  One pass over a
-word gives its root swap bit and the two section words at inputs 0 and
-1, each reduced in Z/2 * (Z/2)^2 and about half as long; they recurse
-into the base, and a base that is not a functor group evaluates its
-sections itself.  Trees are interned, so this returns the same object as
-folding ``mul`` over the word.
+A word splits without building a tree: ``split`` reads, in one pass,
+its root swap bit and the two section words at inputs 0 and 1, each
+reduced in Z/2 * (Z/2)^2 and about half as long.  Repeated down a tower
+it gives the word's portrait and leaf words, off which
+``family.WitnessTable`` reads separation witnesses.
 
-``mul`` serves the ball builds.  Each tower keeps one composition memo,
-a dict from a pair (g, h) of interned trees to g h.  The depth-1 functor
-group creates it and every group stacked on top shares it, since they
-share one leaf multiplication; subtrees of every depth are keys.  So
+``mul`` serves the ball builds and word evaluation, which folds it over
+the word.  Each tower keeps one composition memo, a dict from a pair
+(g, h) of interned trees to g h.  The depth-1 functor group creates it
+and every group stacked on top shares it, since they share one leaf
+multiplication; subtrees of every depth are keys.  So
 each distinct pair of subtrees, leaf pairs included, is composed once
 per tower, and a product walks the DAG of shared subtrees rather than
 the whole tree.  The memo is an attribute of the groups, so it is freed
@@ -157,6 +157,27 @@ def nontrivial_leaves(g: DecoratedElement, base_identity) -> list:
 _WEAK = {0: "d", 1: "c", 2: "b"}
 
 
+def split(word, letter: int) -> tuple:
+    """(swap, section0, section1) of a word over a, b, c, d under the
+    functor with ``letter``: its root swap bit and its sections at inputs 0
+    and 1, reduced in Gamma = Z/2 * (Z/2)^2.
+
+    A generator s is (0; a or e, s): it appends s to the section the swap
+    bit puts at input 1 and a (unless s is weak) to the other.
+    """
+    weak = _WEAK[letter]
+    swap = 0
+    sections = ([], [])
+    for ch in word:
+        if ch == "a":
+            swap ^= 1
+            continue
+        sections[1 ^ swap].append(ch)
+        if ch != weak:
+            sections[swap].append("a")
+    return swap, words.reduce(sections[swap]), words.reduce(sections[swap ^ 1])
+
+
 class WreathGroup(MarkedGroup):
     """Image of a Klein-marked group under one level-functor application."""
 
@@ -182,7 +203,6 @@ class WreathGroup(MarkedGroup):
             wrap = leaf
         a, b, c, d = (wrap(base.generator(i)) for i in range(4))
         e = wrap(base.identity())
-        self._base_identity = e
         self._identity = node(0, e, e)
         weak = _WEAK[letter]
         mk = lambda s, child: node(0, e if s == weak else a, child)
@@ -202,45 +222,6 @@ class WreathGroup(MarkedGroup):
 
     def mul(self, x, y):
         return compose(x, y, self.leaf_base.mul, self._memo)
-
-    def evaluate(self, w):
-        """The element a word names, by the wreath recursion on the word.
-
-        Returns the very tree that folding ``mul`` over the word returns,
-        since trees are interned by value.
-        """
-        return self._evaluate_roles([words.LETTERS[i] for i in self.parse(w)])
-
-    def _evaluate_roles(self, word):
-        # ``word`` spells generator positions 0-3 in the roles a, b, c, d.
-        # A generator s is (0; a or e, s): it appends s to the section the
-        # swap bit puts at input 1 and a (unless s is weak) to the other.
-        weak = _WEAK[self.letter]
-        swap = 0
-        sections = ([], [])
-        for ch in word:
-            if ch == "a":
-                swap ^= 1
-                continue
-            sections[1 ^ swap].append(ch)
-            if ch != weak:
-                sections[swap].append("a")
-        return node(
-            swap,
-            self._section_element(sections[swap]),
-            self._section_element(sections[swap ^ 1]),
-        )
-
-    def _section_element(self, section):
-        # the base carries the involutive Klein marking, so it is a
-        # quotient of Gamma = Z/2 * (Z/2)^2 and the section may be reduced
-        # there first
-        section = words.reduce(section)
-        if not section:
-            return self._base_identity
-        if isinstance(self.base, WreathGroup):
-            return self.base._evaluate_roles(section)
-        return leaf(self.base.evaluate(tuple(map(words.LETTERS.index, section))))
 
     def describe_element(self, x):
         nt = nontrivial_leaves(x, self.leaf_base.identity())

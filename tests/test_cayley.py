@@ -451,7 +451,8 @@ def test_open_ball_reads_like_a_closed_one(monkeypatch, expr, r):
 @pytest.mark.parametrize("budget", [1, 2, 5, 17, 50, 53, 54, 160])
 def test_ball_budget_error_radius_is_unchanged(monkeypatch, budget):
     monkeypatch.setattr(cayley, "DEFAULT_VERTEX_BUDGET", budget)
-    for g, n in ((FreeGroup(2), 4), (GammaFree(), 10)):
+    # grig has no element keys, so it runs the object loop
+    for g, n in ((FreeGroup(2), 4), (GammaFree(), 10), (grig(FIRST_OMEGA, 6), 10)):
         with pytest.raises(BallBudgetError) as want:
             reference_bfs_ball(g, n)
         with pytest.raises(BallBudgetError) as got:

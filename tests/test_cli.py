@@ -171,6 +171,18 @@ def test_verify_suites_read_their_flags_with_defaults(monkeypatch):
     assert seen == [("contraction", {"m": 5}), ("eta", {"k": 0})]
 
 
+def test_verify_eta_at_level_zero_reads_the_matrix_group(capsys):
+    # F^0(H) is H: eta_0's depth-0 section is the word itself, read in H
+    assert main(["verify", "eta", "--k", "0", "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["ok"]) for c in report["checks"]] == [
+        ("eta_0 trivial one functor level deeper", True),
+        ("eta_0 trivial in the level-0 plain group", True),
+        ("eta_0 nontrivial in the matrix group", True),
+    ]
+    assert report["ok"]
+
+
 @pytest.mark.parametrize("m", ["0", "-1"])
 def test_verify_contraction_needs_m_at_least_one(m, capsys):
     # F^0(H) is the matrix group itself, which no plain truncation matches
@@ -658,6 +670,19 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
         conf.write_text(line + "\n")
         assert main(["estimate", "free(2)", "rho", "--config", str(conf)]) == 2, line
         assert "unknown keys" in capsys.readouterr().err
+
+
+def test_an_unreadable_config_exits_two(monkeypatch, tmp_path, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "spectral_radius", lambda *a, **k: ran.append(a))
+    conf = tmp_path / "bad.conf"
+    conf.write_text("# comment\n\nn 3\n")
+    missing = tmp_path / "missing.conf"
+    for path, why in ((conf, f"{conf}:3: expected key=value"), (missing, "No such file")):
+        assert main(["estimate", "free(2)", "rho", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") and why in err
+    assert ran == []
 
 
 def test_verify_csv_emission(tmp_path):

@@ -709,7 +709,7 @@ def test_walk_counts_past_int64_match_binomial_sums():
 
     assert cogrowth(g, 64).values == [landing(n, 0) for n in range(65)]
     w = walk_distribution(g, 70)
-    assert w.counts == [landing(70, x) for x in w.ball.vertices]
+    assert w.counts == [landing(70, x) for x in bfs_ball(g, 70).vertices]
     assert sum(w.counts) == 2**70
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from griglab import cli
 from griglab import family as F
+from griglab import wreath as Wr
 from griglab.cayley import OUTSIDE, bfs_ball
 from griglab.marked import MatrixHGroup, product
 from griglab.words import FIRST_OMEGA as OM
@@ -231,22 +232,31 @@ def test_witness_refuses_level_zero(J, Jp, i):
         F.separation_witness(OM, J, Jp, i)
 
 
-@pytest.mark.parametrize("J, Jp, i, depths", [
-    ((), (1, 2), 1, [1, 2]),
-    ((1,), (1, 2), 2, [1, 2, 3]),
-])
-def test_witness_builds_each_decorated_tower_once(monkeypatch, J, Jp, i, depths):
-    # level i + 1 serves both as a level of Jp and as "one level deeper"
+@pytest.fixture
+def tower_builds(monkeypatch):
+    """Every grig and iterate_functor call, in family and in wreath, by depth."""
     built = []
 
-    def counting(omega, k, base):
-        if isinstance(base, MatrixHGroup):
+    def counting(f):
+        def counted(omega, k, *base):
             built.append(k)
-        return iterate_functor(omega, k, base)
+            return f(omega, k, *base)
 
-    monkeypatch.setattr(F, "iterate_functor", counting)
+        return counted
+
+    for module in (F, Wr):
+        monkeypatch.setattr(module, "grig", counting(grig))
+        monkeypatch.setattr(module, "iterate_functor", counting(iterate_functor))
+    return built
+
+
+@pytest.mark.parametrize("J, Jp, i", [((), (1, 2), 1), ((1,), (1, 2), 2)])
+def test_a_witness_builds_no_tree(tower_builds, J, Jp, i):
+    # the report is read off section words: no tower, no interned node
+    pool = Wr.pool_size()
     assert F.separation_witness(OM, J, Jp, i)["ok"]
-    assert sorted(built) == depths
+    assert tower_builds == []
+    assert Wr.pool_size() == pool
 
 
 SUBSETS = [J for r in range(4) for J in itertools.combinations((1, 2, 3), r)]
@@ -272,26 +282,52 @@ def test_a_shared_witness_table_answers_as_a_fresh_witness(omega):
         assert table.report(J, Jp, i) == F.separation_witness(om, J, Jp, i)
 
 
-def test_a_sweep_builds_each_word_and_level_once(monkeypatch):
-    calls = {"eta": [], "grig": [], "tower": []}
+def test_a_sweep_builds_each_word_once_and_no_tree(monkeypatch, tower_builds):
+    words = []
 
-    def counter(name, f, arg):
-        def counted(*args):
-            calls[name].append(args[arg])
-            return f(*args)
+    def counted(omega, k):
+        words.append(k)
+        return eta_word(omega, k)
 
-        return counted
-
-    # patched in family only, so the calls inside a tower are not counted
-    monkeypatch.setattr(F, "eta_word", counter("eta", eta_word, 1))
-    monkeypatch.setattr(F, "grig", counter("grig", grig, 1))
-    monkeypatch.setattr(F, "iterate_functor", counter("tower", iterate_functor, 1))
+    monkeypatch.setattr(F, "eta_word", counted)
     sets = ["{" + ",".join(map(str, J)) + "}" for J in SUBSETS]
+    pool = Wr.pool_size()
     assert cli.main(["sweep", "eta-witness", *sets]) == 0
-    # i in {1,2,3}; plain levels up to max J' + 2; towers up to i + 1
-    assert sorted(calls["eta"]) == [1, 2, 3]
-    assert sorted(calls["grig"]) == [1, 2, 3, 4, 5]
-    assert sorted(calls["tower"]) == [1, 2, 3, 4]
+    assert sorted(words) == [1, 2, 3]
+    assert tower_builds == []
+    assert Wr.pool_size() == pool
+
+
+def as_tree(x, j):
+    """A depth-j tower element as a tree: F^0(H) is H, whose values are leaves."""
+    return x if j else Wr.leaf(x)
+
+
+@pytest.mark.parametrize("omega", ["(012)*", "(021)*", "2|01"])
+def test_the_section_ladder_reads_what_the_trees_hold(omega):
+    # the folded trees of grig(omega, j) and F^j(H) are the oracle; eta
+    # words never swap, so random words check the swap bits
+    om = parse_omega(omega)
+    table = F.WitnessTable(om)
+    H = table.H
+    rng = random.Random(5)
+    randoms = [reduce("".join(rng.choices("abcd", k=rng.randrange(1, 40)))) for _ in range(12)]
+    for j in range(6):
+        plain, tower = grig(om, j), iterate_functor(om, j, H)
+        for i in (1, 2, 3):
+            w = table.word(i)
+            x = tower.evaluate(w)
+            assert table.trivial(i, j) == (x == tower.identity())
+            assert table.trivial(i, j, False) == (plain.evaluate(w) == plain.identity())
+            if j == i:
+                assert table.level(i) == (
+                    x != tower.identity(), Wr.portrait(x) == 0, Wr.nontrivial_leaves(x, H.identity())
+                )
+        for w in randoms:
+            x = as_tree(tower.evaluate(w), j)
+            swapped = table.sections(w, j)[0]
+            assert swapped == (Wr.portrait(x) != 0) == (plain.evaluate(w) != plain.identity())
+            assert table.leaves(w, j) == Wr.nontrivial_leaves(x, H.identity())
 
 
 def test_kernel_section_small_cases():

@@ -115,3 +115,14 @@ def test_decorated_ball_dot_is_byte_identical():
     got = sha256(ball.to_dot())
     digest = "535388ad7bd82b4fafc7bac04ad5f7170505a3064997917efbb383f378a0d083"
     assert got == digest, f'to_dot of bfs_ball({expr}, 2) changed; new digest: "{got}"'
+
+
+def test_family_member_ball_dot_is_byte_identical():
+    # 11 vertices, each printed by ProductGroup.describe_element: one
+    # labelled part per component, the decorated levels and the tail
+    expr = "gj((012)*, {1,2}, 2)"
+    ball = bfs_ball(parse_group_expr(expr), 2)
+    assert ball.size == 11
+    got = sha256(ball.to_dot())
+    digest = "59fc59cdda4b9f89319664e540d16048ff7c07fdf4da9ffa99d22c9b07a812c1"
+    assert got == digest, f'to_dot of bfs_ball({expr}, 2) changed; new digest: "{got}"'

@@ -239,16 +239,10 @@ def test_inverse_symbols_of_a_tower_visit_each_subtree_once(monkeypatch):
 # ------------------------------------------------------------ evaluation
 
 
-def fold_evaluate(g, w):
-    """The element ``w`` names, by folding ``mul`` over its letters."""
-    x = g.identity()
-    for i in g.parse(w):
-        x = g.mul(x, g.generator(i))
-    return x
-
-
 @pytest.mark.parametrize("om", ["(012)*", "(021)*", "0112", "2|01"])
 def test_section_evaluation_returns_the_folded_tree(om):
+    # split gives the root swap bit of the tree a word folds to, and its
+    # sections fold in the base to the tree's two children
     omega = W.parse_omega(om)
     H = MatrixHGroup()
     towers = [
@@ -261,9 +255,15 @@ def test_section_evaluation_returns_the_folded_tree(om):
     words += ["".join(rng.choices("abcd", k=rng.randrange(65))) for _ in range(40)]
     words += [W.word_str(W.eta_word(omega, k)) for k in (1, 2, 3)]
     for g in towers:
+        child = (lambda x: x) if isinstance(g.base, Wr.WreathGroup) else Wr.leaf
         for w in words:
-            for form in (w, g.parse(w), tuple(g.symbols[i] for i in g.parse(w))):
-                assert g.evaluate(form) is fold_evaluate(g, form), (g.label, w)
+            letters = tuple(g.symbols[i] for i in g.parse(w))
+            x = g.evaluate(letters)
+            swap, s0, s1 = Wr.split(letters, g.letter)
+            assert x.swap == swap, (g.label, w)
+            assert x.left is child(g.base.evaluate(s0)), (g.label, w)
+            assert x.right is child(g.base.evaluate(s1)), (g.label, w)
+            assert (s0, s1) == tuple(map(W.reduce, (s0, s1)))
 
 
 # ------------------------------------------------------------ the action
