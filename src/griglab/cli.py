@@ -33,7 +33,7 @@ from .estimators import (
     spectral_radius,
     speed,
 )
-from .family import GJSpec, WitnessTable, build_GJ, truncation_level
+from .family import WitnessTable, build_GJ, truncation_level
 from .marked import (
     CyclicGroup,
     FreeGroup,
@@ -117,7 +117,7 @@ class _Parser:
                 if vals[-1] < 1:
                     self.fail("levels must be positive")
             self.take("}")
-        return tuple(sorted(set(vals)))  # as GJSpec keeps J
+        return tuple(sorted(set(vals)))  # as build_GJ reads J
 
     def parse_expr(self) -> MarkedGroup:
         m = self.match(_NAME)
@@ -162,7 +162,7 @@ class _Parser:
             J = self.parse_set()
             self.take(",")
             radius = self.parse_int()
-            return build_GJ(GJSpec(om, J, radius))
+            return build_GJ(om, J, radius)
         if name == "product":
             factors = [self.parse_expr()]
             while self.accept(","):

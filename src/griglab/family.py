@@ -1,11 +1,12 @@
 """The product family over level-functor towers, with separation witnesses.
 
-A family member is indexed by a finite set J of positive levels: level i
-carries the matrix-decorated tower when i is in J and the plain portrait
-group otherwise, and a single deeper portrait group rides along as a
-stand-in tail for the limit group.  Balls of a fixed radius n only see
-finitely many levels, so the build truncates at a level N(n) chosen so
-that every ball query of radius <= n is answered exactly.
+A family member G_J is indexed, on a letter sequence omega that does not
+stabilize, by a finite set J of positive levels: level i carries the
+matrix-decorated tower when i is in J and the plain portrait group
+otherwise, and a single deeper portrait group rides along as a stand-in
+tail for the limit group.  Balls of a fixed radius n only see finitely
+many levels, so ``build_GJ(omega, J, n)`` truncates at a level N(n)
+chosen so that every ball query of radius <= n is answered exactly.
 
 A plain level i <= N is a quotient of the tail (truncating a depth-N
 portrait to depth i is a homomorphism that keeps the marking), so it
@@ -20,7 +21,6 @@ computable witness that dropping level i changes the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .cayley import bfs_ball
@@ -64,44 +64,38 @@ def truncation_level(n: int, omega: OmegaWord) -> int:
     return (2 * n).bit_length() + activation_margin(omega)
 
 
-@dataclass(frozen=True)
-class GJSpec:
-    omega: OmegaWord
-    J: tuple
-    query_radius: int
-
-    def __post_init__(self):
-        J = tuple(sorted(set(int(i) for i in self.J)))
-        if any(i < 1 for i in J):
-            raise ValueError("levels in J must be positive")
-        object.__setattr__(self, "J", J)
-        if self.query_radius < 0:
-            raise ValueError("query_radius must be >= 0")
-
-
-def build_GJ(spec: GJSpec) -> ProductGroup:
-    """Truncated member of the family, faithful for balls of radius <= n.
-
-    Components are the decorated levels i in J with i <= N(n), followed
-    by the depth-N(n) portrait group labeled "tail".  The plain levels
-    are quotients of the tail, so they are left out: the product is the
-    same marked group with or without them.
-    """
-    om, n = spec.omega, spec.query_radius
-    if om.is_stabilizing:
+def _levels(omega: OmegaWord, J: Iterable) -> tuple:
+    """J as its sorted distinct levels, refusing a set or an omega that
+    indexes no member of the family."""
+    J = tuple(sorted(set(int(i) for i in J)))
+    if J and J[0] < 1:
+        raise ValueError("levels in J must be positive")
+    if omega.is_stabilizing:
         raise ValueError("letter sequence must not stabilize")
-    N = truncation_level(n, om)
+    return J
+
+
+def build_GJ(omega: OmegaWord, J: Iterable, query_radius: int) -> ProductGroup:
+    """Truncated member G_J of the family on omega, faithful for balls of
+    radius <= query_radius.
+
+    J is read as its sorted distinct levels, each at least 1.  Components
+    are the decorated levels i in J with i <= N(n), followed by the
+    depth-N(n) portrait group labeled "tail".  The plain levels are
+    quotients of the tail, so they are left out: the product is the same
+    marked group with or without them.
+    """
+    J, N = _levels(omega, J), truncation_level(query_radius, omega)
     H = MatrixHGroup()
-    levels = [i for i in spec.J if i <= N]
-    factors = [iterate_functor(om, i, H) for i in levels]
+    levels = [i for i in J if i <= N]
+    factors = [iterate_functor(omega, i, H) for i in levels]
     labels = [f"level {i} decorated" for i in levels]
-    factors.append(grig(om, N))
+    factors.append(grig(omega, N))
     labels.append("tail")
     g = product(factors, labels)
-    g.label = f"gj({om}, {{{','.join(map(str, spec.J))}}}, {n})"
-    g.gj_spec = spec
+    g.label = f"gj({omega}, {{{','.join(map(str, J))}}}, {query_radius})"
     g.truncation = N
-    g.faithful_radius = n
+    g.faithful_radius = query_radius
     return g
 
 
@@ -172,15 +166,11 @@ class WitnessTable:
 
     def report(self, J: Iterable, Jp: Iterable, i: int) -> dict:
         """The griglab/witness/1 report of separation_witness(omega, J, Jp, i)."""
-        J, Jp = (tuple(sorted(set(int(x) for x in s))) for s in (J, Jp))
+        J, Jp = (_levels(self.omega, s) for s in (J, Jp))
         if not set(J) < set(Jp):
             raise ValueError("need J a proper subset of Jp")
-        if Jp[0] < 1:  # the least level of J and Jp
-            raise ValueError("levels in J must be positive")
         if i not in set(Jp) - set(J):
             raise ValueError("witness level must lie in Jp minus J")
-        if self.omega.is_stabilizing:
-            raise ValueError("letter sequence must not stabilize")
         # scan plain levels a bit past the family; i + 1 is "one level deeper"
         plain = {j: self.trivial(i, j, False) for j in range(1, max(Jp) + 3)}
         trivial = {j: self.trivial(i, j) for j in sorted({*Jp, i + 1} - {i})}

@@ -103,30 +103,13 @@ def phi_twist(w: WordLike, x: int) -> Word:
     return reduce(out)
 
 
-_SIGMA = {"a": "aca", "b": "b", "c": "c", "d": "d"}
-_TAU = {"a": "c", "b": "a", "c": "a", "d": ""}
-
-
-def _substitute(w: WordLike, table: dict) -> Word:
-    return reduce("".join(table[ch] for ch in _letters(w)))
-
-
 def sigma_sub(w: WordLike) -> Word:
     """Doubling substitution a -> aca, fixing b, c, d."""
-    return _substitute(w, _SIGMA)
-
-
-def tau_sub(w: WordLike) -> Word:
-    """Collapsing substitution a -> c, b -> a, c -> a, d -> e."""
-    return _substitute(w, _TAU)
+    return reduce("".join("aca" if ch == "a" else ch for ch in _letters(w)))
 
 
 def sigma_twisted(w: WordLike, x: int) -> Word:
     return phi_twist(sigma_sub(phi_twist(w, -x)), x)
-
-
-def tau_twisted(w: WordLike, x: int) -> Word:
-    return phi_twist(tau_sub(phi_twist(w, -x)), x)
 
 
 @functools.lru_cache(maxsize=1)

@@ -19,7 +19,7 @@ from griglab.estimators import (
     spectral_radius,
     tree_return_counts,
 )
-from griglab.family import GJSpec, build_GJ, separation_witness, truncation_level
+from griglab.family import build_GJ, separation_witness, truncation_level
 from griglab.marked import FreeGroup, GammaFree, GridGroup, MatrixHGroup
 from griglab.matrixh import relation_report
 from griglab.words import FIRST_OMEGA, eta_word
@@ -116,8 +116,8 @@ def test_criterion_4_family_separation():
     # continuity: identical truncations force exact ball agreement
     for J_a, J_b, n in (((1, 30), (1,), 3), ((9, 40), (), 2)):
         assert truncation_level(n, FIRST_OMEGA) < min(x for x in J_a if x > 3)
-        ga = build_GJ(GJSpec(FIRST_OMEGA, J_a, n))
-        gb = build_GJ(GJSpec(FIRST_OMEGA, J_b, n))
+        ga = build_GJ(FIRST_OMEGA, J_a, n)
+        gb = build_GJ(FIRST_OMEGA, J_b, n)
         ok = ok and ball_agreement_radius(ga, gb, n) == n
     elapsed = time.time() - t0
     _report(4, "every proper subfamily inclusion is separated by a witness word",

@@ -35,7 +35,7 @@ def test_parse_tower_constructors():
     assert f.identity().depth == 2
     gj = parse_group_expr("gj((012)*, {1,3}, 4)")
     assert isinstance(gj, ProductGroup)
-    assert gj.gj_spec.J == (1, 3)
+    assert gj.component_labels == ["level 1 decorated", "level 3 decorated", "tail"]
 
 
 def test_parse_product_and_whitespace():
@@ -511,7 +511,8 @@ def test_sweep_rows_carry_sorted_distinct_sets(capsys):
     assert (row["J"], row["J_prime"], row["witness_i"]) == ([1], [1, 2], 2)
     # a gj member reads the same levels however its set is written
     gj = parse_group_expr("gj((012)*, {3,1,3}, 4)")
-    assert (gj.gj_spec.J, gj.label) == ((1, 3), "gj((012)*, {1,3}, 4)")
+    assert gj.label == "gj((012)*, {1,3}, 4)"
+    assert gj.component_labels == ["level 1 decorated", "level 3 decorated", "tail"]
 
 
 @pytest.mark.parametrize(

@@ -92,29 +92,30 @@ def test_truncation_level_decides_short_words_as_the_limit_does(om):
 
 def test_radius_zero_members_keep_their_generators():
     # at query radius 0 a member still tells every generator from the identity
-    empty, one = (F.build_GJ(F.GJSpec(OM, J, 0)) for J in ((), (1,)))
+    empty, one = (F.build_GJ(OM, J, 0) for J in ((), (1,)))
     assert (bfs_ball(empty, 0).within(0) == OUTSIDE).all()
     assert ball_agreement_radius(empty, one, 0) == 0
 
 
-def test_gjspec_normalization():
-    s = F.GJSpec(OM, (3, 1, 3), 8)
-    assert s.J == (1, 3)
-    with pytest.raises(ValueError):
-        F.GJSpec(OM, (0, 2), 4)
+def test_J_reads_as_sorted_distinct_positive_levels():
+    g = F.build_GJ(OM, (3, 1, 3), 8)
+    assert g.label == "gj((012)*, {1,3}, 8)"
+    assert g.component_labels == ["level 1 decorated", "level 3 decorated", "tail"]
+    with pytest.raises(ValueError, match="levels in J must be positive"):
+        F.build_GJ(OM, (0, 2), 4)
 
 
 def test_build_structure():
-    g = F.build_GJ(F.GJSpec(OM, (1, 3), 3))
+    g = F.build_GJ(OM, (1, 3), 3)
     assert g.truncation == 6
     assert len(g.factors) == 3
     assert g.component_labels == ["level 1 decorated", "level 3 decorated", "tail"]
     with pytest.raises(ValueError):
-        F.build_GJ(F.GJSpec(OmegaWord("", "1"), (), 2))
+        F.build_GJ(OmegaWord("", "1"), (), 2)
 
 
 def test_balls_stop_at_the_query_radius():
-    g = F.build_GJ(F.GJSpec(OM, (1, 3), 5))
+    g = F.build_GJ(OM, (1, 3), 5)
     assert g.faithful_radius == 5
     assert bfs_ball(g, 5).radius == 5
     with pytest.raises(ValueError, match="exceeds the query radius 5"):
@@ -123,7 +124,7 @@ def test_balls_stop_at_the_query_radius():
 
 
 def test_products_and_functors_inherit_the_query_radius():
-    g3, g5 = (F.build_GJ(F.GJSpec(OM, (1,), n)) for n in (3, 5))
+    g3, g5 = (F.build_GJ(OM, (1,), n) for n in (3, 5))
     H = MatrixHGroup()
     assert product([g5, H, g3]).faithful_radius == 3
     assert product([H, grig(OM, 2)]).faithful_radius is None
@@ -134,22 +135,20 @@ def test_products_and_functors_inherit_the_query_radius():
             bfs_ball(g, 4)
 
 
-def full_gj(spec):
+def full_gj(J, n):
     """Reference member with every level 1..N as a factor, plain ones too."""
-    N = F.truncation_level(spec.query_radius, spec.omega)
+    N = F.truncation_level(n, OM)
     H = MatrixHGroup()
     factors = [
-        iterate_functor(spec.omega, i, H) if i in spec.J else grig(spec.omega, i)
-        for i in range(1, N + 1)
+        iterate_functor(OM, i, H) if i in J else grig(OM, i) for i in range(1, N + 1)
     ]
-    return product(factors + [grig(spec.omega, N)])
+    return product(factors + [grig(OM, N)])
 
 
 @pytest.mark.parametrize("J", [(), (1,), (2,), (1, 3), (1, 2, 3)])
 @pytest.mark.parametrize("n", [3, 4])
 def test_plain_levels_are_quotients_of_the_tail(J, n):
-    spec = F.GJSpec(OM, J, n)
-    lean, full = F.build_GJ(spec), full_gj(spec)
+    lean, full = F.build_GJ(OM, J, n), full_gj(J, n)
     assert ball_agreement_radius(lean, full, n) == n
     a, b = bfs_ball(lean, n), bfs_ball(full, n)
     assert len(a.adjacency) == len(b.adjacency)
@@ -161,22 +160,22 @@ def test_plain_levels_are_quotients_of_the_tail(J, n):
 def test_continuity_probe():
     # levels outside the truncation window cannot affect radius-n balls
     for J, Jcut, n in (((1, 30), (1,), 3), ((9, 40), (), 2)):
-        ga = F.build_GJ(F.GJSpec(OM, J, n))
-        gb = F.build_GJ(F.GJSpec(OM, Jcut, n))
+        ga = F.build_GJ(OM, J, n)
+        gb = F.build_GJ(OM, Jcut, n)
         assert ball_agreement_radius(ga, gb, n) == n
 
 
 def test_empty_family_member_matches_tail():
     n = 3
-    g = F.build_GJ(F.GJSpec(OM, (), n))
+    g = F.build_GJ(OM, (), n)
     tail = grig(OM, g.truncation)
     assert ball_agreement_radius(g, tail, n) == n
 
 
 def test_monotone_surjection_structure():
     rng = random.Random(17)
-    small = F.build_GJ(F.GJSpec(OM, (1,), 2))
-    big = F.build_GJ(F.GJSpec(OM, (1, 2), 2))
+    small = F.build_GJ(OM, (1,), 2)
+    big = F.build_GJ(OM, (1, 2), 2)
     for _ in range(120):
         w = [rng.randrange(4) for _ in range(rng.randrange(0, 12))]
         if big.evaluate(w) == big.identity():
@@ -187,8 +186,8 @@ def test_chabauty_floor():
     # dropping a deeper level perturbs balls only beyond radius 2^m - 1
     prev = -1
     for m, n in ((1, 1), (2, 3)):
-        ga = F.build_GJ(F.GJSpec(OM, (m,), n))
-        gb = F.build_GJ(F.GJSpec(OM, (), n))
+        ga = F.build_GJ(OM, (m,), n)
+        gb = F.build_GJ(OM, (), n)
         r = ball_agreement_radius(ga, gb, n)
         assert r >= min(2**m - 1, n)
         assert r >= prev
@@ -337,7 +336,7 @@ def test_kernel_section_small_cases():
     for x in ks:
         assert F.is_kernel_section_element(gam, x)
 
-    g0 = F.build_GJ(F.GJSpec(OM, (), 2))
+    g0 = F.build_GJ(OM, (), 2)
     assert F.finite_kernel_section(g0, 2) == set()
 
 
@@ -353,6 +352,6 @@ def test_trivial_tail_section_is_all_nontrivial_elements():
 
 
 def test_eta_element_is_kernel_section_member():
-    g1 = F.build_GJ(F.GJSpec(OM, (1,), 2))
+    g1 = F.build_GJ(OM, (1,), 2)
     x = g1.evaluate(eta_word(OM, 1))
     assert F.is_kernel_section_element(g1, x)

@@ -9,7 +9,7 @@ import pytest
 from griglab import marked as M
 from griglab import words as W
 from griglab.cayley import bfs_ball
-from griglab.family import GJSpec, build_GJ
+from griglab.family import build_GJ
 from griglab.wreath import grig
 
 
@@ -115,7 +115,7 @@ def test_product_componentwise():
 def test_product_evaluates_the_word_in_each_factor():
     groups = [
         M.product([M.MatrixHGroup(), M.GammaFree(), grig(W.FIRST_OMEGA, 3)]),
-        build_GJ(GJSpec(W.parse_omega("(021)*"), (1, 3), 3)),
+        build_GJ(W.parse_omega("(021)*"), (1, 3), 3),
     ]
     rng = random.Random(5)
     for p in groups:

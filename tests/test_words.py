@@ -97,10 +97,6 @@ def test_phi_twist_is_order_three_automorphism():
 def test_substitutions_frozen_examples():
     assert W.sigma_sub("a") == tuple("aca")
     assert W.sigma_sub("b") == ("b",)
-    assert W.tau_sub("a") == ("c",)
-    assert W.tau_sub("b") == ("a",)
-    assert W.tau_sub("c") == ("a",)
-    assert W.tau_sub("d") == ()
     assert W.sigma_twisted("a", 1) == tuple("ada")
     assert W.sigma_twisted("a", 2) == tuple("aba")
     assert W.sigma_twisted("a", 0) == tuple("aca")
@@ -114,11 +110,8 @@ def test_substitutions_are_homomorphisms():
         v = rand_word(rng, rng.randrange(0, 12))
         for f in (
             W.sigma_sub,
-            W.tau_sub,
             lambda w: W.sigma_twisted(w, 1),
             lambda w: W.sigma_twisted(w, 2),
-            lambda w: W.tau_twisted(w, 1),
-            lambda w: W.tau_twisted(w, 2),
         ):
             assert f(W.mul(u, v)) == W.mul(f(u), f(v))
 
@@ -128,7 +121,6 @@ def test_twisted_at_zero_matches_plain():
     for _ in range(50):
         u = rand_word(rng, rng.randrange(0, 15))
         assert W.sigma_twisted(u, 0) == W.sigma_sub(u)
-        assert W.tau_twisted(u, 0) == W.tau_sub(u)
 
 
 # ---------------------------------------------------------------- relator and eta
@@ -143,11 +135,14 @@ def test_base_relator_shape():
 
 
 def test_every_tau_variant_kills_the_relator():
-    # each collapsing substitution deletes one torsion letter, and the
-    # relator is framed by all three, so every variant sends it to e
+    # each collapsing substitution a -> c, b -> a, c -> a, d -> e, twisted
+    # by phi^x, deletes one torsion letter, and the relator is framed by
+    # all three, so every variant sends it to e
+    tau = {"a": "c", "b": "a", "c": "a", "d": ""}
     for x in (0, 1, 2):
         for y in (0, 1, 2):
-            assert W.tau_twisted(W.phi_twist(W.base_relator(), y), x) == ()
+            w = W.phi_twist(W.phi_twist(W.base_relator(), y), -x)
+            assert W.phi_twist("".join(tau[ch] for ch in w), x) == ()
 
 
 def test_eta_level_zero_is_twisted_relator():

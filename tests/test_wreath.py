@@ -13,7 +13,7 @@ import pytest
 from griglab import words as W
 from griglab import wreath as Wr
 from griglab.cayley import bfs_ball
-from griglab.family import GJSpec, build_GJ
+from griglab.family import build_GJ
 from griglab.marked import (
     CyclicGroup,
     FreeGroup,
@@ -194,7 +194,7 @@ def test_ball_inverse_symbols_on_the_zoo():
     klein = [
         TrivialGroup(), GammaFree(), H, Wr.grig(OM, 2), Wr.grig(OM, 5),
         Wr.iterate_functor(OM, 3, H), Wr.iterate_functor(OM, 2, product([H, Wr.grig(OM, 1)])),
-        build_GJ(GJSpec(OM, (1,), 2)),
+        build_GJ(OM, (1,), 2),
     ]
     pinned = [(g, (0, 1, 2, 3)) for g in klein] + [
         (FreeGroup(1), (1, 0)),
@@ -482,8 +482,8 @@ def test_agreement_radius_matches_ball_oracle_under_relabelling(g1, g2, n_max, e
 
 def test_agreement_radius_of_a_divergent_family_pair():
     # G_{} and G_{1} on (012)* first differ at radius 8
-    g1 = build_GJ(GJSpec(OM, (), 8))
-    g2 = build_GJ(GJSpec(OM, (1,), 8))
+    g1 = build_GJ(OM, (), 8)
+    g2 = build_GJ(OM, (1,), 8)
     assert Wr.ball_agreement_radius(g1, g2, 8) == 7
     assert oracle_agreement_radius(g1, g2, 8) == 7
 
