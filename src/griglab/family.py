@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .cayley import bfs_ball
 from .marked import MatrixHGroup, ProductGroup, product
-from .words import OmegaWord, eta_word, phi_twist, base_relator
+from .words import OmegaWord, eta_word
 from .wreath import grig, iterate_functor, split
 
 def activation_margin(omega: OmegaWord) -> int:
@@ -159,10 +159,11 @@ class WitnessTable:
         return swapped or bool(leaves), not swapped, leaves
 
     def leaf_matches(self, i: int) -> bool:
-        """Whether eta_i's first leaf in F^i(H) is the relator twisted by letter i + 1."""
-        leaves, twist = self.level(i)[2], -self.omega.letter(i + 1)
+        """Whether eta_i's first leaf in F^i(H) is the relator twisted by
+        letter i + 1, which is eta_0 of omega shifted by i."""
+        leaves = self.level(i)[2]
         return self._get(("relator", i), lambda: bool(leaves)
-                         and leaves[0][1] == self.H.evaluate(phi_twist(base_relator(), twist)))
+                         and leaves[0][1] == self.H.evaluate(eta_word(self.omega.shift(i), 0)))
 
     def report(self, J: Iterable, Jp: Iterable, i: int) -> dict:
         """The griglab/witness/1 report of separation_witness(omega, J, Jp, i)."""

@@ -16,7 +16,7 @@ of compatibly marked groups.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -73,8 +73,9 @@ class MarkedGroup:
     def mul(self, x, y):
         raise NotImplementedError
 
-    def parse(self, w: Union[str, Iterable]) -> tuple:
-        """Word as a tuple of generator indices."""
+    def parse(self, w: Union[str, Sequence[int]]) -> tuple:
+        """Word as a tuple of generator indices; ``w`` is a string of
+        symbols or a sequence of generator indices."""
         if isinstance(w, str):
             if w in ("e", "1", ""):
                 return ()
@@ -85,14 +86,12 @@ class MarkedGroup:
                 out.append(self.symbols.index(ch))
             return tuple(out)
         items = tuple(w)
-        if all(isinstance(t, int) for t in items):
-            for t in items:
-                if not 0 <= t < self.k:
-                    raise ValueError(f"generator index {t} out of range")
-            return items
-        return self.parse("".join(items))
+        for t in items:
+            if not 0 <= t < self.k:
+                raise ValueError(f"generator index {t} out of range")
+        return items
 
-    def evaluate(self, w: Union[str, Iterable]):
+    def evaluate(self, w: Union[str, Sequence[int]]):
         """The element a word names: ``mul`` folded over its generators.
 
         A subclass may override this with an exact shortcut that returns
@@ -133,28 +132,29 @@ class TrivialGroup(MarkedGroup):
 class GammaFree(MarkedGroup):
     """The rank-4 involutive group: Z/2 * (Z/2 x Z/2) on a, b, c, d.
 
-    Elements are normal-form words; the normal form is a geodesic, so its
-    length is the word metric.
+    Elements are normal-form words, ``str`` as in ``words``: the identity
+    is "" and a generator its letter.  The normal form is a geodesic, so
+    its length is the word metric.
     """
 
     symbols = ("a", "b", "c", "d")
     label = "gamma_free()"
 
     def identity(self):
-        return ()
+        return ""
 
     def generator(self, i):
-        return (self.symbols[i],)
+        return self.symbols[i]
 
     def mul(self, x, y):
         # both operands are normal forms
         return words.reduce_onto(x, y)
 
     def evaluate(self, w):
-        return words.reduce(tuple(self.symbols[i] for i in self.parse(w)))
+        return words.reduce("".join(self.symbols[i] for i in self.parse(w)))
 
     def describe_element(self, x):
-        return words.word_str(x)
+        return x or "e"
 
     # keys: the normal form's letters a, b, c, d as base-5 digits 1-4, the
     # last letter least significant
@@ -174,7 +174,7 @@ class GammaFree(MarkedGroup):
         while key:
             key, d = divmod(key, 5)
             out.append(self.symbols[d - 1])
-        return tuple(reversed(out))
+        return "".join(reversed(out))
 
 
 class MatrixHGroup(MarkedGroup):

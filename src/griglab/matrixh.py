@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .words import WordLike, _letters, base_relator
+from .words import base_relator
 
 
 def _dyadic_shift(bits: int, exp: int) -> int:
@@ -143,10 +143,10 @@ def generator_matrices() -> dict:
     return {"a": MAT_A, "b": MAT_B, "c": MAT_C, "d": MAT_D}
 
 
-def word_to_matrix(w: WordLike) -> ProjectiveMat:
+def word_to_matrix(w: str) -> ProjectiveMat:
     table = generator_matrices()
     out = MAT_ID
-    for ch in _letters(w):
+    for ch in "" if w in ("e", "1") else w:
         out = out @ table[ch]
     return out
 

@@ -6,8 +6,8 @@ third.  A word is in normal form when no letter is doubled and no two
 letters from {b, c, d} are adjacent; equality in the group is equality of
 normal forms, so all word-level functions here return normal forms.
 
-Words are tuples of single-character strings.  The empty tuple is the
-identity and prints as "e".
+A word is a ``str`` over these letters.  The empty string is the
+identity; on input "e" and "1" also name it, and it prints as "e".
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
 
 LETTERS = "abcd"
 _TORSION = "bcd"  # pairwise products stay inside this set
@@ -27,29 +26,22 @@ for _x in _TORSION:
         if _x != _y:
             _THIRD[_x, _y] = next(z for z in _TORSION if z not in (_x, _y))
 
-WordLike = Union[str, Iterable[str]]
-Word = tuple
+_NOT_LETTERS = str.maketrans("", "", LETTERS)  # deletes every letter
+# per x in 0, 1, 2: cycle b -> c -> d -> b x steps, fix a
+_TWISTS = [str.maketrans(_TORSION, _TORSION[x:] + _TORSION[:x]) for x in range(3)]
 
 
-def _letters(w: WordLike) -> Iterable[str]:
-    if isinstance(w, str):
-        if w in ("e", "1"):
-            return ()
-        seq = w
-    else:
-        seq = tuple(w)
-    for ch in seq:
-        if ch not in LETTERS:
-            raise ValueError(f"bad letter {ch!r}; expected one of {LETTERS!r}")
-    return seq
-
-
-def reduce(w: WordLike) -> Word:
+def reduce(w: str) -> str:
     """Normal form of ``w``: cancel doubled letters, fold b/c/d pairs."""
-    return reduce_onto((), _letters(w))
+    if w in ("e", "1"):
+        return ""
+    bad = w.translate(_NOT_LETTERS)
+    if bad:
+        raise ValueError(f"bad letter {bad[0]!r}; expected one of {LETTERS!r}")
+    return reduce_onto("", w)
 
 
-def reduce_onto(u: Word, letters: Iterable[str]) -> Word:
+def reduce_onto(u: str, letters: str) -> str:
     """Normal form of ``u`` followed by ``letters``, for ``u`` already in
     normal form: only the seam can reduce, so ``u`` is not re-checked and
     ``letters`` must be valid letters."""
@@ -69,51 +61,32 @@ def reduce_onto(u: Word, letters: Iterable[str]) -> Word:
                 continue
             out.append(ch)
             break
-    return tuple(out)
+    return "".join(out)
 
 
-def word_str(w: Word) -> str:
-    return "".join(w) if w else "e"
-
-
-def mul(u: WordLike, v: WordLike) -> Word:
-    return reduce(tuple(_letters(u)) + tuple(_letters(v)))
-
-
-def inverse(w: WordLike) -> Word:
-    # every letter is an involution, so inversion is reversal
-    return reduce(tuple(_letters(w))[::-1])
-
-
-def commutator(u: WordLike, v: WordLike) -> Word:
-    # orientation u v u^-1 v^-1, matching the exact matrix identities
+def commutator(u: str, v: str) -> str:
+    # orientation u v u^-1 v^-1, matching the exact matrix identities; every
+    # letter is an involution, so a reduced word's inverse is its reversal
     u, v = reduce(u), reduce(v)
-    return reduce(u + v + inverse(u) + inverse(v))
+    return reduce(u + v + u[::-1] + v[::-1])
 
 
-def phi_twist(w: WordLike, x: int) -> Word:
+def phi_twist(w: str, x: int) -> str:
     """Cycle the torsion letters x steps along b -> c -> d -> b; fix a."""
-    x %= 3
-    out = []
-    for ch in _letters(w):
-        if ch == "a":
-            out.append(ch)
-        else:
-            out.append(_TORSION[(_TORSION.index(ch) + x) % 3])
-    return reduce(out)
+    return reduce(w.translate(_TWISTS[x % 3]))
 
 
-def sigma_sub(w: WordLike) -> Word:
+def sigma_sub(w: str) -> str:
     """Doubling substitution a -> aca, fixing b, c, d."""
-    return reduce("".join("aca" if ch == "a" else ch for ch in _letters(w)))
+    return reduce(w.replace("a", "aca"))
 
 
-def sigma_twisted(w: WordLike, x: int) -> Word:
+def sigma_twisted(w: str, x: int) -> str:
     return phi_twist(sigma_sub(phi_twist(w, -x)), x)
 
 
 @functools.lru_cache(maxsize=1)
-def base_relator() -> Word:
+def base_relator() -> str:
     """The nested commutator [c, [d, [b, (ad)^4]]] in normal form."""
     u = reduce("adadadad")
     u = commutator("b", u)
@@ -122,7 +95,7 @@ def base_relator() -> Word:
     return u
 
 
-def eta_word(omega: "OmegaWord", k: int) -> Word:
+def eta_word(omega: "OmegaWord", k: int) -> str:
     """Separating word at level k for the letter sequence ``omega``.
 
     Built from the base relator by one letter twist for the innermost

@@ -157,7 +157,7 @@ def nontrivial_leaves(g: DecoratedElement, base_identity) -> list:
 _WEAK = {0: "d", 1: "c", 2: "b"}
 
 
-def split(word, letter: int) -> tuple:
+def split(word: str, letter: int) -> tuple:
     """(swap, section0, section1) of a word over a, b, c, d under the
     functor with ``letter``: its root swap bit and its sections at inputs 0
     and 1, reduced in Gamma = Z/2 * (Z/2)^2.
@@ -175,7 +175,8 @@ def split(word, letter: int) -> tuple:
         sections[1 ^ swap].append(ch)
         if ch != weak:
             sections[swap].append("a")
-    return swap, words.reduce(sections[swap]), words.reduce(sections[swap ^ 1])
+    s0, s1 = "".join(sections[swap]), "".join(sections[swap ^ 1])
+    return swap, words.reduce(s0), words.reduce(s1)
 
 
 class WreathGroup(MarkedGroup):

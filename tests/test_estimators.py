@@ -78,7 +78,7 @@ def test_gamma_chain_per_point_counts_equal_the_ball_dp():
     type 0 ends in a, type 1 in b, c or d."""
     ball = bfs_ball(GammaFree(), 8)
     dist = ball.dist.tolist()
-    kind = [0 if x[-1:] == ("a",) else 1 for x in ball.vertices]
+    kind = [0 if x[-1:] == "a" else 1 for x in ball.vertices]
     chain = radial_point_counts(GammaFree(), 8)
     for t, (rows, vec) in enumerate(zip(chain, cayley.walk_counts(ball, 8))):
         want = [rows[i][d] if d <= t else 0 for i, d in zip(kind, dist)]

@@ -14,7 +14,7 @@ from griglab import wreath as Wr
 from griglab.cayley import OUTSIDE, bfs_ball
 from griglab.marked import MatrixHGroup, product
 from griglab.words import FIRST_OMEGA as OM
-from griglab.words import OmegaWord, eta_word, parse_omega, reduce, word_str
+from griglab.words import OmegaWord, eta_word, parse_omega, reduce
 from griglab.wreath import ball_agreement_radius, grig, iterate_functor
 
 
@@ -55,7 +55,7 @@ def trivial_in_limit(w, omega):
         if ch != weak:
             sections[swap].append("a")
     # sections are at most (len(w) + 1) // 2 long, so this ends
-    return all(trivial_in_limit(p, omega.shift(1)) for p in sections)
+    return all(trivial_in_limit("".join(p), omega.shift(1)) for p in sections)
 
 
 def reduced_words(length):
@@ -81,7 +81,7 @@ def test_truncation_level_decides_short_words_as_the_limit_does(om):
         for _ in range(8):
             u = "".join(rng.choices("abcd", k=rng.randrange(1, 7)))
             ws.append(u + r + u[::-1])  # u^-1 is u reversed
-    ws += [word_str(eta_word(omega, k)) for k in (1, 2, 3)]
+    ws += [eta_word(omega, k) for k in (1, 2, 3)]
     towers = {}
     for w in ws:
         n = len(w) // 2  # the least n with len(w) <= 2n + 1
@@ -285,14 +285,17 @@ def test_a_sweep_builds_each_word_once_and_no_tree(monkeypatch, tower_builds):
     words = []
 
     def counted(omega, k):
-        words.append(k)
+        words.append((k, str(omega)))
         return eta_word(omega, k)
 
     monkeypatch.setattr(F, "eta_word", counted)
     sets = ["{" + ",".join(map(str, J)) + "}" for J in SUBSETS]
     pool = Wr.pool_size()
     assert cli.main(["sweep", "eta-witness", *sets]) == 0
-    assert sorted(words) == [1, 2, 3]
+    # eta_1, eta_2, eta_3, and the relators twisted by letters 2, 3, 4 that
+    # their leaves are matched against: eta_0 of omega shifted by 1, 2, 3
+    shifted = [(0, "(012)*"), (0, "(120)*"), (0, "(201)*")]
+    assert sorted(words) == shifted + [(1, "(012)*"), (2, "(012)*"), (3, "(012)*")]
     assert tower_builds == []
     assert Wr.pool_size() == pool
 

@@ -1,18 +1,20 @@
 """Byte-identical CLI output on a fixed set of commands.
 
 Each command runs in-process with ``--json -`` or ``--csv -`` and its whole
-stdout is compared by sha256 with a pinned hash; one more pin covers the
-DOT text of a small decorated ball.  A versioned change to one of these outputs re-pins
+stdout is compared by sha256 with a pinned hash; three more pins cover the
+DOT text of small balls.  A versioned change to one of these outputs re-pins
 its hash and says so in CHANGES.md: the failure message prints the new pin.
 """
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
 from griglab.cayley import bfs_ball
 from griglab.cli import main, parse_group_expr
+from griglab.marked import GammaFree
 
 
 def sha256(text: str) -> str:
@@ -20,6 +22,8 @@ def sha256(text: str) -> str:
 
 
 ALL_SUBSETS = ["{}", "{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2,3}", "{1,2,3}"]
+SUBSETS_OF_4 = ["{" + ",".join(map(str, J)) + "}"
+                for k in range(5) for J in combinations((1, 2, 3, 4), k)]
 
 GOLDEN = [
     (["estimate", "free(2)", "rho", "--n", "12"],
@@ -65,6 +69,11 @@ GOLDEN = [
      "e0d3a12ac10f2885851651f47a4032b21d73377dab2bab2c4d6c270dec95afca"),
     (["verify", "all"],
      "6b664cb3f33729357719a909f327fb0116a7136782006bb44494bf5bbb74a57a"),
+    (["verify", "eta", "--k", "4"],
+     "187632c20bb394fecdc5821e24edb9e93bb3c7d9ae063cfe078ebb0efc444807"),
+    # every subset of {1,2,3,4}: 65 pairs, witness words up to eta_4
+    (["sweep", "eta-witness", *SUBSETS_OF_4, "--omega", "(012)*"],
+     "30f0f48745a2d5b2135076296d0e7442344a420c00150afb6bb72244a1949935"),
 ]
 
 
@@ -126,3 +135,13 @@ def test_family_member_ball_dot_is_byte_identical():
     got = sha256(ball.to_dot())
     digest = "59fc59cdda4b9f89319664e540d16048ff7c07fdf4da9ffa99d22c9b07a812c1"
     assert got == digest, f'to_dot of bfs_ball({expr}, 2) changed; new digest: "{got}"'
+
+
+def test_gamma_free_ball_dot_is_byte_identical():
+    # 23 vertices, each a normal-form word printed by describe_element,
+    # the identity as "e"
+    ball = bfs_ball(GammaFree(), 3)
+    assert ball.size == 23
+    got = sha256(ball.to_dot())
+    digest = "94fcaf4f8132a1e0e0720d697775663192e325525ac5fca08ed0d552271a0917"
+    assert got == digest, f'to_dot of bfs_ball(gamma_free(), 3) changed; new digest: "{got}"'

@@ -9,6 +9,9 @@ import random
 import pytest
 
 from griglab import words as W
+from griglab.cayley import bfs_ball
+from griglab.marked import GammaFree
+from griglab.wreath import split
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -17,19 +20,23 @@ def rand_word(rng, n):
     return "".join(rng.choices(W.LETTERS, k=n))
 
 
+def mul(u, v):
+    return W.reduce(u + v)
+
+
 # ---------------------------------------------------------------- reduce
 
 
 def test_reduce_frozen_examples():
-    assert W.reduce("bcd") == ()
-    assert W.reduce("aa") == ()
-    assert W.reduce("bc") == ("d",)
-    assert W.reduce("cb") == ("d",)
-    assert W.reduce("bd") == ("c",)
-    assert W.reduce("dc") == ("b",)
-    assert W.reduce("abab") == tuple("abab")
-    assert W.word_str(W.reduce("")) == "e"
-    assert W.reduce("e") == ()
+    assert W.reduce("bcd") == ""
+    assert W.reduce("aa") == ""
+    assert W.reduce("bc") == "d"
+    assert W.reduce("cb") == "d"
+    assert W.reduce("bd") == "c"
+    assert W.reduce("dc") == "b"
+    assert W.reduce("abab") == "abab"
+    assert W.reduce("") == ""
+    assert W.reduce("e") == W.reduce("1") == ""
 
 
 def test_reduce_rejects_bad_letters():
@@ -65,21 +72,22 @@ def test_group_axioms_on_words():
         u = rand_word(rng, rng.randrange(0, 15))
         v = rand_word(rng, rng.randrange(0, 15))
         t = rand_word(rng, rng.randrange(0, 15))
-        assert W.mul(W.mul(u, v), t) == W.mul(u, W.mul(v, t))
-        assert W.mul(u, W.inverse(u)) == ()
-        assert W.mul(W.inverse(u), u) == ()
+        assert mul(mul(u, v), t) == mul(u, mul(v, t))
+        # every letter is an involution, so reversal inverts a word
+        assert mul(u, u[::-1]) == ""
+        assert mul(u[::-1], u) == ""
 
 
 # ---------------------------------------------------------------- twists
 
 
 def test_phi_twist_generator_table():
-    assert W.phi_twist("a", 1) == ("a",)
-    assert W.phi_twist("b", 1) == ("c",)
-    assert W.phi_twist("c", 1) == ("d",)
-    assert W.phi_twist("d", 1) == ("b",)
-    assert W.phi_twist("b", 2) == ("d",)
-    assert W.phi_twist("b", -1) == ("d",)
+    assert W.phi_twist("a", 1) == "a"
+    assert W.phi_twist("b", 1) == "c"
+    assert W.phi_twist("c", 1) == "d"
+    assert W.phi_twist("d", 1) == "b"
+    assert W.phi_twist("b", 2) == "d"
+    assert W.phi_twist("b", -1) == "d"
 
 
 def test_phi_twist_is_order_three_automorphism():
@@ -88,19 +96,19 @@ def test_phi_twist_is_order_three_automorphism():
         u = rand_word(rng, rng.randrange(0, 20))
         v = rand_word(rng, rng.randrange(0, 20))
         for x in (0, 1, 2):
-            assert W.phi_twist(W.mul(u, v), x) == W.mul(
+            assert W.phi_twist(mul(u, v), x) == mul(
                 W.phi_twist(u, x), W.phi_twist(v, x)
             )
         assert W.phi_twist(W.phi_twist(W.phi_twist(u, 1), 1), 1) == W.reduce(u)
 
 
 def test_substitutions_frozen_examples():
-    assert W.sigma_sub("a") == tuple("aca")
-    assert W.sigma_sub("b") == ("b",)
-    assert W.sigma_twisted("a", 1) == tuple("ada")
-    assert W.sigma_twisted("a", 2) == tuple("aba")
-    assert W.sigma_twisted("a", 0) == tuple("aca")
-    assert W.sigma_twisted("b", 1) == ("b",)
+    assert W.sigma_sub("a") == "aca"
+    assert W.sigma_sub("b") == "b"
+    assert W.sigma_twisted("a", 1) == "ada"
+    assert W.sigma_twisted("a", 2) == "aba"
+    assert W.sigma_twisted("a", 0) == "aca"
+    assert W.sigma_twisted("b", 1) == "b"
 
 
 def test_substitutions_are_homomorphisms():
@@ -113,7 +121,7 @@ def test_substitutions_are_homomorphisms():
             lambda w: W.sigma_twisted(w, 1),
             lambda w: W.sigma_twisted(w, 2),
         ):
-            assert f(W.mul(u, v)) == W.mul(f(u), f(v))
+            assert f(mul(u, v)) == mul(f(u), f(v))
 
 
 def test_twisted_at_zero_matches_plain():
@@ -142,7 +150,7 @@ def test_every_tau_variant_kills_the_relator():
     for x in (0, 1, 2):
         for y in (0, 1, 2):
             w = W.phi_twist(W.phi_twist(W.base_relator(), y), -x)
-            assert W.phi_twist("".join(tau[ch] for ch in w), x) == ()
+            assert W.phi_twist("".join(tau[ch] for ch in w), x) == ""
 
 
 def test_eta_level_zero_is_twisted_relator():
@@ -170,6 +178,37 @@ def test_eta_words_are_nontrivial_and_reduced():
         w = W.eta_word(om, k)
         assert w
         assert W.reduce(w) == w
+
+
+# ---------------------------------------------------------------- one word type
+
+
+def test_every_word_is_a_reduced_str():
+    rng = random.Random(29)
+    samples = ["", "e", "1"] + [rand_word(rng, rng.randrange(0, 30)) for _ in range(60)]
+    omegas = [W.FIRST_OMEGA, W.OmegaWord("2", "01"), W.OmegaWord("", "0112")]
+    got = [W.base_relator()] + [W.eta_word(om, k) for om in omegas for k in range(4)]
+    for w in samples:
+        u = rng.choice(samples)
+        got += [W.reduce(w), W.reduce_onto(W.reduce(u), W.reduce(w)),
+                W.commutator(w, u), W.sigma_sub(w)]
+        for x in (-1, 0, 1, 2):
+            got += [W.phi_twist(w, x), W.sigma_twisted(w, x)]
+        for letter in (0, 1, 2):
+            _, s0, s1 = split(W.reduce(w), letter)
+            got += [s0, s1]
+    for w in got:
+        assert type(w) is str and W.reduce(w) == w, w
+
+
+def test_gamma_free_elements_are_their_normal_forms():
+    g = GammaFree()
+    ball = bfs_ball(g, 6)
+    assert g.identity() == "" and g.generators() == list("abcd")
+    for v in ball.vertices:
+        assert type(v) is str and W.reduce(v) == v
+        assert g.evaluate(v) == v
+        assert g.describe_element(v) == (v or "e")
 
 
 # ---------------------------------------------------------------- omega words

@@ -253,11 +253,11 @@ def test_section_evaluation_returns_the_folded_tree(om):
     rng = random.Random(11)
     words = ["", "e", "a", "b", "c", "d"]
     words += ["".join(rng.choices("abcd", k=rng.randrange(65))) for _ in range(40)]
-    words += [W.word_str(W.eta_word(omega, k)) for k in (1, 2, 3)]
+    words += [W.eta_word(omega, k) for k in (1, 2, 3)]
     for g in towers:
         child = (lambda x: x) if isinstance(g.base, Wr.WreathGroup) else Wr.leaf
         for w in words:
-            letters = tuple(g.symbols[i] for i in g.parse(w))
+            letters = "".join(g.symbols[i] for i in g.parse(w))
             x = g.evaluate(letters)
             swap, s0, s1 = Wr.split(letters, g.letter)
             assert x.swap == swap, (g.label, w)
